@@ -14,7 +14,7 @@ import numpy as np
 
 from . import seeds
 from .data import DataError, EncodedMatrix
-from .mlp import MlpModel, entropy_per_example, loss_per_example
+from .mlp import MlpModel, forward
 
 LOSS_BASED = "loss_based"
 ENTROPY_BASED = "entropy_based"
@@ -84,17 +84,12 @@ def mia_scores(
     0.5 means the attack cannot tell members from non-members; higher
     means training rows are identifiable.
     """
-    if attack == LOSS_BASED:
-        member_scores = -loss_per_example(model, members)
-        nonmember_scores = -loss_per_example(model, nonmembers)
-    elif attack == ENTROPY_BASED:
-        member_scores = -entropy_per_example(model, members.features)
-        nonmember_scores = -entropy_per_example(model, nonmembers.features)
-    else:
-        raise DataError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
-    auc = roc_auc(member_scores, nonmember_scores)
-    return MiaResult(
-        attack, auc, members.n_rows, nonmembers.n_rows, member_scores, nonmember_scores
+    return mia_from_probs(
+        forward(model, members.features),
+        members.labels,
+        forward(model, nonmembers.features),
+        nonmembers.labels,
+        attack,
     )
 
 

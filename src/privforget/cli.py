@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csvmod
+import dataclasses
 import itertools
 import json
 import os
@@ -207,34 +208,25 @@ def _privacy_spec(conf: dict, privacy_seed: int) -> unlearn.PrivacySpec:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _utility(probs: np.ndarray, labels: np.ndarray, metric: str) -> float:
-    if metric == "accuracy":
-        return float((np.argmax(probs, axis=1) == labels).mean())
-    if probs.shape[1] != 2:
-        raise ModelError("AUC utility is defined for binary classifiers")
-    pos = probs[labels == 1, 1]
-    neg = probs[labels == 0, 1]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ModelError("AUC needs both classes present")
-    return attack_mod.roc_auc(pos, neg)
-
-
-def _mia_entries(probs_fn, members, nonmembers, attacks, seed, population) -> list[dict]:
+def _mia_entries(probs_fn, members, nonmembers, attacks, seed, population=None) -> list[dict]:
+    """One entry per attack on a balanced member/non-member pair; the
+    population key is left out when no population is named."""
     m, nm = attack_mod.balanced_pair(members, nonmembers, seed)
     m_probs = probs_fn(m.features)
     nm_probs = probs_fn(nm.features)
     entries = []
     for atk in attacks:
         res = attack_mod.mia_from_probs(m_probs, m.labels, nm_probs, nm.labels, atk)
-        entries.append(
-            {
-                "attack": atk,
-                "population": population,
-                "auc": res.auc,
-                "n_members": res.n_members,
-                "n_nonmembers": res.n_nonmembers,
-            }
-        )
+        entry = {
+            "attack": atk,
+            "population": population,
+            "auc": res.auc,
+            "n_members": res.n_members,
+            "n_nonmembers": res.n_nonmembers,
+        }
+        if population is None:
+            del entry["population"]
+        entries.append(entry)
     return entries
 
 
@@ -247,11 +239,6 @@ def _params_block(conf: dict) -> dict:
     if method == "sisa":
         return {"n_shards": int(conf["n_shards"]), "n_slices": int(conf["n_slices"])}
     return {}
-
-
-def _config_echo(conf: dict) -> dict:
-    echo = {k: v for k, v in conf.items() if k != "sweep"}
-    return echo
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -310,13 +297,7 @@ def cmd_anonymize(conf: dict) -> int:
     }
     if method == "eupg_k":
         check = kanon.verify_k_anonymity(protected, int(conf["k"]))
-        report["kanonymity"] = {
-            "ok": check.ok,
-            "k": check.k,
-            "n_groups": check.n_groups,
-            "min_group_size": check.min_group_size,
-            "violating_groups": check.violating_groups,
-        }
+        report["kanonymity"] = dataclasses.asdict(check)
         if not check.ok:
             raise DataError(
                 f"protected output failed k-anonymity verification: "
@@ -327,11 +308,58 @@ def cmd_anonymize(conf: dict) -> int:
     return 0
 
 
-def _fit_probs_fn(method, obj):
+def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fields) -> dict:
+    """Score a fitted model, ensemble or state on the test set and against
+    membership inference, then write ``<command>_report.json``.
+
+    populations maps each population name to the member rows attacked
+    against the test rows.  fields fill the command-specific report keys in
+    place (timings_s, forget, artifacts, budget_ledger, kanonymity) and seeds
+    the privacy and forget seeds, so the key order is fixed here.
+    """
+    method = conf["method"]
+    base_seed = int(conf["seed"]) + rep
+    seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
+    seeds.update(fields.pop("seeds", {}))
     if method == "sisa":
-        return lambda X: unlearn.sisa_predict(obj, X)
-    model = obj.deployed_model if isinstance(obj, unlearn.EupgState) else obj
-    return lambda X: mlp.forward(model, X)
+        probs_fn = lambda X: unlearn.sisa_predict(fitted, X)
+    else:
+        model = fitted.deployed_model if isinstance(fitted, unlearn.EupgState) else fitted
+        probs_fn = lambda X: mlp.forward(model, X)
+    test_em = encode(test)
+    utility = mlp.utility_from_probs(
+        probs_fn(test_em.features), test_em.labels, conf["utility_metric"]
+    )
+    mia = []
+    for population, members in populations.items():
+        mia += _mia_entries(
+            probs_fn, encode(members), test_em, conf["attacks"], base_seed, population
+        )
+    report = {
+        "format_version": 1,
+        "command": command,
+        "method": method,
+        "params": _params_block(conf),
+        "repetition": rep,
+        "seeds": seeds,
+        "dataset": {
+            "train_rows": train.n_rows,
+            "test_rows": test.n_rows,
+            "n_classes": len(train.schema[train.class_index].categories),
+            "encoded_width": encoded_width(train.schema),
+        },
+        "config": {k: v for k, v in conf.items() if k != "sweep"},
+        "timings_s": None,
+        "utility": {"metric": conf["utility_metric"], "value": utility},
+        "mia": mia,
+        "forget": None,
+        "artifacts": None,
+        "budget_ledger": None,
+        "kanonymity": None,
+        **fields,
+    }
+    _write_report(rep_dir / f"{command}_report.json", report)
+    return report
 
 
 def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
@@ -343,16 +371,14 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     )
     hidden = int(conf["hidden_units"])
     timings: dict[str, float] = {}
-    ledger = None
-    kanon_report = None
-    artifacts: dict[str, str] = {}
+    fields: dict = {}
 
     if method == "original":
         t0 = time.perf_counter()
         fitted = unlearn.retrain_scratch(train, cfg, hidden)
         timings["train"] = time.perf_counter() - t0
         mlp.save_model(fitted, rep_dir / "original.model")
-        artifacts["model"] = str(rep_dir / "original.model")
+        fields["artifacts"] = {"model": str(rep_dir / "original.model")}
     elif method in ("eupg_k", "eupg_dp"):
         spec = _privacy_spec(conf, privacy_seed)
         fitted = unlearn.eupg_prepare(
@@ -360,17 +386,13 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         )
         timings.update(fitted.timings)
         unlearn.save_eupg_state(fitted, rep_dir / "state")
-        artifacts["state_dir"] = str(rep_dir / "state")
-        ledger = fitted.dp_ledger
+        fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
+        fields["seeds"] = {"privacy": privacy_seed}
+        if fitted.dp_ledger:
+            fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
         if method == "eupg_k":
             check = kanon.verify_k_anonymity(fitted.protected_data, int(conf["k"]))
-            kanon_report = {
-                "ok": check.ok,
-                "k": check.k,
-                "n_groups": check.n_groups,
-                "min_group_size": check.min_group_size,
-                "violating_groups": check.violating_groups,
-            }
+            fields["kanonymity"] = dataclasses.asdict(check)
     else:
         t0 = time.perf_counter()
         fitted = unlearn.sisa_train(
@@ -380,43 +402,12 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         t0 = time.perf_counter()
         unlearn.save_shard_store(fitted, rep_dir / "state")
         timings["artifact_io"] = time.perf_counter() - t0
-        artifacts["state_dir"] = str(rep_dir / "state")
+        fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
 
-    probs_fn = _fit_probs_fn(method, fitted)
-    test_em = encode(test)
-    utility = _utility(probs_fn(test_em.features), test_em.labels, conf["utility_metric"])
-    mia = _mia_entries(
-        probs_fn, encode(train), test_em, conf["attacks"], base_seed, "train_vs_test"
+    populations = {"train_vs_test": train}
+    return _report(
+        conf, "run", rep, rep_dir, fitted, train, test, populations, timings_s=timings, **fields
     )
-    report = {
-        "format_version": 1,
-        "command": "run",
-        "method": method,
-        "params": _params_block(conf),
-        "repetition": rep,
-        "seeds": {
-            "train": base_seed,
-            "privacy": privacy_seed if method in ("eupg_k", "eupg_dp") else None,
-            "forget": None,
-            "mia": base_seed,
-        },
-        "dataset": {
-            "train_rows": train.n_rows,
-            "test_rows": test.n_rows,
-            "n_classes": len(train.schema[train.class_index].categories),
-            "encoded_width": encoded_width(train.schema),
-        },
-        "config": _config_echo(conf),
-        "timings_s": timings,
-        "utility": {"metric": conf["utility_metric"], "value": utility},
-        "mia": mia,
-        "forget": None,
-        "artifacts": artifacts,
-        "budget_ledger": ledger.to_json_dict() if ledger else None,
-        "kanonymity": kanon_report,
-    }
-    _write_report(rep_dir / "run_report.json", report)
-    return report
 
 
 def cmd_run(conf: dict) -> int:
@@ -478,48 +469,24 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         unlearn.save_shard_store(new_obj, after_dir)
         timings["artifact_io"] = time.perf_counter() - t0
 
-    probs_fn = _fit_probs_fn(method, new_obj)
-    test_em = encode(test)
-    utility = _utility(probs_fn(test_em.features), test_em.labels, conf["utility_metric"])
-    mia = _mia_entries(
-        probs_fn, encode(forget_part), test_em, conf["attacks"], base_seed, "forget_vs_test"
-    )
-    mia += _mia_entries(
-        probs_fn, encode(retain), test_em, conf["attacks"], base_seed, "retain_vs_test"
-    )
-    report = {
-        "format_version": 1,
-        "command": "forget",
-        "method": method,
-        "params": _params_block(conf),
-        "repetition": rep,
-        "seeds": {
-            "train": base_seed,
-            "privacy": None,
-            "forget": forget_base + rep,
-            "mia": base_seed,
-        },
-        "dataset": {
-            "train_rows": train.n_rows,
-            "test_rows": test.n_rows,
-            "n_classes": len(train.schema[train.class_index].categories),
-            "encoded_width": encoded_width(train.schema),
-        },
-        "config": _config_echo(conf),
-        "timings_s": timings,
-        "utility": {"metric": conf["utility_metric"], "value": utility},
-        "mia": mia,
-        "forget": {
+    return _report(
+        conf,
+        "forget",
+        rep,
+        rep_dir,
+        new_obj,
+        train,
+        test,
+        {"forget_vs_test": forget_part, "retain_vs_test": retain},
+        timings_s=timings,
+        seeds={"forget": forget_base + rep},
+        forget={
             "ratio": float(conf["forget_ratio"]),
             "n_forgotten": forget_part.n_rows,
             "epochs": int(conf["finetune_epochs"]) if method.startswith("eupg") else None,
         },
-        "artifacts": {"state_dir": str(after_dir)},
-        "budget_ledger": None,
-        "kanonymity": None,
-    }
-    _write_report(rep_dir / "forget_report.json", report)
-    return report
+        artifacts={"state_dir": str(after_dir)},
+    )
 
 
 def cmd_forget(conf: dict) -> int:
@@ -556,20 +523,13 @@ def cmd_attack(args) -> int:
     nonmembers_ds = TabularDataset(
         members_ds.schema, nonmembers_parsed.rows, Provenance.raw()
     )
-    m, nm = attack_mod.balanced_pair(
-        encode(members_ds), encode(nonmembers_ds), args.seed
+    results = _mia_entries(
+        lambda X: mlp.forward(model, X),
+        encode(members_ds),
+        encode(nonmembers_ds),
+        args.attacks,
+        args.seed,
     )
-    results = []
-    for atk in args.attacks:
-        res = attack_mod.mia_scores(model, m, nm, atk)
-        results.append(
-            {
-                "attack": atk,
-                "auc": res.auc,
-                "n_members": res.n_members,
-                "n_nonmembers": res.n_nonmembers,
-            }
-        )
     payload = json.dumps({"seed": args.seed, "results": results}, indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

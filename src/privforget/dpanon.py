@@ -11,7 +11,7 @@ pixels any one individual contributes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -224,17 +224,18 @@ class DpLedger:
                 "numerator": str(share.numerator),
                 "denominator": str(share.denominator),
             },
-            "entries": [
-                {
-                    "attribute": e.attribute,
-                    "mechanism": e.mechanism,
-                    "epsilon_share": e.epsilon_share,
-                    "sensitivity": e.sensitivity,
-                    "n_clamped": e.n_clamped,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "DpLedger":
+        """Inverse of to_json_dict; the derived per-attribute fields are not read."""
+        return cls(
+            d["epsilon_total"],
+            d["n_attributes"],
+            d["seed"],
+            tuple(DpBudgetEntry(**e) for e in d["entries"]),
+        )
 
 
 @dataclass(frozen=True)

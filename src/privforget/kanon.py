@@ -9,7 +9,7 @@ their min-max scale and categorical ones as one-hot blocks.
 
 All tie-breaks are deterministic: the candidate with the lowest original
 row index wins.  The cluster-building scans are the package's hot loop and
-exist as a numba kernel and a pure-numpy twin (see privforget.accel).
+run as vectorised numpy over the active rows.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
-from .accel import njit
 from .data import (
     CATEGORICAL,
     NUMERIC,
@@ -61,97 +59,11 @@ class Clustering:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernel
 #
-# Both kernels keep the active (unassigned) rows as an index array sorted
-# ascending, so "first maximum" and stable-sort selection both break ties
-# toward the lowest original row index.
-
-@njit(cache=True)
-def _farthest_njit(x, active, point):
-    best = -1.0
-    best_pos = 0
-    for i in range(active.shape[0]):
-        row = active[i]
-        d = 0.0
-        for j in range(x.shape[1]):
-            diff = x[row, j] - point[j]
-            d += diff * diff
-        if d > best:
-            best = d
-            best_pos = i
-    return best_pos
-
-
-@njit(cache=True)
-def _centroid_njit(x, active):
-    d = x.shape[1]
-    out = np.zeros(d)
-    for i in range(active.shape[0]):
-        row = active[i]
-        for j in range(d):
-            out[j] += x[row, j]
-    return out / active.shape[0]
-
-
-@njit(cache=True)
-def _take_cluster_njit(x, active, labels, seed_pos, k, label):
-    n_active = active.shape[0]
-    seed_row = active[seed_pos]
-    dists = np.empty(n_active)
-    for i in range(n_active):
-        row = active[i]
-        acc = 0.0
-        for j in range(x.shape[1]):
-            diff = x[row, j] - x[seed_row, j]
-            acc += diff * diff
-        dists[i] = acc
-    dists[seed_pos] = np.inf
-    order = np.argsort(dists, kind="mergesort")
-    member = np.zeros(n_active, dtype=np.bool_)
-    member[seed_pos] = True
-    for i in range(k - 1):
-        member[order[i]] = True
-    remaining = np.empty(n_active - k, dtype=np.int64)
-    w = 0
-    for i in range(n_active):
-        if member[i]:
-            labels[active[i]] = label
-        else:
-            remaining[w] = active[i]
-            w += 1
-    return remaining
-
-
-@njit(cache=True)
-def _mdav_labels_njit(x, k):
-    n = x.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    active = np.arange(n)
-    next_label = 0
-
-    while active.shape[0] >= 3 * k:
-        centroid = _centroid_njit(x, active)
-        r_pos = _farthest_njit(x, active, centroid)
-        r_row = active[r_pos]
-        active = _take_cluster_njit(x, active, labels, r_pos, k, next_label)
-        next_label += 1
-        s_pos = _farthest_njit(x, active, x[r_row])
-        active = _take_cluster_njit(x, active, labels, s_pos, k, next_label)
-        next_label += 1
-
-    if active.shape[0] >= 2 * k:
-        centroid = _centroid_njit(x, active)
-        r_pos = _farthest_njit(x, active, centroid)
-        active = _take_cluster_njit(x, active, labels, r_pos, k, next_label)
-        next_label += 1
-
-    if active.shape[0] > 0:
-        for i in range(active.shape[0]):
-            labels[active[i]] = next_label
-        next_label += 1
-    return labels, next_label
-
+# The active (unassigned) rows are kept as an index array sorted ascending,
+# so "first maximum" and stable-sort selection both break ties toward the
+# lowest original row index.
 
 def _farthest_numpy(x, active, point):
     d = ((x[active] - point) ** 2).sum(axis=1)
@@ -195,8 +107,8 @@ def _mdav_labels_numpy(x, k):
     return labels, next_label
 
 
-def mdav_labels(features: np.ndarray, k: int, backend: str | None = None):
-    """Cluster id per row.  backend forces 'numba' or 'numpy' (default: auto)."""
+def mdav_labels(features: np.ndarray, k: int):
+    """Cluster id per row and the number of clusters."""
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DataError("mdav expects a 2-d feature matrix")
@@ -205,20 +117,11 @@ def mdav_labels(features: np.ndarray, k: int, backend: str | None = None):
         raise DataError(f"mdav requires k >= 2, got {k}")
     if n < k:
         raise DataError(f"mdav requires at least k={k} rows, got {n}")
-    if backend is None:
-        backend = "numba" if accel.NUMBA_ENABLED else "numpy"
-    if backend == "numba":
-        if not accel.NUMBA_ENABLED:
-            raise DataError("numba backend requested but numba is disabled or missing")
-        labels, n_clusters = _mdav_labels_njit(x, k)
-    elif backend == "numpy":
-        labels, n_clusters = _mdav_labels_numpy(x, k)
-    else:
-        raise DataError(f"unknown backend {backend!r}")
+    labels, n_clusters = _mdav_labels_numpy(x, k)
     return labels, int(n_clusters)
 
 
-def mdav(features: np.ndarray, k: int, backend: str | None = None) -> Clustering:
+def mdav(features: np.ndarray, k: int) -> Clustering:
     """Fixed-size MDAV microaggregation of a feature matrix.
 
     While at least 3k rows remain: take the row r farthest from the
@@ -228,7 +131,7 @@ def mdav(features: np.ndarray, k: int, backend: str | None = None) -> Clustering
     cluster of k forms around the row farthest from the current centroid;
     whatever remains (k..2k-1 rows) becomes the final cluster.
     """
-    labels, n_clusters = mdav_labels(features, k, backend)
+    labels, n_clusters = mdav_labels(features, k)
     clusters = tuple(np.flatnonzero(labels == c) for c in range(n_clusters))
     return Clustering(features.shape[0], k, clusters)
 
@@ -275,10 +178,10 @@ def centroid_replace(ds: TabularDataset, clustering: Clustering) -> TabularDatas
     )
 
 
-def k_anonymize(ds: TabularDataset, k: int, backend: str | None = None) -> TabularDataset:
+def k_anonymize(ds: TabularDataset, k: int) -> TabularDataset:
     """Full pipeline: encode QI columns, cluster with MDAV, replace centroids."""
     em = encode(ds)
-    clustering = mdav(qi_feature_matrix(em, ds), k, backend)
+    clustering = mdav(qi_feature_matrix(em, ds), k)
     return centroid_replace(ds, clustering)
 
 

@@ -134,14 +134,14 @@ def _check_features(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _affine_relu_stack(model: MlpModel, x: np.ndarray):
+def _affine_relu_stack(weights, biases, x: np.ndarray):
     """Pre-activations and activations for every layer; last layer is linear."""
     pre, act = [], [x]
     h = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w + b
         pre.append(z)
-        h = np.maximum(z, 0.0) if i < len(model.weights) - 1 else z
+        h = np.maximum(z, 0.0) if i < len(weights) - 1 else z
         act.append(h)
     return pre, act
 
@@ -154,7 +154,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per example; rows sum to 1."""
     x = _check_features(model, features)
-    _, act = _affine_relu_stack(model, x)
+    _, act = _affine_relu_stack(model.weights, model.biases, x)
     return np.exp(_log_softmax(act[-1]))
 
 
@@ -163,7 +163,7 @@ def loss_per_example(model: MlpModel, data: EncodedMatrix) -> np.ndarray:
     x = _check_features(model, data.features)
     if data.n_rows and data.labels.max() >= model.n_classes:
         raise ModelError("label outside the model's class range")
-    _, act = _affine_relu_stack(model, x)
+    _, act = _affine_relu_stack(model.weights, model.biases, x)
     logp = _log_softmax(act[-1])
     return -logp[np.arange(data.n_rows), data.labels]
 
@@ -181,25 +181,33 @@ def mean_loss(model: MlpModel, data: EncodedMatrix) -> float:
     return float(loss_per_example(model, data).mean())
 
 
+def utility_from_probs(probs: np.ndarray, labels: np.ndarray, metric: str) -> float:
+    """Accuracy, or binary ROC-AUC of the positive-class (label 1) probability,
+    of a probability matrix (one model's or an ensemble's)."""
+    from . import attack
+
+    if len(labels) == 0:
+        raise ModelError(f"{metric} of an empty dataset is undefined")
+    if metric == "accuracy":
+        return float((np.argmax(probs, axis=1) == labels).mean())
+    if metric != "auc":
+        raise ModelError(f"unknown utility metric {metric!r}")
+    if probs.shape[1] != 2:
+        raise ModelError("AUC utility is defined for binary classifiers")
+    pos = probs[labels == 1, 1]
+    neg = probs[labels == 0, 1]
+    if len(pos) == 0 or len(neg) == 0:
+        raise ModelError("AUC needs both classes present")
+    return attack.roc_auc(pos, neg)
+
+
 def accuracy(model: MlpModel, data: EncodedMatrix) -> float:
-    if data.n_rows == 0:
-        raise ModelError("accuracy of an empty dataset is undefined")
-    pred = np.argmax(forward(model, data.features), axis=1)
-    return float((pred == data.labels).mean())
+    return utility_from_probs(forward(model, data.features), data.labels, "accuracy")
 
 
 def auc_utility(model: MlpModel, data: EncodedMatrix) -> float:
     """Binary ROC-AUC of the positive-class (label 1) probability."""
-    from . import attack
-
-    if model.n_classes != 2:
-        raise ModelError("AUC utility is defined for binary classifiers")
-    scores = forward(model, data.features)[:, 1]
-    pos = scores[data.labels == 1]
-    neg = scores[data.labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ModelError("AUC needs both classes present")
-    return attack.roc_auc(pos, neg)
+    return utility_from_probs(forward(model, data.features), data.labels, "auc")
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +217,8 @@ def _batch_gradients(model_params, x, y, n_classes):
     """Mean cross-entropy loss and its gradients for one batch."""
     weights, biases = model_params
     n_layers = len(weights)
-    pre, act = [], [x]
-    h = x
-    for i in range(n_layers):
-        z = h @ weights[i] + biases[i]
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < n_layers - 1 else z
-        act.append(h)
-    logits = act[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    pre, act = _affine_relu_stack(weights, biases, x)
+    logp = _log_softmax(act[-1])
     batch = x.shape[0]
     loss = float(-logp[np.arange(batch), y].mean())
 

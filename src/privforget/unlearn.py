@@ -398,11 +398,6 @@ def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
     return np.mean(probs, axis=0)
 
 
-def sisa_accuracy(store: ShardStore, data: EncodedMatrix) -> float:
-    pred = np.argmax(sisa_predict(store, data.features), axis=1)
-    return float((pred == data.labels).mean())
-
-
 # ---------------------------------------------------------------------------
 # persistence
 #
@@ -470,24 +465,7 @@ def load_eupg_state(state_dir) -> EupgState:
     spec = PrivacySpec(
         spec_d["method"], k=spec_d["k"], epsilon=spec_d["epsilon"], seed=spec_d["seed"]
     )
-    ledger = None
-    if manifest.get("dp_ledger"):
-        ld = manifest["dp_ledger"]
-        ledger = DpLedger(
-            ld["epsilon_total"],
-            ld["n_attributes"],
-            ld["seed"],
-            tuple(
-                dpanon.DpBudgetEntry(
-                    e["attribute"],
-                    e["mechanism"],
-                    e["epsilon_share"],
-                    e["sensitivity"],
-                    e["n_clamped"],
-                )
-                for e in ld["entries"]
-            ),
-        )
+    ledger = manifest.get("dp_ledger")
     return EupgState(
         spec=spec,
         protected_data=protected,
@@ -498,7 +476,7 @@ def load_eupg_state(state_dir) -> EupgState:
         hidden_units=manifest["hidden_units"],
         timings=manifest["timings"],
         audit_log=tuple(ForgetEvent(**e) for e in manifest["audit_log"]),
-        dp_ledger=ledger,
+        dp_ledger=DpLedger.from_json_dict(ledger) if ledger else None,
     )
 
 

@@ -18,8 +18,7 @@ def make_dataset(
 ) -> TabularDataset:
     """Learnable synthetic mixture: class-shifted gaussians + skewed categoricals.
 
-    Numeric cells are rounded to 3 decimals so CSV round-trips are exact and
-    cross-backend float reductions stay well-behaved in tests.
+    Numeric cells are rounded to 3 decimals so CSV round-trips are exact.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 991])))
     y = rng.integers(0, n_classes, n)

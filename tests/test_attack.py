@@ -8,14 +8,20 @@ from privforget.attack import (
     LOSS_BASED,
     _average_ranks,
     balanced_pair,
-    mia_from_probs,
     mia_scores,
     roc_auc,
     roc_auc_pairwise,
     scores_from_probs,
 )
 from privforget.data import DataError, EncodedMatrix, encode, split_forget, ForgetRequest
-from privforget.mlp import TrainConfig, init, train
+from privforget.mlp import (
+    TrainConfig,
+    entropy_per_example,
+    forward,
+    init,
+    loss_per_example,
+    train,
+)
 
 from conftest import make_dataset
 
@@ -109,27 +115,17 @@ def test_mia_rejects_unknown_attack(small_dataset):
 def test_scores_from_probs_match_model_scores(small_dataset):
     em = encode(small_dataset)
     model = init((em.width, 4, 2), seed=3)
-    from privforget.mlp import forward
-
     probs = forward(model, em.features)
-    for attack in (LOSS_BASED, ENTROPY_BASED):
-        direct = mia_scores(model, em, em, attack)
-        via_probs = scores_from_probs(probs, em.labels, attack)
-        assert np.allclose(direct.member_scores, via_probs, rtol=1e-10)
-
-
-def test_mia_from_probs_agrees_with_mia_scores(small_dataset):
-    em = encode(small_dataset)
-    a = em.take(np.arange(0, 100))
-    b = em.take(np.arange(100, 200))
-    model = init((em.width, 4, 2), seed=3)
-    from privforget.mlp import forward
-
-    direct = mia_scores(model, a, b, LOSS_BASED)
-    via = mia_from_probs(
-        forward(model, a.features), a.labels, forward(model, b.features), b.labels
+    assert np.allclose(
+        scores_from_probs(probs, em.labels, LOSS_BASED),
+        -loss_per_example(model, em),
+        rtol=1e-10,
     )
-    assert via.auc == pytest.approx(direct.auc, abs=1e-12)
+    assert np.allclose(
+        scores_from_probs(probs, em.labels, ENTROPY_BASED),
+        -entropy_per_example(model, em.features),
+        rtol=1e-10,
+    )
 
 
 def test_balanced_pair(small_dataset):
