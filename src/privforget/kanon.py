@@ -1,15 +1,20 @@
 """k-anonymity via MDAV microaggregation.
 
 Rows are grouped into clusters of size k..2k-1 by the fixed-size variant of
-maximum-distance-to-average-vector microaggregation, then every cluster's
-quasi-identifier cells are replaced by the cluster centroid (mean for
-numeric attributes, mode for categorical ones).  Distances are Euclidean
-over the encoded quasi-identifier columns, so numeric attributes enter on
-their min-max scale and categorical ones as one-hot blocks.
+maximum-distance-to-average-vector microaggregation (Domingo-Ferrer & Torra,
+DMKD 2005), then every cluster's quasi-identifier cells are replaced by the
+cluster centroid (mean for numeric attributes, mode for categorical ones).
+Distances are Euclidean over the encoded quasi-identifier columns, so
+numeric attributes enter on their min-max scale and categorical ones as
+one-hot blocks.
 
 All tie-breaks are deterministic: the candidate with the lowest original
-row index wins.  The cluster-building scans are the package's hot loop and
-run as vectorised numpy over the active rows.
+row index wins.  The cluster-building scans are the package's hot loop.
+They rank the unclustered rows on the surrogate |x|^2 - 2 x.p + |p|^2 (one
+matrix-vector product) and evaluate the reference sum((x - p)^2) only for
+the rows a proven rounding-error bound cannot rule out, so the labels are
+those of the reference evaluated over every row, bit for bit (the kernel
+comment below gives the bound).
 """
 from __future__ import annotations
 
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    CATEGORICAL,
     NUMERIC,
     DataError,
     EncodedMatrix,
@@ -61,50 +65,120 @@ class Clustering:
 # ---------------------------------------------------------------------------
 # kernel
 #
-# The active (unassigned) rows are kept as an index array sorted ascending,
-# so "first maximum" and stable-sort selection both break ties toward the
-# lowest original row index.
+# Reference semantics.  Every decision of fixed-size MDAV compares squared
+# distances computed as ``((xa - p) ** 2).sum(axis=1)`` over the active rows
+# ``xa`` (kept in ascending row order): "farthest" is the first maximum, the
+# k-1 "nearest" are the head of a stable sort, so ties go to the lowest row.
+#
+# Filter and verify.  Evaluating that expression for every active row costs
+# two n x d temporaries per scan.  Instead each scan ranks the rows on the
+# surrogate ``sq - 2 * (xa @ p) + p @ p`` (``sq`` the cached squared row
+# norms; one gemv), which differs from the reference expression by at most
+#
+#     bound = tol * (max(sq) + p @ p + tiny),   tol = (4 d + 16) * eps.
+#
+# Both are rounded forms of the true squared distance.  With
+# S = |x|^2 + |p|^2 and u = eps / 2, the standard rounding model gives a
+# surrogate error of at most (2 d + 5) u S (norms, the dot product in any
+# summation order, two additions) and a reference error of at most
+# (2 d + 4) u S (subtraction, square, a d-term sum of non-negative terms,
+# against a true distance <= 2 S).  Their sum is (2 d + 4.5) eps S; tol is
+# about twice that, to absorb the second-order terms and the threshold
+# arithmetic, and ``tiny`` covers gradual underflow.  Hence
+#
+#   - every row that maximises the reference lies within 2 * bound of the
+#     surrogate maximum, and
+#   - every row among the k-1 reference-nearest lies within 2 * bound of
+#     the (k-1)-th smallest surrogate.
+#
+# Only those candidates (usually exactly 1 and k-1 rows) get the reference
+# expression, and the decision is taken on its values over the candidates
+# in ascending row order.  The reference distance of a row does not depend
+# on which other rows are computed alongside it, so the labels equal the
+# reference's bit for bit, ties included.  The bound needs finite squared
+# distances, which mdav_labels checks up front.
 
-def _farthest_numpy(x, active, point):
-    d = ((x[active] - point) ** 2).sum(axis=1)
-    return int(np.argmax(d))
+_TINY = np.finfo(np.float64).tiny
 
 
-def _mdav_labels_numpy(x, k):
-    n = x.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    active = np.arange(n)
-    next_label = 0
+def _scan(xa, sq, p, tol):
+    """Surrogate squared distances from every active row to p, and their error bound."""
+    pp = p @ p
+    return sq - 2.0 * (xa @ p) + pp, tol * (sq.max() + pp + _TINY)
 
-    def take_cluster(active, seed_pos, label):
-        seed_row = active[seed_pos]
-        d = ((x[active] - x[seed_row]) ** 2).sum(axis=1)
-        d[seed_pos] = np.inf
-        member = np.zeros(len(active), dtype=bool)
-        member[seed_pos] = True
-        member[np.argsort(d, kind="stable")[: k - 1]] = True
-        labels[active[member]] = label
-        return active[~member], seed_row
 
-    while len(active) >= 3 * k:
-        centroid = x[active].mean(axis=0)
-        r_pos = _farthest_numpy(x, active, centroid)
-        active, r_row = take_cluster(active, r_pos, next_label)
-        next_label += 1
-        s_pos = _farthest_numpy(x, active, x[r_row])
-        active, _ = take_cluster(active, s_pos, next_label)
-        next_label += 1
+def _exact(xa, rows, p):
+    """Reference squared distances from the given active rows to p."""
+    return ((xa[rows] - p) ** 2).sum(axis=1)
 
-    if len(active) >= 2 * k:
-        centroid = x[active].mean(axis=0)
-        r_pos = _farthest_numpy(x, active, centroid)
-        active, _ = take_cluster(active, r_pos, next_label)
-        next_label += 1
 
-    if len(active):
-        labels[active] = next_label
-        next_label += 1
-    return labels, next_label
+def _farthest(xa, p, s, bound):
+    """Position of the active row farthest from p (the first, on ties)."""
+    cand = np.flatnonzero(s >= s.max() - 2.0 * bound)
+    return int(cand[np.argmax(_exact(xa, cand, p))])
+
+
+def _nearest(xa, p, s, bound, k):
+    """Positions of the k-1 active rows nearest to p; rows with s = inf are excluded."""
+    cand = np.flatnonzero(s <= np.partition(s, k - 2)[k - 2] + 2.0 * bound)
+    return cand[np.argsort(_exact(xa, cand, p), kind="stable")[: k - 1]]
+
+
+def _mdav_kernel(x, sq, k):
+    """Labels and cluster count; x has finite rows with squared norms sq."""
+    n, d = x.shape
+    tol = (4 * d + 16) * np.finfo(np.float64).eps
+    labels = np.empty(n, dtype=np.int64)
+    # The active block: the unclustered rows in ascending row order, with
+    # their row ids and squared norms.  It is compacted once per loop
+    # iteration; the rows clustered since then are flagged in `taken` and
+    # masked out of the scans.
+    ids, xa = np.arange(n), x
+    n_clusters = 0
+
+    def take_cluster(seed, taken):
+        """Cluster the seed with its k-1 nearest untaken rows; flag them taken.
+
+        Returns the surrogate distances to the seed, taken rows at -inf, and
+        their bound: the "farthest from r" scan reuses them.
+        """
+        nonlocal n_clusters
+        p = xa[seed]
+        s, bound = _scan(xa, sq, p, tol)
+        taken[seed] = True
+        s[taken] = np.inf
+        members = np.append(_nearest(xa, p, s, bound, k), seed)
+        taken[members] = True
+        labels[ids[members]] = n_clusters
+        n_clusters += 1
+        s[taken] = -np.inf
+        return s, bound
+
+    def farthest_from_centroid():
+        centroid = xa.mean(axis=0)
+        return _farthest(xa, centroid, *_scan(xa, sq, centroid, tol))
+
+    def compact(taken):
+        nonlocal ids, xa, sq
+        keep = ~taken
+        ids, xa, sq = ids[keep], xa[keep], sq[keep]
+
+    while len(ids) >= 3 * k:
+        taken = np.zeros(len(ids), dtype=bool)
+        r = farthest_from_centroid()
+        s_r, bound = take_cluster(r, taken)
+        take_cluster(_farthest(xa, xa[r], s_r, bound), taken)
+        compact(taken)
+
+    if len(ids) >= 2 * k:
+        taken = np.zeros(len(ids), dtype=bool)
+        take_cluster(farthest_from_centroid(), taken)
+        compact(taken)
+
+    if len(ids):
+        labels[ids] = n_clusters
+        n_clusters += 1
+    return labels, n_clusters
 
 
 def mdav_labels(features: np.ndarray, k: int):
@@ -117,7 +191,18 @@ def mdav_labels(features: np.ndarray, k: int):
         raise DataError(f"mdav requires k >= 2, got {k}")
     if n < k:
         raise DataError(f"mdav requires at least k={k} rows, got {n}")
-    labels, n_clusters = _mdav_labels_numpy(x, k)
+    sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(8.0 * sq.max()):  # a NaN or inf cell, or distances that overflow
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            row, col = bad[0]
+            raise DataError(
+                f"mdav features must be finite, got {x[row, col]} at row {row}, column {col}"
+            )
+        raise DataError(
+            f"mdav features too large: squared distances overflow (row {int(np.argmax(sq))})"
+        )
+    labels, n_clusters = _mdav_kernel(x, sq, k)
     return labels, int(n_clusters)
 
 
@@ -132,8 +217,10 @@ def mdav(features: np.ndarray, k: int) -> Clustering:
     whatever remains (k..2k-1 rows) becomes the final cluster.
     """
     labels, n_clusters = mdav_labels(features, k)
-    clusters = tuple(np.flatnonzero(labels == c) for c in range(n_clusters))
-    return Clustering(features.shape[0], k, clusters)
+    # a stable sort keeps every cluster's rows in ascending order
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_clusters)
+    return Clustering(features.shape[0], k, tuple(np.split(order, np.cumsum(sizes)[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +246,19 @@ def centroid_replace(ds: TabularDataset, clustering: Clustering) -> TabularDatas
         raise DataError("clustering does not match dataset size")
     rows = np.array(ds.rows)
     labels = clustering.labels()
-    counts = np.bincount(labels, minlength=len(clustering.clusters)).astype(np.float64)
+    n_clusters = len(clustering.clusters)
+    counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
     for j in ds.qi_indices:
         attr = ds.schema[j]
         col = ds.rows[:, j]
         if attr.kind == NUMERIC:
-            sums = np.bincount(labels, weights=col, minlength=len(counts))
+            sums = np.bincount(labels, weights=col, minlength=n_clusters)
             rows[:, j] = (sums / counts)[labels]
         else:
+            # one (cluster, category) histogram; argmax takes the first maximum
             n_cat = len(attr.categories)
-            modes = np.empty(len(clustering.clusters))
-            for cid, idx in enumerate(clustering.clusters):
-                freq = np.bincount(col[idx].astype(np.int64), minlength=n_cat)
-                modes[cid] = float(np.argmax(freq))
-            rows[:, j] = modes[labels]
+            freq = np.bincount(labels * n_cat + col.astype(np.int64), minlength=n_clusters * n_cat)
+            rows[:, j] = freq.reshape(n_clusters, n_cat).argmax(axis=1)[labels]
     return TabularDataset(
         ds.schema, rows, Provenance.k_anonymized(clustering.k), ds.source_indices
     )

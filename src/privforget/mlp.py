@@ -213,7 +213,7 @@ def auc_utility(model: MlpModel, data: EncodedMatrix) -> float:
 # ---------------------------------------------------------------------------
 # training
 
-def _batch_gradients(model_params, x, y, n_classes):
+def _batch_gradients(model_params, x, y):
     """Mean cross-entropy loss and its gradients for one batch."""
     weights, biases = model_params
     n_layers = len(weights)
@@ -263,9 +263,7 @@ def train(model: MlpModel, data: EncodedMatrix, cfg: TrainConfig) -> MlpModel:
             order = np.arange(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = _batch_gradients(
-                (weights, biases), x[idx], y[idx], model.n_classes
-            )
+            loss, grads_w, grads_b = _batch_gradients((weights, biases), x[idx], y[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size} "

@@ -83,7 +83,7 @@ def test_criterion_1_gradient_oracle():
         biases = [rng.normal(size=b) for b in dims[1:]]
         x = rng.normal(size=(6, dims[0]))
         y = rng.integers(0, dims[-1], size=6)
-        _, grads_w, grads_b = mlp._batch_gradients((weights, biases), x, y, dims[-1])
+        _, grads_w, grads_b = mlp._batch_gradients((weights, biases), x, y)
         for params, grads in ((weights, grads_w), (biases, grads_b)):
             for p, g in zip(params, grads):
                 flat, gflat = p.reshape(-1), g.reshape(-1)

@@ -12,6 +12,7 @@ from privforget.data import (
 )
 from privforget.kanon import (
     Clustering,
+    _exact,
     centroid_replace,
     k_anonymize,
     mdav,
@@ -33,6 +34,151 @@ PINNED_LABELS = {
     (3, 200, 3): (66, "302cb0690b92469237b6463792da63aeecc004498d6f88e31f59d11cf94586b8"),
     (7, 300, 3): (42, "4b5bf1ffe8f88b1dede6681dd2560ec8cdd27b53a52d37a01c0c148e4a083af4"),
 }
+
+
+# Reference MDAV kernel: every scan evaluates the reference distances of all
+# active rows.  The filter-and-verify kernel in kanon.py must match it label
+# for label.
+
+def _farthest_numpy(x, active, point):
+    d = ((x[active] - point) ** 2).sum(axis=1)
+    return int(np.argmax(d))
+
+
+def _mdav_labels_numpy(x, k):
+    n = x.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    active = np.arange(n)
+    next_label = 0
+
+    def take_cluster(active, seed_pos, label):
+        seed_row = active[seed_pos]
+        d = ((x[active] - x[seed_row]) ** 2).sum(axis=1)
+        d[seed_pos] = np.inf
+        member = np.zeros(len(active), dtype=bool)
+        member[seed_pos] = True
+        member[np.argsort(d, kind="stable")[: k - 1]] = True
+        labels[active[member]] = label
+        return active[~member], seed_row
+
+    while len(active) >= 3 * k:
+        centroid = x[active].mean(axis=0)
+        r_pos = _farthest_numpy(x, active, centroid)
+        active, r_row = take_cluster(active, r_pos, next_label)
+        next_label += 1
+        s_pos = _farthest_numpy(x, active, x[r_row])
+        active, _ = take_cluster(active, s_pos, next_label)
+        next_label += 1
+
+    if len(active) >= 2 * k:
+        centroid = x[active].mean(axis=0)
+        r_pos = _farthest_numpy(x, active, centroid)
+        active, _ = take_cluster(active, r_pos, next_label)
+        next_label += 1
+
+    if len(active):
+        labels[active] = next_label
+        next_label += 1
+    return labels, next_label
+
+
+def _adult_like(rng, n):
+    """Min-max scaled integer attributes next to one-hot blocks, as encode() gives."""
+    numeric = rng.integers(0, 60, size=(n, 3)) / 59.0
+    blocks = [np.eye(c)[rng.integers(0, c, size=n)] for c in (7, 16, 2)]
+    return np.hstack([numeric, *blocks])
+
+
+def _duplicate_ints(rng, n):
+    """Few distinct integer rows, each repeated: exact ties everywhere."""
+    distinct = rng.integers(0, 3, size=(max(1, n // 3), 4)).astype(float)
+    return distinct[rng.integers(0, len(distinct), size=n)]
+
+
+MATRIX_FAMILIES = {
+    "normal": lambda rng, n: rng.normal(size=(n, 6)),
+    "adult_like": _adult_like,
+    "duplicate_ints": _duplicate_ints,
+    "offset_1e6": lambda rng, n: 1e6 + rng.normal(size=(n, 5)),
+    "scaled_1e6": lambda rng, n: 1e6 * rng.normal(size=(n, 5)),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+@pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
+def test_kernel_matches_reference(family, k):
+    rng = np.random.default_rng([k, len(family)])
+    for n in (k, 2 * k, 3 * k - 1, 3 * k, 7 * k + 3, 150):
+        x = MATRIX_FAMILIES[family](rng, n)
+        want, want_clusters = _mdav_labels_numpy(x, k)
+        got, got_clusters = mdav_labels(x, k)
+        assert np.array_equal(got, want) and got_clusters == want_clusters, (family, k, n)
+        clusters = mdav(x, k).clusters
+        assert len(clusters) == want_clusters
+        assert all(np.array_equal(c, np.flatnonzero(want == i)) for i, c in enumerate(clusters))
+
+
+# Rows A = O + (5, 0, 0) and B = O + (3, 4, 2**-24) around O = (1024, 1024,
+# 1024): their reference squared distances to O are 25 and 25 + 2**-48, one
+# ulp apart, while |x|^2 - 2 x.O + |O|^2 rounds both to exactly 25.  Only the
+# exact re-check can order them.
+_O = np.full(3, 1024.0)
+_A = _O + [5.0, 0.0, 0.0]
+_B = _O + [3.0, 4.0, 2.0**-24]
+
+
+def test_near_tie_rows_are_one_ulp_apart():
+    ab = np.array([_A, _B])
+    ref = ((ab - _O) ** 2).sum(axis=1)
+    assert ref[1] == np.nextafter(ref[0], np.inf)
+    surrogate = (ab**2).sum(axis=1) - 2.0 * (ab @ _O) + _O @ _O
+    assert surrogate[0] == surrogate[1]
+
+
+def test_near_tie_nearest_follows_reference():
+    # O is farthest from the centroid; its nearest row is A, one ulp nearer
+    # than B, which sits at the lower row index.
+    x = np.array([_B, _A, _O, _O + [4.5, 3.0, 0.0]])
+    labels, _ = mdav_labels(x, 2)
+    assert np.array_equal(labels, _mdav_labels_numpy(x, 2)[0])
+    assert labels.tolist() == [1, 0, 0, 1]
+
+
+def test_near_tie_farthest_follows_reference():
+    # O is farthest from the centroid and clusters with its neighbour; the
+    # row farthest from O is then B, one ulp beyond A, at the higher index,
+    # so B seeds the second cluster and A the third.
+    near_a, near_b = _O + [4.5, 0.0, 0.0], _O + [2.75, 3.5, 0.0]
+    x = np.array([_O, _O + [0.5, 0.5, 0.0], _A, _B, near_a, near_b])
+    labels, _ = mdav_labels(x, 2)
+    assert np.array_equal(labels, _mdav_labels_numpy(x, 2)[0])
+    assert labels.tolist() == [0, 0, 2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("d", [1, 7, 104, 300])
+def test_exact_distances_on_a_subset_match_the_full_scan(d):
+    rng = np.random.default_rng(d)
+    x = 1e3 + rng.normal(size=(257, d))
+    p = x.mean(axis=0)
+    full = ((x - p) ** 2).sum(axis=1)
+    for size in (1, 2, 3, 8, 100, 257):
+        rows = np.sort(rng.choice(len(x), size, replace=False))
+        assert full[rows].tobytes() == _exact(x, rows, p).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mdav_rejects_non_finite_features(bad):
+    x = np.random.default_rng(0).normal(size=(12, 3))
+    x[7, 2] = bad
+    with pytest.raises(DataError, match="row 7, column 2"):
+        mdav_labels(x, 3)
+
+
+def test_mdav_rejects_overflowing_distances():
+    x = np.zeros((6, 2))
+    x[4, 1] = 1e160
+    with pytest.raises(DataError, match="overflow"):
+        mdav(x, 2)
 
 
 def cluster_sets(clustering):
@@ -143,6 +289,21 @@ def test_centroid_replace_mean_mode_and_tie():
     ds2 = TabularDataset(SCHEMA, rows2, Provenance.raw())
     out2 = centroid_replace(ds2, Clustering(4, 4, (np.arange(4),)))
     assert out2.rows[:, 2].tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_centroid_replace_modes_match_per_cluster_loop(small_dataset):
+    qi = qi_feature_matrix(encode(small_dataset), small_dataset)
+    for k in (2, 5):
+        clustering = mdav(qi, k)
+        out = centroid_replace(small_dataset, clustering)
+        for j in small_dataset.qi_indices:
+            attr = small_dataset.schema[j]
+            if attr.kind != "categorical":
+                continue
+            col = small_dataset.rows[:, j].astype(np.int64)
+            for idx in clustering.clusters:
+                freq = np.bincount(col[idx], minlength=len(attr.categories))
+                assert (out.rows[idx, j] == np.argmax(freq)).all()
 
 
 def test_verify_k_anonymity_pass_and_fail():

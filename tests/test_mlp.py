@@ -49,7 +49,7 @@ def fd_gradient_check(dims, seed, n=8, h=1e-6):
     x = rng.normal(size=(n, dims[0]))
     y = rng.integers(0, dims[-1], size=n)
 
-    _, grads_w, grads_b = _batch_gradients((weights, biases), x, y, dims[-1])
+    _, grads_w, grads_b = _batch_gradients((weights, biases), x, y)
 
     worst = 0.0
     for params, grads in ((weights, grads_w), (biases, grads_b)):
