@@ -186,7 +186,8 @@ def _train_config(conf: dict, seed: int) -> TrainConfig:
     )
 
 
-def _privacy_spec(conf: dict, privacy_seed: int) -> unlearn.PrivacySpec:
+def _privacy_spec(conf: dict, privacy_seed: int, schema) -> unlearn.PrivacySpec:
+    """schema is the loaded training table's, whose category lists are filled in."""
     method = conf["method"]
     if method == "eupg_k":
         if conf["k"] is None:
@@ -197,7 +198,6 @@ def _privacy_spec(conf: dict, privacy_seed: int) -> unlearn.PrivacySpec:
             raise DataError("method eupg_dp requires config key 'epsilon'")
         mechanisms = None
         if conf["utility_file"]:
-            schema = parse_schema_file(conf["schema"])
             mechanisms = dpanon.load_utility_file(conf["utility_file"], schema)
         return unlearn.PrivacySpec.dp(
             float(conf["epsilon"]), seed=privacy_seed, mechanisms=mechanisms
@@ -280,7 +280,7 @@ def cmd_anonymize(conf: dict) -> int:
     if method not in ("eupg_k", "eupg_dp"):
         raise DataError("anonymize requires method 'eupg_k' or 'eupg_dp'")
     privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else conf["seed"]
-    spec = _privacy_spec(conf, int(privacy_seed))
+    spec = _privacy_spec(conf, int(privacy_seed), train.schema)
     t0 = time.perf_counter()
     protected, ledger = unlearn.protect(train, spec)
     seconds = time.perf_counter() - t0
@@ -380,7 +380,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         mlp.save_model(fitted, rep_dir / "original.model")
         fields["artifacts"] = {"model": str(rep_dir / "original.model")}
     elif method in ("eupg_k", "eupg_dp"):
-        spec = _privacy_spec(conf, privacy_seed)
+        spec = _privacy_spec(conf, privacy_seed, train.schema)
         fitted = unlearn.eupg_prepare(
             train, spec, cfg, int(conf["finetune_epochs"]), hidden
         )

@@ -178,6 +178,26 @@ class MechanismSpec:
     categorical: dict[str, CategoricalMechanism] = field(default_factory=dict)
     numeric_sensitivity: dict[str, float] = field(default_factory=dict)
 
+    def to_json_dict(self) -> dict:
+        """Matrices in the utility-file layout; floats round-trip exactly."""
+        return {
+            "categorical": {
+                name: {"delta_u": m.delta_u, "utility": m.utility.tolist()}
+                for name, m in self.categorical.items()
+            },
+            "numeric_sensitivity": dict(self.numeric_sensitivity),
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "MechanismSpec":
+        return cls(
+            categorical={
+                name: CategoricalMechanism(np.array(m["utility"], dtype=np.float64), m["delta_u"])
+                for name, m in d["categorical"].items()
+            },
+            numeric_sensitivity=dict(d["numeric_sensitivity"]),
+        )
+
 
 @dataclass(frozen=True)
 class DpBudgetEntry:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import time
@@ -34,11 +35,9 @@ from .data import (
     TabularDataset,
     encode,
     encoded_width,
-    load_csv,
     schema_from_dicts,
     schema_to_dicts,
     split_forget,
-    write_csv,
 )
 from .dpanon import DpLedger, MechanismSpec
 from .mlp import MlpModel, TrainConfig
@@ -401,12 +400,19 @@ def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # persistence
 #
-# A state directory holds manifest.json plus binary model files; the
-# protected dataset is stored as CSV next to them.  Shard stores do not
-# embed the training data: load_shard_store re-encodes the dataset the
-# caller supplies and verifies it against a checksum in the manifest.
+# A state directory holds manifest.json plus binary model files.  An EUPG
+# state also holds its protected rows as protected.npy: the raw float64
+# matrix (categorical cells are category indices), with its shape and the
+# sha256 of the file's bytes in the manifest.  Shard stores do not embed the
+# training data: load_shard_store re-encodes the dataset the caller supplies
+# and verifies it against a checksum in the manifest.  Each kind carries its
+# own format version; a directory of another version is refused, not
+# converted.  `privforget anonymize` is the human-readable CSV export of a
+# protected table.
 
-FORMAT_VERSION = 1
+EUPG_FORMAT_VERSION = 2
+SHARD_FORMAT_VERSION = 1
+PROTECTED_ROWS = "protected.npy"
 
 
 def _cfg_to_dict(cfg: TrainConfig) -> dict:
@@ -417,20 +423,40 @@ def _cfg_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(**d)
 
 
+def _read_manifest(state_dir, kind: str, what: str, version: int) -> dict:
+    manifest = json.loads((Path(state_dir) / "manifest.json").read_text())
+    if manifest.get("kind") != kind:
+        raise DataError(f"{state_dir}: not a saved {what}")
+    found = manifest.get("format_version")
+    if found != version:
+        raise DataError(
+            f"{state_dir}: {what} format version {found} is not supported "
+            f"(expected {version}); re-run `privforget run` to rebuild it"
+        )
+    return manifest
+
+
 def save_eupg_state(state: EupgState, out_dir) -> None:
+    """Write manifest.json, base.model, deployed.model and protected.npy."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mlp.save_model(state.base_model, out / "base.model")
     mlp.save_model(state.deployed_model, out / "deployed.model")
-    write_csv(state.protected_data, out / "protected.csv")
+    rows = np.ascontiguousarray(state.protected_data.rows, dtype="<f8")
+    buf = io.BytesIO()
+    np.save(buf, rows, allow_pickle=False)
+    rows_bytes = buf.getvalue()
+    (out / PROTECTED_ROWS).write_bytes(rows_bytes)
+    spec = state.spec
     manifest = {
-        "format_version": FORMAT_VERSION,
+        "format_version": EUPG_FORMAT_VERSION,
         "kind": "eupg_state",
         "spec": {
-            "method": state.spec.method,
-            "k": state.spec.k,
-            "epsilon": state.spec.epsilon,
-            "seed": state.spec.seed,
+            "method": spec.method,
+            "k": spec.k,
+            "epsilon": spec.epsilon,
+            "seed": spec.seed,
+            "mechanisms": None if spec.mechanisms is None else spec.mechanisms.to_json_dict(),
         },
         "finetune_epochs": state.finetune_epochs,
         "hidden_units": state.hidden_units,
@@ -438,6 +464,10 @@ def save_eupg_state(state: EupgState, out_dir) -> None:
         "timings": state.timings,
         "audit_log": [dataclasses.asdict(e) for e in state.audit_log],
         "schema": schema_to_dicts(state.protected_data.schema),
+        "protected_rows": {
+            "shape": list(rows.shape),
+            "sha256": hashlib.sha256(rows_bytes).hexdigest(),
+        },
         "protected_provenance": {
             "kind": state.protected_data.provenance.kind,
             "param": state.protected_data.provenance.param,
@@ -447,23 +477,49 @@ def save_eupg_state(state: EupgState, out_dir) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+def _load_protected_rows(path: Path, meta: dict, n_columns: int) -> np.ndarray:
+    """Read the protected row matrix, refusing anything the manifest does not vouch for.
+
+    The checksum is verified before parsing, and the file is parsed with
+    pickling disabled, so an object array is refused, never unpickled.
+    """
+    raw = path.read_bytes()
+    if hashlib.sha256(raw).hexdigest() != meta["sha256"]:
+        raise DataError(f"{path}: sha256 does not match the manifest (file corrupted or replaced)")
+    try:
+        rows = np.load(io.BytesIO(raw), allow_pickle=False)
+    except (ValueError, EOFError, OSError) as exc:
+        raise DataError(f"{path}: not a readable .npy row matrix: {exc}") from None
+    if rows.dtype != np.dtype("<f8"):
+        raise DataError(f"{path}: expected float64 ('<f8') rows, got dtype {rows.dtype.str!r}")
+    expected = tuple(meta["shape"])
+    if rows.shape != expected or rows.ndim != 2 or rows.shape[1] != n_columns:
+        raise DataError(
+            f"{path}: shape {rows.shape} does not match the manifest "
+            f"({expected}, {n_columns} schema columns)"
+        )
+    return rows
+
+
 def load_eupg_state(state_dir) -> EupgState:
+    """Reload a format-version-2 state; DataError names the file at fault."""
     out = Path(state_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
-    if manifest.get("kind") != "eupg_state":
-        raise DataError(f"{state_dir}: not a saved unlearning state")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise DataError(f"{state_dir}: unsupported format version")
+    manifest = _read_manifest(state_dir, "eupg_state", "unlearning state", EUPG_FORMAT_VERSION)
     schema = schema_from_dicts(manifest["schema"])
-    parsed = load_csv(out / "protected.csv", schema)
+    rows = _load_protected_rows(out / PROTECTED_ROWS, manifest["protected_rows"], len(schema))
     prov = Provenance(
         manifest["protected_provenance"]["kind"],
         manifest["protected_provenance"]["param"],
     )
-    protected = TabularDataset(schema, parsed.rows, prov)
+    protected = TabularDataset(schema, rows, prov)
     spec_d = manifest["spec"]
+    mechanisms = spec_d["mechanisms"]
     spec = PrivacySpec(
-        spec_d["method"], k=spec_d["k"], epsilon=spec_d["epsilon"], seed=spec_d["seed"]
+        spec_d["method"],
+        k=spec_d["k"],
+        epsilon=spec_d["epsilon"],
+        seed=spec_d["seed"],
+        mechanisms=None if mechanisms is None else MechanismSpec.from_json_dict(mechanisms),
     )
     ledger = manifest.get("dp_ledger")
     return EupgState(
@@ -494,7 +550,7 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
         for r in range(store.n_slices):
             mlp.save_model(store.checkpoints[s][r], out / f"shard{s}_slice{r}.model")
     manifest = {
-        "format_version": FORMAT_VERSION,
+        "format_version": SHARD_FORMAT_VERSION,
         "kind": "shard_store",
         "n_shards": store.n_shards,
         "n_slices": store.n_slices,
@@ -514,11 +570,7 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
 def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
     """Reload a shard store; ds must be the dataset it was trained on."""
     out = Path(state_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
-    if manifest.get("kind") != "shard_store":
-        raise DataError(f"{state_dir}: not a saved shard store")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise DataError(f"{state_dir}: unsupported format version")
+    manifest = _read_manifest(state_dir, "shard_store", "shard store", SHARD_FORMAT_VERSION)
     data = encode(ds)
     if _data_checksum(data) != manifest["data_sha256"]:
         raise DataError(

@@ -8,6 +8,7 @@ import pytest
 
 from privforget.cli import DEFAULTS, _sweep_points, load_config, main
 from privforget.data import write_csv
+from privforget.unlearn import load_eupg_state
 
 from conftest import make_dataset
 
@@ -107,8 +108,34 @@ def test_run_then_forget(tmp_path, method, extra):
         for a in ("loss_based", "entropy_based")
         for p in ("forget_vs_test", "retain_vs_test")
     }
-    assert (tmp_path / "out" / "rep0" / "state_after_forget").exists()
+    after_dir = tmp_path / "out" / "rep0" / "state_after_forget"
+    assert after_dir.exists()
+    if method != "sisa":
+        after = load_eupg_state(after_dir)
+        assert [e.n_forgotten for e in after.audit_log] == [12]
+        assert after.protected_data.n_rows == 120
     assert (tmp_path / "out" / "forget_summary.json").exists()
+
+
+def test_dp_utility_file_kept_through_forget(tmp_path):
+    """A utility file's categories are those learned from the training CSV,
+    and the matrix survives run -> forget in the saved states."""
+    conf = write_inputs(tmp_path)
+    utility = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]
+    (tmp_path / "utility.json").write_text(
+        json.dumps({"cat0": {"delta_u": 0.5, "utility": utility}})
+    )
+    conf.update(
+        {"method": "eupg_dp", "epsilon": 2.0, "utility_file": str(tmp_path / "utility.json")}
+    )
+    cfg_path = write_config(tmp_path, conf)
+    assert main(["run", "--config", cfg_path]) == 0
+    assert main(["forget", "--config", cfg_path]) == 0
+    for state in ("state", "state_after_forget"):
+        mechanisms = load_eupg_state(tmp_path / "out" / "rep0" / state).spec.mechanisms
+        assert mechanisms.categorical.keys() == {"cat0"}
+        assert mechanisms.categorical["cat0"].delta_u == 0.5
+        assert mechanisms.categorical["cat0"].utility.tolist() == utility
 
 
 def test_forget_without_run_fails(tmp_path):

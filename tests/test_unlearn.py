@@ -1,8 +1,20 @@
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 from privforget import mlp
-from privforget.data import DataError, ForgetRequest, Provenance, encode, split_forget
+from privforget.data import (
+    DataError,
+    ForgetRequest,
+    Provenance,
+    encode,
+    split_forget,
+    write_csv,
+)
+from privforget.dpanon import CategoricalMechanism, MechanismSpec
 from privforget.mlp import TrainConfig, models_equal, utility_from_probs
 from privforget.unlearn import (
     EupgState,
@@ -256,30 +268,166 @@ def test_shard_of_row():
 # ---------------------------------------------------------------------------
 # persistence
 
-def test_eupg_state_round_trip(tmp_path, small_dataset):
-    state = prepared(small_dataset, PrivacySpec.dp(1.5, seed=2))
+STATE_FILES = {"manifest.json", "base.model", "deployed.model", "protected.npy"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PrivacySpec.k_anonymity(3), PrivacySpec.dp(1.5, seed=2)],
+    ids=["k_anonymity", "dp"],
+)
+def test_eupg_state_round_trip(tmp_path, small_dataset, spec):
+    state = prepared(small_dataset, spec)
     request = ForgetRequest.from_ratio(small_dataset.n_rows, 0.1, seed=5)
     state = eupg_forget(state, small_dataset, request)
 
     save_eupg_state(state, tmp_path / "state")
     back = load_eupg_state(tmp_path / "state")
 
+    assert {f.name for f in (tmp_path / "state").iterdir()} == STATE_FILES
     assert models_equal(back.base_model, state.base_model)
     assert models_equal(back.deployed_model, state.deployed_model)
-    assert back.spec == PrivacySpec(state.spec.method, epsilon=1.5, seed=2)
-    assert np.array_equal(back.protected_data.rows, state.protected_data.rows)
+    assert back.spec == state.spec
+    assert back.protected_data.rows.tobytes() == state.protected_data.rows.tobytes()
     assert back.protected_data.schema == state.protected_data.schema
+    assert back.protected_data.provenance == state.protected_data.provenance
     assert back.audit_log == state.audit_log
     assert back.finetune_epochs == state.finetune_epochs
     assert back.cfg == state.cfg
-    assert back.dp_ledger is not None
     assert back.dp_ledger == state.dp_ledger
+    assert (back.dp_ledger is None) == (spec.method == "k_anonymity")
 
     # the reloaded state serves requests identically to the original
     r2 = ForgetRequest.from_ratio(small_dataset.n_rows, 0.15, seed=9)
     a = eupg_forget(state, small_dataset, r2)
     b = eupg_forget(back, small_dataset, r2)
     assert models_equal(a.deployed_model, b.deployed_model)
+
+
+def test_eupg_state_keeps_mechanisms(tmp_path, small_dataset):
+    utility = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    mechanisms = MechanismSpec(
+        categorical={"cat1": CategoricalMechanism(utility, delta_u=0.75)},
+        numeric_sensitivity={"num0": 2.5},
+    )
+    state = prepared(small_dataset, PrivacySpec.dp(2.0, seed=3, mechanisms=mechanisms))
+    save_eupg_state(state, tmp_path / "state")
+    back = load_eupg_state(tmp_path / "state").spec
+
+    assert (back.method, back.epsilon, back.seed) == ("dp", 2.0, 3)
+    assert back.mechanisms.numeric_sensitivity == {"num0": 2.5}
+    assert back.mechanisms.categorical.keys() == {"cat1"}
+    mech = back.mechanisms.categorical["cat1"]
+    assert mech.delta_u == 0.75
+    assert mech.utility.dtype == np.float64
+    assert mech.utility.tobytes() == utility.tobytes()
+    # the reloaded mechanisms reproduce the protected table
+    again, _ = protect(small_dataset, back)
+    assert again.rows.tobytes() == state.protected_data.rows.tobytes()
+
+
+def test_eupg_state_v1_directory_refused(tmp_path, small_dataset):
+    state_dir = tmp_path / "state"
+    save_eupg_state(prepared(small_dataset), state_dir)
+    # the version-1 layout: protected rows as CSV, no row checksum
+    manifest = json.loads((state_dir / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    del manifest["protected_rows"]
+    (state_dir / "manifest.json").write_text(json.dumps(manifest))
+    (state_dir / "protected.npy").unlink()
+    write_csv(small_dataset, state_dir / "protected.csv")
+
+    with pytest.raises(DataError) as err:
+        load_eupg_state(state_dir)
+    message = str(err.value)
+    assert str(state_dir) in message
+    assert "version 1" in message
+    assert "privforget run" in message
+
+
+UNPICKLED: list = []
+
+
+def _trip():
+    UNPICKLED.append("unpickled")
+
+
+class _Canary:
+    """Unpickling this object calls _trip."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _npy_bytes(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _replace_protected_rows(state_dir, data: bytes, rehash: bool) -> None:
+    """Overwrite protected.npy; with rehash the manifest checksum matches the new bytes."""
+    (state_dir / "protected.npy").write_bytes(data)
+    if rehash:
+        manifest = json.loads((state_dir / "manifest.json").read_text())
+        manifest["protected_rows"]["sha256"] = hashlib.sha256(data).hexdigest()
+        (state_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "corrupt,rehash",
+    [
+        (lambda data, rows: data[:-1] + bytes([data[-1] ^ 0x01]), False),
+        (lambda data, rows: data[:-13], False),
+        (lambda data, rows: data[:-13], True),
+        (lambda data, rows: _npy_bytes(rows[:-1]), True),
+        (lambda data, rows: _npy_bytes(rows[:, :-1]), True),
+        (lambda data, rows: _npy_bytes(rows.ravel()), True),
+        (lambda data, rows: _npy_bytes(rows.astype(np.float32)), True),
+        (lambda data, rows: _npy_bytes(rows.astype(">f8")), True),
+        (lambda data, rows: b"not an npy file", True),
+    ],
+    ids=[
+        "flipped_byte",
+        "truncated",
+        "truncated_rehashed",
+        "fewer_rows",
+        "fewer_columns",
+        "one_dimensional",
+        "float32",
+        "big_endian",
+        "garbage",
+    ],
+)
+def test_protected_rows_corruption_refused(tmp_path, small_dataset, corrupt, rehash):
+    """Each damaged protected.npy is refused, whether or not the manifest
+    checksum was updated to match it (rehash)."""
+    state_dir = tmp_path / "state"
+    state = prepared(small_dataset)
+    save_eupg_state(state, state_dir)
+    data = (state_dir / "protected.npy").read_bytes()
+    _replace_protected_rows(state_dir, corrupt(data, np.array(state.protected_data.rows)), rehash)
+    with pytest.raises(DataError, match="protected.npy"):
+        load_eupg_state(state_dir)
+
+
+@pytest.mark.parametrize("rehash", [False, True])
+def test_protected_rows_object_array_not_unpickled(tmp_path, small_dataset, rehash):
+    UNPICKLED.clear()
+    state_dir = tmp_path / "state"
+    save_eupg_state(prepared(small_dataset), state_dir)
+    payload = np.empty((1, 1), dtype=object)
+    payload[0, 0] = _Canary()
+    data = _npy_bytes(payload, allow_pickle=True)
+    # the payload is live: loading it with pickling allowed runs the canary
+    np.load(io.BytesIO(data), allow_pickle=True)
+    assert UNPICKLED == ["unpickled"]
+    UNPICKLED.clear()
+
+    _replace_protected_rows(state_dir, data, rehash)
+    with pytest.raises(DataError, match="protected.npy"):
+        load_eupg_state(state_dir)
+    assert UNPICKLED == []
 
 
 def test_shard_store_round_trip(tmp_path):
