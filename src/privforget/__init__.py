@@ -28,7 +28,6 @@ from .dpanon import (
     PixelImage,
     dp_pix,
     dp_protect_table,
-    exponential_select,
     laplace_sample,
     perturb_numeric,
 )

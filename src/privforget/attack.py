@@ -136,10 +136,7 @@ def balanced_pair(
     def cut(em: EncodedMatrix, side: int) -> EncodedMatrix:
         if em.n_rows == n:
             return em
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, seeds.MIA_SUBSAMPLE, side]))
-        )
-        idx = np.sort(rng.permutation(em.n_rows)[:n])
+        idx = np.sort(seeds.stream(seed, seeds.MIA_SUBSAMPLE, side).permutation(em.n_rows)[:n])
         return em.take(idx)
 
     return cut(members, 0), cut(nonmembers, 1)

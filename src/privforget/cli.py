@@ -31,7 +31,6 @@ from .data import (
     NUMERIC,
     DataError,
     ForgetRequest,
-    Provenance,
     TabularDataset,
     encode,
     encoded_width,
@@ -156,7 +155,7 @@ def _clamp_declared(ds: TabularDataset) -> TabularDataset:
         if attr.kind == NUMERIC and attr.declared_range is not None:
             lo, hi = attr.declared_range
             rows[:, j] = np.clip(rows[:, j], lo, hi)
-    return TabularDataset(ds.schema, rows, ds.provenance, ds.source_indices)
+    return TabularDataset(ds.schema, rows, ds.provenance)
 
 
 def load_train_test(conf: dict):
@@ -167,8 +166,7 @@ def load_train_test(conf: dict):
     train = load_csv(conf["train_csv"], schema)
     test = None
     if conf.get("test_csv"):
-        parsed = load_csv(conf["test_csv"], train.schema)
-        test = TabularDataset(train.schema, parsed.rows, Provenance.raw())
+        test = load_csv(conf["test_csv"], train.schema)
     if conf["clamp_out_of_range"]:
         train = _clamp_declared(train)
         if test is not None:
@@ -241,6 +239,17 @@ def _params_block(conf: dict) -> dict:
     return {}
 
 
+def _verified_k_anonymity(protected: TabularDataset, k: int) -> dict:
+    """The k-anonymity report of a protected table; DataError when it fails."""
+    check = kanon.verify_k_anonymity(protected, k)
+    if not check.ok:
+        raise DataError(
+            f"protected output failed k-anonymity verification: "
+            f"{check.violating_groups} group(s) smaller than {check.k}"
+        )
+    return dataclasses.asdict(check)
+
+
 def _write_report(path: Path, report: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2))
@@ -284,6 +293,7 @@ def cmd_anonymize(conf: dict) -> int:
     t0 = time.perf_counter()
     protected, ledger = unlearn.protect(train, spec)
     seconds = time.perf_counter() - t0
+    kanonymity = _verified_k_anonymity(protected, int(conf["k"])) if method == "eupg_k" else None
     write_csv(protected, out / "protected.csv")
     report = {
         "format_version": 1,
@@ -293,16 +303,8 @@ def cmd_anonymize(conf: dict) -> int:
         "seconds": seconds,
         "seed": int(privacy_seed),
         "budget_ledger": ledger.to_json_dict() if ledger else None,
-        "kanonymity": None,
+        "kanonymity": kanonymity,
     }
-    if method == "eupg_k":
-        check = kanon.verify_k_anonymity(protected, int(conf["k"]))
-        report["kanonymity"] = dataclasses.asdict(check)
-        if not check.ok:
-            raise DataError(
-                f"protected output failed k-anonymity verification: "
-                f"{check.violating_groups} group(s) smaller than {check.k}"
-            )
     _write_report(out / "anonymize_report.json", report)
     print(f"wrote {out / 'protected.csv'} ({protected.n_rows} rows)")
     return 0
@@ -384,15 +386,14 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         fitted = unlearn.eupg_prepare(
             train, spec, cfg, int(conf["finetune_epochs"]), hidden
         )
+        if method == "eupg_k":
+            fields["kanonymity"] = _verified_k_anonymity(fitted.protected_data, int(conf["k"]))
         timings.update(fitted.timings)
         unlearn.save_eupg_state(fitted, rep_dir / "state")
         fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
         fields["seeds"] = {"privacy": privacy_seed}
         if fitted.dp_ledger:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
-        if method == "eupg_k":
-            check = kanon.verify_k_anonymity(fitted.protected_data, int(conf["k"]))
-            fields["kanonymity"] = dataclasses.asdict(check)
     else:
         t0 = time.perf_counter()
         fitted = unlearn.sisa_train(
@@ -519,10 +520,7 @@ def cmd_attack(args) -> int:
     model = mlp.load_model(args.model)
     schema = parse_schema_file(args.schema)
     members_ds = load_csv(args.members, schema)
-    nonmembers_parsed = load_csv(args.nonmembers, members_ds.schema)
-    nonmembers_ds = TabularDataset(
-        members_ds.schema, nonmembers_parsed.rows, Provenance.raw()
-    )
+    nonmembers_ds = load_csv(args.nonmembers, members_ds.schema)
     results = _mia_entries(
         lambda X: mlp.forward(model, X),
         encode(members_ds),

@@ -46,10 +46,10 @@ class AttributeSchema:
     """One column of a tabular dataset.
 
     declared_range is the user-asserted value range of a numeric attribute;
-    observed_range is filled in from the data at load time.  Encoding scales
-    by the declared range when present, otherwise by the observed one.  A
-    value outside an explicitly declared range is an error unless the caller
-    opts into clamping.
+    observed_range is filled in from the data at load time unless the schema
+    given to load_csv already carries one.  Encoding scales by the declared
+    range when present, otherwise by the observed one.  A value outside an
+    explicitly declared range is an error.
     """
 
     name: str
@@ -84,14 +84,6 @@ class AttributeSchema:
         if rng is None:
             raise SchemaError(f"attribute {self.name!r}: no range available")
         return rng
-
-    def category_index(self, label: str) -> int:
-        try:
-            return self.categories.index(label)
-        except ValueError:
-            raise SchemaError(
-                f"attribute {self.name!r}: unknown category {label!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,6 @@ class TabularDataset:
     schema: tuple[AttributeSchema, ...]
     rows: np.ndarray
     provenance: Provenance
-    source_indices: np.ndarray | None = None
 
     def __post_init__(self):
         schema = validate_schema(self.schema)
@@ -179,14 +170,6 @@ class TabularDataset:
                     )
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if self.source_indices is not None:
-            src = np.array(self.source_indices, dtype=np.int64, copy=True)
-            if src.shape != (rows.shape[0],):
-                raise DataError("source_indices length must equal row count")
-            if len(np.unique(src)) != len(src):
-                raise DataError("source_indices must be unique")
-            src.setflags(write=False)
-            object.__setattr__(self, "source_indices", src)
 
     @property
     def n_rows(self) -> int:
@@ -200,20 +183,8 @@ class TabularDataset:
     def qi_indices(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.schema) if a.role == QUASI_IDENTIFIER)
 
-    def attribute(self, name: str) -> AttributeSchema:
-        for a in self.schema:
-            if a.name == name:
-                return a
-        raise SchemaError(f"no attribute named {name!r}")
-
-    def attribute_index(self, name: str) -> int:
-        for i, a in enumerate(self.schema):
-            if a.name == name:
-                return i
-        raise SchemaError(f"no attribute named {name!r}")
-
     def replace_rows(self, rows: np.ndarray, provenance: Provenance) -> "TabularDataset":
-        return TabularDataset(self.schema, rows, provenance, self.source_indices)
+        return TabularDataset(self.schema, rows, provenance)
 
 
 @dataclass(frozen=True)
@@ -289,15 +260,12 @@ class ForgetRequest:
     @classmethod
     def from_ratio(cls, n_rows: int, ratio: float, seed: int) -> "ForgetRequest":
         """Draw floor(ratio * n_rows) distinct rows uniformly, deterministically."""
-        from . import seeds as seed_tags
+        from . import seeds
 
         if not 0.0 <= ratio <= 1.0:
             raise DataError(f"forget ratio must lie in [0, 1], got {ratio}")
         m = int(np.floor(ratio * n_rows))
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, seed_tags.FORGET_DRAW]))
-        )
-        idx = rng.permutation(n_rows)[:m]
+        idx = seeds.stream(seed, seeds.FORGET_DRAW).permutation(n_rows)[:m]
         return cls(tuple(int(i) for i in idx), ratio=ratio, seed=seed)
 
 
@@ -380,7 +348,10 @@ def load_csv(path, schema) -> TabularDataset:
     cells must parse as floats; categorical cells must be non-empty strings.
     Attributes declared with an empty category list accept any label and the
     list of categories is learned in order of first appearance; a non-empty
-    list is closed and unseen labels are an error.  Row numbers in error
+    list is closed and unseen labels are an error.  A numeric attribute
+    keeps the observed range the schema gives it (so a test table loaded
+    under the training schema is scaled like the training table); one
+    without is given the range of its column.  Row numbers in error
     messages are 1-based over data rows (the header is row 0).
     """
     schema = validate_schema(schema)
@@ -436,6 +407,8 @@ def load_csv(path, schema) -> TabularDataset:
     for j, attr in enumerate(schema):
         if attr.kind == CATEGORICAL:
             final_schema.append(dataclasses.replace(attr, categories=tuple(categories[j])))
+        elif attr.observed_range is not None:
+            final_schema.append(attr)
         else:
             col = rows[:, j]
             observed = (float(col.min()), float(col.max())) if col.size else (0.0, 1.0)
@@ -470,14 +443,14 @@ def encoded_width(schema) -> int:
     return width
 
 
-def encode(ds: TabularDataset, clamp: bool = False) -> EncodedMatrix:
+def encode(ds: TabularDataset) -> EncodedMatrix:
     """Min-max scale numerics, one-hot categoricals, class to int labels.
 
     Scaling uses the attribute's declared range when one was declared,
     otherwise the range observed at load time.  A value outside an
-    explicitly declared range raises unless clamp=True.  Values outside an
-    observed range (e.g. test data encoded under the training schema) pass
-    through and may fall outside [0, 1].  A zero-width range maps to 0.0.
+    explicitly declared range raises.  Values outside an observed range
+    (e.g. test data encoded under the training schema) pass through and may
+    fall outside [0, 1].  A zero-width range maps to 0.0.
     """
     class_attr = ds.schema[ds.class_index]
     if class_attr.kind != CATEGORICAL:
@@ -495,14 +468,13 @@ def encode(ds: TabularDataset, clamp: bool = False) -> EncodedMatrix:
             lo, hi = attr.effective_range
             if attr.declared_range is not None:
                 below, above = col < lo, col > hi
-                if (below.any() or above.any()) and not clamp:
+                if below.any() or above.any():
                     bad = int(np.argmax(below | above))
                     raise EncodingError(
                         f"attribute {attr.name!r}: value {col[bad]} at row {bad} "
-                        f"outside declared range [{lo}, {hi}] (pass clamp=True to clamp)"
+                        f"outside declared range [{lo}, {hi}] "
+                        "(set config key clamp_out_of_range to clamp)"
                     )
-                if clamp:
-                    col = np.clip(col, lo, hi)
             width = hi - lo
             scaled = (col - lo) / width if width > 0 else np.zeros(n)
             blocks.append(scaled.reshape(n, 1))
@@ -551,8 +523,8 @@ def decode(em: EncodedMatrix, schema) -> TabularDataset:
 def split_forget(ds: TabularDataset, request: ForgetRequest):
     """Partition a raw dataset into (retain, forget) per the request.
 
-    Row order within each part follows the original dataset; source_indices
-    on both parts record the positions the rows held in the input.
+    Row order within each part follows the original dataset; the request's
+    forget_indices are the positions the forget rows held in the input.
     """
     if ds.provenance.kind != "raw":
         raise DataError(
@@ -566,11 +538,6 @@ def split_forget(ds: TabularDataset, request: ForgetRequest):
         )
     mask = np.zeros(n, dtype=bool)
     mask[forget_idx] = True
-    retain_idx = np.flatnonzero(~mask)
-    retain = TabularDataset(
-        ds.schema, ds.rows[retain_idx], Provenance.retain_subset(), retain_idx
-    )
-    forget = TabularDataset(
-        ds.schema, ds.rows[mask], Provenance.forget_subset(), np.flatnonzero(mask)
-    )
+    retain = TabularDataset(ds.schema, ds.rows[~mask], Provenance.retain_subset())
+    forget = TabularDataset(ds.schema, ds.rows[mask], Provenance.forget_subset())
     return retain, forget

@@ -35,7 +35,7 @@ class DpError(DataError):
 def make_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise DpError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, seeds.DP_NOISE])))
+    return seeds.stream(seed, seeds.DP_NOISE)
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +118,6 @@ def exponential_probabilities(utilities: np.ndarray, epsilon: float, delta_u: fl
     z = z - z.max()
     p = np.exp(z)
     return p / p.sum()
-
-
-def exponential_select(
-    current: int,
-    mech: CategoricalMechanism,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> int:
-    """Sample a replacement category for one cell via the exponential mechanism."""
-    p = exponential_probabilities(mech.utility[current], epsilon, mech.delta_u)
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, len(p) - 1)
 
 
 def perturb_categorical(
@@ -314,9 +301,7 @@ def dp_protect_table(
             entries.append(
                 DpBudgetEntry(attr.name, "exponential", eps_attr, mech.delta_u)
             )
-    out = TabularDataset(
-        ds.schema, rows, Provenance.dp_protected(epsilon_total), ds.source_indices
-    )
+    out = TabularDataset(ds.schema, rows, Provenance.dp_protected(epsilon_total))
     ledger = DpLedger(epsilon_total, m, seed, tuple(entries))
     return DpProtectResult(out, ledger)
 
@@ -415,29 +400,24 @@ def read_image(path) -> PixelImage:
     return PixelImage(np.frombuffer(buf, dtype=np.uint8).reshape(h, w, c))
 
 
-def read_png(path) -> PixelImage:
-    """PNG import convenience; requires Pillow."""
-    try:
-        from PIL import Image
-    except ImportError:
-        raise DpError("PNG import requires Pillow (pip install Pillow)") from None
-    arr = np.asarray(Image.open(path).convert("RGB"))
-    return PixelImage(arr)
+def _block_means(img: PixelImage, b: int) -> np.ndarray:
+    """Per-channel mean of each b x b block, shape (height/b, width/b, channels)."""
+    h, w = img.height, img.width
+    if h % b or w % b:
+        raise DpError(f"image {w}x{h} is not divisible into {b}x{b} blocks")
+    blocks = img.pixels.astype(np.float64).reshape(h // b, b, w // b, b, img.channels)
+    return blocks.mean(axis=(1, 3))
 
 
-def _block_means(pixels: np.ndarray, b: int) -> np.ndarray:
-    h, w, c = pixels.shape
-    blocks = pixels.astype(np.float64).reshape(h // b, b, w // b, b, c)
-    means = blocks.mean(axis=(1, 3))
-    return np.repeat(np.repeat(means, b, axis=0), b, axis=1)
+def _fill_blocks(values: np.ndarray, b: int) -> PixelImage:
+    """Paint each block value over its b x b pixels, rounded half-to-even."""
+    full = np.repeat(np.repeat(values, b, axis=0), b, axis=1)
+    return PixelImage(np.rint(full).astype(np.uint8))
 
 
 def pixelize(img: PixelImage, b: int) -> PixelImage:
     """Replace each b x b block by its mean, rounded half-to-even."""
-    h, w = img.height, img.width
-    if h % b or w % b:
-        raise DpError(f"image {w}x{h} is not divisible into {b}x{b} blocks")
-    return PixelImage(np.rint(_block_means(img.pixels, b)).astype(np.uint8))
+    return _fill_blocks(_block_means(img, b), b)
 
 
 def dp_pix_scale(b: int, m: int, epsilon: float) -> float:
@@ -458,14 +438,7 @@ def dp_pix(
     noise of scale (255 m / b^2) / epsilon, clamped to [0, 255] and rounded
     half-to-even.  One individual is assumed to contribute at most m pixels.
     """
-    h, w = img.height, img.width
-    if h % b or w % b:
-        raise DpError(f"image {w}x{h} is not divisible into {b}x{b} blocks")
+    means = _block_means(img, b)
     scale = dp_pix_scale(b, m, epsilon)
-    pixels = img.pixels.astype(np.float64)
-    blocks = pixels.reshape(h // b, b, w // b, b, img.channels)
-    means = blocks.mean(axis=(1, 3))
     noised = means + laplace_sample(scale, rng, size=means.shape)
-    noised = np.clip(noised, 0.0, 255.0)
-    full = np.repeat(np.repeat(noised, b, axis=0), b, axis=1)
-    return PixelImage(np.rint(full).astype(np.uint8))
+    return _fill_blocks(np.clip(noised, 0.0, 255.0), b)

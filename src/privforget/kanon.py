@@ -259,9 +259,7 @@ def centroid_replace(ds: TabularDataset, clustering: Clustering) -> TabularDatas
             n_cat = len(attr.categories)
             freq = np.bincount(labels * n_cat + col.astype(np.int64), minlength=n_clusters * n_cat)
             rows[:, j] = freq.reshape(n_clusters, n_cat).argmax(axis=1)[labels]
-    return TabularDataset(
-        ds.schema, rows, Provenance.k_anonymized(clustering.k), ds.source_indices
-    )
+    return TabularDataset(ds.schema, rows, Provenance.k_anonymized(clustering.k))
 
 
 def k_anonymize(ds: TabularDataset, k: int) -> TabularDataset:

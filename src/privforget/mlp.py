@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .data import DataError, EncodedMatrix
+from .data import EncodedMatrix
 
 
 class ModelError(ValueError):
@@ -23,13 +23,6 @@ class ModelError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Raised when a training batch produces a non-finite loss."""
-
-
-def _rng(*entropy: int) -> np.random.Generator:
-    for e in entropy:
-        if e < 0:
-            raise ModelError(f"seed components must be non-negative, got {entropy}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ class MlpModel:
 def init(layer_dims, seed: int, provenance: str = "original") -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic under seed."""
     dims = tuple(int(d) for d in layer_dims)
-    rng = _rng(seed, seeds.GLOROT_INIT)
+    rng = seeds.stream(seed, seeds.GLOROT_INIT)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -258,7 +251,7 @@ def train(model: MlpModel, data: EncodedMatrix, cfg: TrainConfig) -> MlpModel:
 
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
-            order = _rng(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)
+            order = seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)
         else:
             order = np.arange(n)
         for start in range(0, n, cfg.batch_size):

@@ -93,7 +93,11 @@ class ForgetEvent:
 
 @dataclass(frozen=True)
 class EupgState:
-    """Everything needed to serve forgetting requests without the raw data."""
+    """The protected view, both models and the training settings.
+
+    With the raw training table, which eupg_forget takes separately and
+    which is not stored here, this serves any forgetting request.
+    """
 
     spec: PrivacySpec
     protected_data: TabularDataset
@@ -205,10 +209,6 @@ def retrain_scratch(
 # ---------------------------------------------------------------------------
 # SISA baseline
 
-def _derive_seed(*entropy: int) -> int:
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class ShardStore:
     """Sharded, sliced, checkpointed ensemble with exact-unlearning replay.
@@ -247,9 +247,7 @@ class ShardStore:
 
 def _deal(n: int, n_shards: int, n_slices: int, seed: int):
     """Round-robin assignment of a seeded permutation to shards, then slices."""
-    perm = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, seeds.SISA_DEAL]))
-    ).permutation(n)
+    perm = seeds.stream(seed, seeds.SISA_DEAL).permutation(n)
     shard_members: list[list[int]] = [[] for _ in range(n_shards)]
     for pos, row in enumerate(perm):
         shard_members[pos % n_shards].append(int(row))
@@ -280,7 +278,7 @@ def _train_shard_slices(
     for r in range(start_slice, n_slices):
         rows = np.concatenate(slice_rows_s[: r + 1])
         rows = rows[alive[rows]]
-        slice_seed = _derive_seed(base_seed, seeds.SISA_SLICE, shard, r)
+        slice_seed = seeds.derive(base_seed, seeds.SISA_SLICE, shard, r)
         model = mlp.train(
             model,
             store_data.take(rows),
@@ -313,7 +311,7 @@ def sisa_train(
     checkpoints = []
     for s in range(n_shards):
         start = mlp.init(
-            dims, _derive_seed(cfg.seed, seeds.SISA_SHARD_INIT, s), provenance=f"sisa_shard_{s}"
+            dims, seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s), provenance=f"sisa_shard_{s}"
         )
         cps = _train_shard_slices(
             data, slice_rows[s], alive, cfg, per_slice, cfg.seed, s, 0, start, n_slices
@@ -364,7 +362,7 @@ def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
         if first_hit == 0:
             start = mlp.init(
                 store.layer_dims,
-                _derive_seed(store.cfg.seed, seeds.SISA_SHARD_INIT, s),
+                seeds.derive(store.cfg.seed, seeds.SISA_SHARD_INIT, s),
                 provenance=f"sisa_shard_{s}",
             )
         else:

@@ -41,7 +41,6 @@ from privforget.kanon import centroid_replace, mdav, verify_k_anonymity
 from privforget.mlp import TrainConfig, accuracy, save_model
 from privforget.unlearn import (
     PrivacySpec,
-    _derive_seed,
     _train_shard_slices,
     eupg_forget,
     eupg_prepare,
@@ -244,7 +243,7 @@ def test_criterion_5_sisa_exactness(tmp_path):
                 continue
             fresh = mlp.init(
                 store.layer_dims,
-                _derive_seed(cfg.seed, seeds.SISA_SHARD_INIT, s),
+                seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s),
                 provenance=f"sisa_shard_{s}",
             )
             oracle = _train_shard_slices(
@@ -274,8 +273,7 @@ def _load_adult():
         )
     schema = parse_schema_file(ADULT_DIR / "adult.schema")
     train_ds = load_csv(ADULT_DIR / "train.csv", schema)
-    parsed = load_csv(ADULT_DIR / "test.csv", train_ds.schema)
-    test_ds = TabularDataset(train_ds.schema, parsed.rows, Provenance.raw())
+    test_ds = load_csv(ADULT_DIR / "test.csv", train_ds.schema)
     return train_ds, test_ds
 
 

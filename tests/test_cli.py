@@ -181,6 +181,14 @@ def test_config_validation_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["run", "--set", "oops"]) == 1
 
+    # a negative forget seed is refused with its value, not a traceback
+    (tmp_path / "out" / "rep0").mkdir(parents=True)
+    capsys.readouterr()
+    cfg_path = write_config(tmp_path, good)
+    assert main(["forget", "--config", cfg_path, "--set", "forget_seed=-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-5" in err
+
 
 def test_missing_inputs_exit_one(tmp_path, capsys):
     conf = write_inputs(tmp_path)
@@ -231,6 +239,35 @@ def test_anonymize_dp(tmp_path):
     assert len(ledger["entries"]) == 5  # all non-class attributes
     conf["method"] = "original"
     assert main(["anonymize", "--config", write_config(tmp_path, conf)]) == 1
+
+
+@pytest.mark.parametrize("command", ["anonymize", "run"])
+def test_failed_k_anonymity_exits_one(tmp_path, capsys, monkeypatch, command):
+    """Both commands refuse a protected table that fails verification and
+    write neither the table nor the state."""
+    import privforget.kanon as kanon
+
+    monkeypatch.setattr(kanon, "k_anonymize", lambda ds, k: ds)
+    conf = write_inputs(tmp_path)
+    conf.update({"method": "eupg_k", "k": 3})
+    assert main([command, "--config", write_config(tmp_path, conf)]) == 1
+    assert "failed k-anonymity verification" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "protected.csv").exists()
+    assert not (tmp_path / "out" / "rep0" / "state").exists()
+
+
+def test_clamp_out_of_range(tmp_path, capsys):
+    """A value outside a declared range fails the run unless the config
+    asks for clamping."""
+    conf = write_inputs(tmp_path)
+    schema = Path(conf["schema"])
+    declared = "num0,numeric,quasi_identifier"
+    schema.write_text(schema.read_text().replace(declared, declared + ",-1,1"))
+    cfg_path = write_config(tmp_path, conf)
+    assert main(["run", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "num0" in err and "clamp_out_of_range" in err
+    assert main(["run", "--config", cfg_path, "--set", "clamp_out_of_range=true"]) == 0
 
 
 def test_attack_subcommand(tmp_path):

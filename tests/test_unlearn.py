@@ -21,7 +21,6 @@ from privforget.unlearn import (
     PrivacySpec,
     ShardStore,
     _deal,
-    _derive_seed,
     _train_shard_slices,
     eupg_forget,
     eupg_prepare,
@@ -212,7 +211,7 @@ def test_sisa_forget_matches_from_scratch_oracle():
     for s in range(2):
         fresh = mlp.init(
             store.layer_dims,
-            _derive_seed(cfg.seed, seeds.SISA_SHARD_INIT, s),
+            seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s),
             provenance=f"sisa_shard_{s}",
         )
         oracle = _train_shard_slices(
