@@ -72,6 +72,12 @@ DEFAULTS: dict = {
     "sweep": None,
 }
 
+# numeric config keys, typed on load; the NULLABLE ones may be null (unset)
+INTEGER_KEYS = ("k", "n_shards", "n_slices", "hidden_units", "batch_size", "epochs",
+                "finetune_epochs", "seed", "privacy_seed", "forget_seed", "repetitions")
+REAL_KEYS = ("epsilon", "learning_rate", "forget_ratio")
+NULLABLE = ("k", "epsilon", "privacy_seed", "forget_seed", "forget_ratio")
+
 DEFAULT_SWEEP = {
     "method": ["eupg_k", "eupg_dp"],
     "k": [3, 5, 10, 20, 80],
@@ -123,14 +129,39 @@ def load_config(config_path, overrides: dict | None = None) -> dict:
         if key not in DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
         conf[key] = value
+    return _validated(conf)
+
+
+def _number(key: str, value):
+    """value as an int or float, per key; DataError naming key when it is not one."""
+    kind = int if key in INTEGER_KEYS else float
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+        if number != float(value):  # 2.5 for an integer key, or NaN
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise DataError(f"config key {key!r} must be {expected}, got {value!r}") from None
+    return number
+
+
+def _validated(conf: dict) -> dict:
+    """Check a complete config and type its numeric keys, in place."""
+    for key in INTEGER_KEYS + REAL_KEYS:
+        if conf[key] is not None or key not in NULLABLE:
+            conf[key] = _number(key, conf[key])
     if conf["method"] not in METHODS:
         raise DataError(f"unknown method {conf['method']!r}; expected one of {METHODS}")
+    if not isinstance(conf["attacks"], list):
+        raise DataError(f"config key 'attacks' must be a list of names, got {conf['attacks']!r}")
     for atk in conf["attacks"]:
         if atk not in attack_mod.ATTACKS:
             raise DataError(f"unknown attack {atk!r}; expected one of {attack_mod.ATTACKS}")
     if conf["utility_metric"] not in ("accuracy", "auc"):
         raise DataError("utility_metric must be 'accuracy' or 'auc'")
-    if int(conf["repetitions"]) < 1:
+    if conf["repetitions"] < 1:
         raise DataError("repetitions must be >= 1")
     return conf
 
@@ -176,9 +207,9 @@ def load_train_test(conf: dict):
 
 def _train_config(conf: dict, seed: int) -> TrainConfig:
     return TrainConfig(
-        batch_size=int(conf["batch_size"]),
-        learning_rate=float(conf["learning_rate"]),
-        epochs=int(conf["epochs"]),
+        batch_size=conf["batch_size"],
+        learning_rate=conf["learning_rate"],
+        epochs=conf["epochs"],
         seed=seed,
         shuffle=bool(conf["shuffle"]),
     )
@@ -190,16 +221,14 @@ def _privacy_spec(conf: dict, privacy_seed: int, schema) -> unlearn.PrivacySpec:
     if method == "eupg_k":
         if conf["k"] is None:
             raise DataError("method eupg_k requires config key 'k'")
-        return unlearn.PrivacySpec.k_anonymity(int(conf["k"]))
+        return unlearn.PrivacySpec.k_anonymity(conf["k"])
     if method == "eupg_dp":
         if conf["epsilon"] is None:
             raise DataError("method eupg_dp requires config key 'epsilon'")
         mechanisms = None
         if conf["utility_file"]:
             mechanisms = dpanon.load_utility_file(conf["utility_file"], schema)
-        return unlearn.PrivacySpec.dp(
-            float(conf["epsilon"]), seed=privacy_seed, mechanisms=mechanisms
-        )
+        return unlearn.PrivacySpec.dp(conf["epsilon"], seed=privacy_seed, mechanisms=mechanisms)
     raise DataError(f"method {method!r} has no privacy spec")
 
 
@@ -231,11 +260,11 @@ def _mia_entries(probs_fn, members, nonmembers, attacks, seed, population=None) 
 def _params_block(conf: dict) -> dict:
     method = conf["method"]
     if method == "eupg_k":
-        return {"k": int(conf["k"])}
+        return {"k": conf["k"]}
     if method == "eupg_dp":
-        return {"epsilon": float(conf["epsilon"])}
+        return {"epsilon": conf["epsilon"]}
     if method == "sisa":
-        return {"n_shards": int(conf["n_shards"]), "n_slices": int(conf["n_slices"])}
+        return {"n_shards": conf["n_shards"], "n_slices": conf["n_slices"]}
     return {}
 
 
@@ -289,11 +318,11 @@ def cmd_anonymize(conf: dict) -> int:
     if method not in ("eupg_k", "eupg_dp"):
         raise DataError("anonymize requires method 'eupg_k' or 'eupg_dp'")
     privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else conf["seed"]
-    spec = _privacy_spec(conf, int(privacy_seed), train.schema)
+    spec = _privacy_spec(conf, privacy_seed, train.schema)
     t0 = time.perf_counter()
     protected, ledger = unlearn.protect(train, spec)
     seconds = time.perf_counter() - t0
-    kanonymity = _verified_k_anonymity(protected, int(conf["k"])) if method == "eupg_k" else None
+    kanonymity = _verified_k_anonymity(protected, conf["k"]) if method == "eupg_k" else None
     write_csv(protected, out / "protected.csv")
     report = {
         "format_version": 1,
@@ -301,7 +330,7 @@ def cmd_anonymize(conf: dict) -> int:
         "params": _params_block(conf),
         "rows": protected.n_rows,
         "seconds": seconds,
-        "seed": int(privacy_seed),
+        "seed": privacy_seed,
         "budget_ledger": ledger.to_json_dict() if ledger else None,
         "kanonymity": kanonymity,
     }
@@ -320,7 +349,7 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fie
     the privacy and forget seeds, so the key order is fixed here.
     """
     method = conf["method"]
-    base_seed = int(conf["seed"]) + rep
+    base_seed = conf["seed"] + rep
     seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
     seeds.update(fields.pop("seeds", {}))
     if method == "sisa":
@@ -366,12 +395,10 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fie
 
 def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     method = conf["method"]
-    base_seed = int(conf["seed"]) + rep
+    base_seed = conf["seed"] + rep
     cfg = _train_config(conf, base_seed)
-    privacy_seed = (
-        int(conf["privacy_seed"]) if conf["privacy_seed"] is not None else base_seed
-    )
-    hidden = int(conf["hidden_units"])
+    privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else base_seed
+    hidden = conf["hidden_units"]
     timings: dict[str, float] = {}
     fields: dict = {}
 
@@ -383,11 +410,9 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         fields["artifacts"] = {"model": str(rep_dir / "original.model")}
     elif method in ("eupg_k", "eupg_dp"):
         spec = _privacy_spec(conf, privacy_seed, train.schema)
-        fitted = unlearn.eupg_prepare(
-            train, spec, cfg, int(conf["finetune_epochs"]), hidden
-        )
+        fitted = unlearn.eupg_prepare(train, spec, cfg, conf["finetune_epochs"], hidden)
         if method == "eupg_k":
-            fields["kanonymity"] = _verified_k_anonymity(fitted.protected_data, int(conf["k"]))
+            fields["kanonymity"] = _verified_k_anonymity(fitted.protected_data, conf["k"])
         timings.update(fitted.timings)
         unlearn.save_eupg_state(fitted, rep_dir / "state")
         fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
@@ -396,9 +421,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
     else:
         t0 = time.perf_counter()
-        fitted = unlearn.sisa_train(
-            train, int(conf["n_shards"]), int(conf["n_slices"]), cfg, hidden
-        )
+        fitted = unlearn.sisa_train(train, conf["n_shards"], conf["n_slices"], cfg, hidden)
         timings["train"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         unlearn.save_shard_store(fitted, rep_dir / "state")
@@ -418,7 +441,7 @@ def cmd_run(conf: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train, test = load_train_test(conf)
     reports = []
-    for rep in range(int(conf["repetitions"])):
+    for rep in range(conf["repetitions"]):
         rep_dir = out / f"rep{rep}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         report = _run_one(conf, rep, rep_dir, train, test)
@@ -435,15 +458,16 @@ def cmd_run(conf: dict) -> int:
 
 def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     method = conf["method"]
-    base_seed = int(conf["seed"]) + rep
+    base_seed = conf["seed"] + rep
     cfg = _train_config(conf, base_seed)
-    hidden = int(conf["hidden_units"])
-    forget_base = (
-        int(conf["forget_seed"]) if conf["forget_seed"] is not None else base_seed
-    )
-    request = ForgetRequest.from_ratio(
-        train.n_rows, float(conf["forget_ratio"]), forget_base + rep
-    )
+    hidden = conf["hidden_units"]
+    forget_base = conf["forget_seed"] if conf["forget_seed"] is not None else base_seed
+    request = ForgetRequest.from_ratio(train.n_rows, conf["forget_ratio"], forget_base + rep)
+    if not 0 < len(request.forget_indices) < train.n_rows:
+        raise DataError(
+            f"forget_ratio {conf['forget_ratio']} selects {len(request.forget_indices)} of "
+            f"the {train.n_rows} training rows; a forget needs rows to forget and to retain"
+        )
     retain, forget_part = split_forget(train, request)
     timings: dict[str, float] = {}
     after_dir = rep_dir / "state_after_forget"
@@ -456,9 +480,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         mlp.save_model(new_obj, after_dir / "original.model")
     elif method in ("eupg_k", "eupg_dp"):
         state = unlearn.load_eupg_state(rep_dir / "state")
-        new_obj = unlearn.eupg_forget(
-            state, train, request, epochs=int(conf["finetune_epochs"])
-        )
+        new_obj = unlearn.eupg_forget(state, train, request, epochs=conf["finetune_epochs"])
         timings["forget"] = new_obj.timings["forget"]
         unlearn.save_eupg_state(new_obj, after_dir)
     else:
@@ -482,9 +504,9 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         timings_s=timings,
         seeds={"forget": forget_base + rep},
         forget={
-            "ratio": float(conf["forget_ratio"]),
+            "ratio": conf["forget_ratio"],
             "n_forgotten": forget_part.n_rows,
-            "epochs": int(conf["finetune_epochs"]) if method.startswith("eupg") else None,
+            "epochs": conf["finetune_epochs"] if method.startswith("eupg") else None,
         },
         artifacts={"state_dir": str(after_dir)},
     )
@@ -492,13 +514,13 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
 
 def cmd_forget(conf: dict) -> int:
     """Serve a forgetting request against the artifacts of a previous run."""
-    _require(conf, "train_csv", "test_csv", "schema")
+    _require(conf, "train_csv", "test_csv", "schema", "forget_ratio")
     run_dir = Path(conf["run_dir"]) if conf["run_dir"] else resolve_out(conf)
     if not run_dir.exists():
         raise DataError(f"run directory not found: {run_dir} (run 'run' first)")
     train, test = load_train_test(conf)
     reports = []
-    for rep in range(int(conf["repetitions"])):
+    for rep in range(conf["repetitions"]):
         rep_dir = run_dir / f"rep{rep}"
         if not rep_dir.exists():
             raise DataError(f"missing repetition directory {rep_dir}")
@@ -583,8 +605,7 @@ def cmd_sweep(conf: dict) -> int:
     for point in points:
         name = _point_name(point)
         point_dir = out / "points" / name
-        merged = dict(conf)
-        merged.update(point)
+        merged = _validated({**conf, **point})
         merged["sweep"] = None
         merged["out"] = str(point_dir)
         merged["run_dir"] = str(point_dir)

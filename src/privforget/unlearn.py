@@ -16,6 +16,7 @@ remaining slices with their original seeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -166,7 +167,6 @@ def eupg_forget(
     ds: TabularDataset,
     request: ForgetRequest,
     epochs: int | None = None,
-    cfg: TrainConfig | None = None,
 ) -> EupgState:
     """Serve a forgetting request: re-fine-tune the base on the retain set.
 
@@ -177,10 +177,9 @@ def eupg_forget(
     if ds.schema != state.protected_data.schema:
         raise DataError("dataset schema does not match the prepared state")
     epochs = state.finetune_epochs if epochs is None else epochs
-    cfg = state.cfg if cfg is None else cfg
     retain, forget_part = split_forget(ds, request)
     t0 = time.perf_counter()
-    deployed = mlp.finetune(state.base_model, encode(retain), epochs, cfg)
+    deployed = mlp.finetune(state.base_model, encode(retain), epochs, state.cfg)
     seconds = time.perf_counter() - t0
     event = ForgetEvent(
         n_forgotten=forget_part.n_rows,
@@ -215,8 +214,10 @@ class ShardStore:
 
     slice_rows[s][r] holds the original row indices of shard s, slice r in
     dealt order; that order, filtered by the alive mask, is the canonical
-    training order and must never be re-sorted.  checkpoints[s][r] is the
-    shard model after training through slice r.
+    training order and must never be re-sorted.  A saved store keeps
+    slice_rows in its manifest, because they record which rows each saved
+    checkpoint saw.  checkpoints[s][r] is the shard model after training
+    through slice r; _replay_shard is the only code that trains one.
     """
 
     n_shards: int
@@ -234,58 +235,61 @@ class ShardStore:
     def per_slice_epochs(self) -> int:
         return math.ceil(self.cfg.epochs / self.n_slices)
 
+    @functools.cached_property
+    def row_slices(self) -> np.ndarray:
+        """(n_rows, 2) array: the (shard, slice) holding each row, -1 if none."""
+        where = np.full((len(self.alive), 2), -1, dtype=np.int64)
+        for s, shard in enumerate(self.slice_rows):
+            for r, rows in enumerate(shard):
+                where[rows] = (s, r)
+        return where
+
     def final_models(self) -> tuple[MlpModel, ...]:
         return tuple(cp[-1] for cp in self.checkpoints)
 
     def shard_of_row(self, row: int) -> tuple[int, int]:
-        for s in range(self.n_shards):
-            for r in range(self.n_slices):
-                if row in self.slice_rows[s][r]:
-                    return s, r
+        if 0 <= row < len(self.alive) and self.row_slices[row, 0] >= 0:
+            s, r = self.row_slices[row]
+            return int(s), int(r)
         raise DataError(f"row {row} is not assigned to any shard")
 
 
 def _deal(n: int, n_shards: int, n_slices: int, seed: int):
-    """Round-robin assignment of a seeded permutation to shards, then slices."""
+    """Round-robin assignment of a seeded permutation to shards, then slices:
+    slice r of shard s is perm[s::n_shards][r::n_slices]."""
     perm = seeds.stream(seed, seeds.SISA_DEAL).permutation(n)
-    shard_members: list[list[int]] = [[] for _ in range(n_shards)]
-    for pos, row in enumerate(perm):
-        shard_members[pos % n_shards].append(int(row))
-    slice_rows = []
-    for s in range(n_shards):
-        slices: list[list[int]] = [[] for _ in range(n_slices)]
-        for local, row in enumerate(shard_members[s]):
-            slices[local % n_slices].append(row)
-        slice_rows.append(tuple(np.array(sl, dtype=np.int64) for sl in slices))
-    return tuple(slice_rows)
+    return tuple(
+        tuple(perm[s::n_shards][r::n_slices] for r in range(n_slices))
+        for s in range(n_shards)
+    )
 
 
-def _train_shard_slices(
-    store_data: EncodedMatrix,
-    slice_rows_s,
-    alive: np.ndarray,
-    cfg: TrainConfig,
-    per_slice_epochs: int,
-    base_seed: int,
-    shard: int,
-    start_slice: int,
-    start_model: MlpModel,
-    n_slices: int,
-):
-    """Train slices start_slice..n_slices-1, checkpointing after each."""
-    model = start_model
-    checkpoints = []
-    for r in range(start_slice, n_slices):
-        rows = np.concatenate(slice_rows_s[: r + 1])
+def _replay_shard(store: ShardStore, s: int, first: int, alive: np.ndarray):
+    """Shard s's checkpoints with slices first.. retrained on the alive rows.
+
+    Training starts from checkpoint first-1, or from the shard's seeded
+    initialization when first is 0; the checkpoints before first are kept
+    as the same objects.  Slice r trains on the alive rows of slices 0..r in
+    dealt order, for per_slice_epochs epochs under the slice's own seed.
+    """
+    kept = store.checkpoints[s][:first]
+    if first == 0:
+        init_seed = seeds.derive(store.cfg.seed, seeds.SISA_SHARD_INIT, s)
+        model = mlp.init(store.layer_dims, init_seed, provenance=f"sisa_shard_{s}")
+    else:
+        model = kept[-1]
+    replayed = []
+    for r in range(first, store.n_slices):
+        rows = np.concatenate(store.slice_rows[s][: r + 1])
         rows = rows[alive[rows]]
-        slice_seed = seeds.derive(base_seed, seeds.SISA_SLICE, shard, r)
+        slice_seed = seeds.derive(store.cfg.seed, seeds.SISA_SLICE, s, r)
         model = mlp.train(
             model,
-            store_data.take(rows),
-            cfg.with_(epochs=per_slice_epochs, seed=slice_seed),
+            store.data.take(rows),
+            store.cfg.with_(epochs=store.per_slice_epochs, seed=slice_seed),
         )
-        checkpoints.append(model)
-    return checkpoints
+        replayed.append(model)
+    return tuple(kept) + tuple(replayed)
 
 
 def sisa_train(
@@ -303,41 +307,27 @@ def sisa_train(
         raise DataError(
             f"{ds.n_rows} rows cannot fill {n_shards} shards x {n_slices} slices"
         )
-    data = encode(ds)
-    dims = _model_dims(ds, hidden_units)
-    slice_rows = _deal(ds.n_rows, n_shards, n_slices, cfg.seed)
-    alive = np.ones(ds.n_rows, dtype=bool)
-    per_slice = math.ceil(cfg.epochs / n_slices)
-    checkpoints = []
-    for s in range(n_shards):
-        start = mlp.init(
-            dims, seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s), provenance=f"sisa_shard_{s}"
-        )
-        cps = _train_shard_slices(
-            data, slice_rows[s], alive, cfg, per_slice, cfg.seed, s, 0, start, n_slices
-        )
-        checkpoints.append(tuple(cps))
-    return ShardStore(
+    store = ShardStore(
         n_shards=n_shards,
         n_slices=n_slices,
         cfg=cfg,
         hidden_units=hidden_units,
-        layer_dims=dims,
-        slice_rows=slice_rows,
-        alive=alive,
-        data=data,
-        checkpoints=tuple(checkpoints),
+        layer_dims=_model_dims(ds, hidden_units),
+        slice_rows=_deal(ds.n_rows, n_shards, n_slices, cfg.seed),
+        alive=np.ones(ds.n_rows, dtype=bool),
+        data=encode(ds),
+        checkpoints=((),) * n_shards,
     )
+    checkpoints = tuple(_replay_shard(store, s, 0, store.alive) for s in range(n_shards))
+    return dataclasses.replace(store, checkpoints=checkpoints)
 
 
 def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
     """Exact unlearning: roll affected shards back and replay their slices.
 
-    For each shard containing a forgotten row, training restarts from the
-    checkpoint just before the earliest affected slice (or from the
-    original initialization when slice 0 is hit) with the forgotten rows
-    dropped; the original per-slice seeds are replayed.  Untouched shards
-    keep their exact checkpoint objects.
+    Each shard holding a forgotten row is replayed from its earliest hit
+    slice with the forgotten rows dropped (see _replay_shard).  Untouched
+    shards keep their exact checkpoint objects.
     """
     forget_rows = np.array(request.forget_indices, dtype=np.int64)
     n = len(store.alive)
@@ -349,42 +339,19 @@ def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
     alive = store.alive.copy()
     alive[forget_rows] = False
 
-    hit = set(forget_rows.tolist())
-    new_checkpoints = list(store.checkpoints)
-    for s in range(store.n_shards):
-        first_hit = None
-        for r in range(store.n_slices):
-            if hit.intersection(store.slice_rows[s][r].tolist()):
-                first_hit = r
-                break
-        if first_hit is None:
-            continue
-        if first_hit == 0:
-            start = mlp.init(
-                store.layer_dims,
-                seeds.derive(store.cfg.seed, seeds.SISA_SHARD_INIT, s),
-                provenance=f"sisa_shard_{s}",
-            )
-        else:
-            start = store.checkpoints[s][first_hit - 1]
-        replayed = _train_shard_slices(
-            store.data,
-            store.slice_rows[s],
-            alive,
-            store.cfg,
-            store.per_slice_epochs,
-            store.cfg.seed,
-            s,
-            first_hit,
-            start,
-            store.n_slices,
-        )
-        new_checkpoints[s] = tuple(store.checkpoints[s][:first_hit]) + tuple(replayed)
-
+    hit_shard, hit_slice = store.row_slices[forget_rows].T
+    if (hit_shard < 0).any():
+        raise DataError(f"rows not assigned to any shard: {forget_rows[hit_shard < 0].tolist()}")
+    first_hit = np.full(store.n_shards, store.n_slices)
+    np.minimum.at(first_hit, hit_shard, hit_slice)
+    checkpoints = tuple(
+        cps if first == store.n_slices else _replay_shard(store, s, int(first), alive)
+        for s, (cps, first) in enumerate(zip(store.checkpoints, first_hit))
+    )
     return dataclasses.replace(
         store,
         alive=alive,
-        checkpoints=tuple(new_checkpoints),
+        checkpoints=checkpoints,
         removed_log=store.removed_log + tuple(int(i) for i in forget_rows),
     )
 

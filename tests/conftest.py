@@ -1,10 +1,13 @@
-"""Shared fixtures: synthetic tabular datasets and acceptance reporting."""
+"""Shared fixtures: synthetic tabular datasets, a SISA oracle and acceptance reporting."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from privforget.data import AttributeSchema, Provenance, TabularDataset
+from privforget import mlp, seeds
+from privforget.data import AttributeSchema, Provenance, TabularDataset, encode
 
 
 def make_dataset(
@@ -63,6 +66,33 @@ def make_dataset(
         )
     )
     return TabularDataset(tuple(schema), np.column_stack(cols), Provenance.raw())
+
+
+def sisa_oracle(ds: TabularDataset, store, s: int, alive: np.ndarray) -> list:
+    """Shard s trained from scratch on the alive rows, one checkpoint per slice.
+
+    Written out from the SISA definition, not through the package's replay:
+    the shard's seeded init, then for each slice r one mlp.train on the alive
+    rows of slices 0..r in dealt order, for ceil(epochs / n_slices) epochs
+    under the slice's seed.
+    """
+    cfg = store.cfg
+    data = encode(ds)
+    model = mlp.init(
+        store.layer_dims,
+        seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s),
+        provenance=f"sisa_shard_{s}",
+    )
+    checkpoints = []
+    for r in range(store.n_slices):
+        rows = np.concatenate(store.slice_rows[s][: r + 1])
+        slice_cfg = cfg.with_(
+            epochs=math.ceil(cfg.epochs / store.n_slices),
+            seed=seeds.derive(cfg.seed, seeds.SISA_SLICE, s, r),
+        )
+        model = mlp.train(model, data.take(rows[alive[rows]]), slice_cfg)
+        checkpoints.append(model)
+    return checkpoints
 
 
 @pytest.fixture

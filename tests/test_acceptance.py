@@ -14,7 +14,7 @@ import pytest
 import scipy.stats
 from scipy.special import logsumexp
 
-from privforget import mlp, seeds
+from privforget import mlp
 from privforget.attack import balanced_pair, mia_from_probs, roc_auc, roc_auc_pairwise
 from privforget.data import (
     AttributeSchema,
@@ -41,7 +41,6 @@ from privforget.kanon import centroid_replace, mdav, verify_k_anonymity
 from privforget.mlp import TrainConfig, accuracy, save_model
 from privforget.unlearn import (
     PrivacySpec,
-    _train_shard_slices,
     eupg_forget,
     eupg_prepare,
     retrain_scratch,
@@ -50,7 +49,7 @@ from privforget.unlearn import (
     sisa_train,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, sisa_oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ADULT_DIR = Path(os.environ.get("PRIVFORGET_DATA_DIR", REPO_ROOT / "data" / "adult"))
@@ -241,15 +240,7 @@ def test_criterion_5_sisa_exactness(tmp_path):
                 # untouched shards keep byte-identical parameters
                 assert file_bytes(got) == original_files[s], (int(row), s)
                 continue
-            fresh = mlp.init(
-                store.layer_dims,
-                seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s),
-                provenance=f"sisa_shard_{s}",
-            )
-            oracle = _train_shard_slices(
-                store.data, store.slice_rows[s], after.alive, cfg,
-                store.per_slice_epochs, cfg.seed, s, 0, fresh, store.n_slices,
-            )
+            oracle = sisa_oracle(ds, store, s, after.alive)
             want = tmp_path / "oracle.model"
             save_model(oracle[-1], want)
             assert file_bytes(got) == file_bytes(want), int(row)

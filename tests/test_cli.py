@@ -189,6 +189,34 @@ def test_config_validation_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "-5" in err
 
+    # wrong-typed values are configuration errors naming the key, not tracebacks
+    for pair, key in [
+        ("epochs=abc", "epochs"),
+        ("repetitions=x", "repetitions"),
+        ("k=abc", "k"),
+        ("learning_rate=fast", "learning_rate"),
+        ("n_shards=2.5", "n_shards"),
+        ("seed=true", "seed"),
+        ("attacks=loss_based", "attacks"),
+    ]:
+        assert main(["run", "--config", cfg_path, "--set", pair]) == 1, pair
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err, (pair, err)
+
+
+@pytest.mark.parametrize("ratio", [0.005, 1.0])  # floor(0.005 * 120) = 0 rows; all rows
+def test_forget_ratio_selecting_no_or_all_rows_refused(tmp_path, capsys, ratio):
+    conf = write_inputs(tmp_path)
+    cfg_path = write_config(tmp_path, conf)
+    assert main(["run", "--config", cfg_path]) == 0
+    model = (tmp_path / "out" / "rep0" / "original.model").read_bytes()
+    capsys.readouterr()
+    assert main(["forget", "--config", cfg_path, "--set", f"forget_ratio={ratio}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "forget_ratio" in err and "120" in err
+    assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
+    assert (tmp_path / "out" / "rep0" / "original.model").read_bytes() == model
+
 
 def test_missing_inputs_exit_one(tmp_path, capsys):
     conf = write_inputs(tmp_path)
@@ -377,6 +405,10 @@ def test_load_config_defaults_and_types(tmp_path):
     path.write_text(json.dumps({"attacks": ["loss_based", "psychic"]}))
     with pytest.raises(DataError, match="unknown attack"):
         load_config(path)
+    path.write_text(json.dumps({"epochs": "7", "epsilon": 2, "forget_ratio": None}))
+    typed = load_config(path)
+    assert (typed["epochs"], typed["epsilon"], typed["forget_ratio"]) == (7, 2.0, None)
+    assert isinstance(typed["epsilon"], float)
     path.write_text(json.dumps({"utility_metric": "f1"}))
     with pytest.raises(DataError, match="utility_metric"):
         load_config(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -5,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from privforget import mlp
 from privforget.data import (
     DataError,
     ForgetRequest,
@@ -21,7 +21,6 @@ from privforget.unlearn import (
     PrivacySpec,
     ShardStore,
     _deal,
-    _train_shard_slices,
     eupg_forget,
     eupg_prepare,
     load_eupg_state,
@@ -35,7 +34,7 @@ from privforget.unlearn import (
     sisa_train,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, sisa_oracle
 
 CFG = TrainConfig(batch_size=32, epochs=3, seed=0)
 
@@ -157,6 +156,21 @@ def test_retrain_scratch(small_dataset):
 # ---------------------------------------------------------------------------
 # SISA
 
+# sha256 of the dealt slices in manifest form; saved stores persist this
+# assignment, so a change here orphans every saved shard store
+DEAL_SHA256 = {
+    (37, 3, 4, 0): "029e60433b71c4b273890cd60332cfd7b90a47b300c930bdad2ee4238f1f3c7f",
+    (30000, 5, 10, 0): "c856c006c74fab1d41be26eae96dea36f8dd03fdc906e4b99b5c7d8beaf5ef61",
+}
+
+
+@pytest.mark.parametrize("args", sorted(DEAL_SHA256))
+def test_deal_pinned(args):
+    slice_rows = _deal(*args)
+    dealt = json.dumps([[rows.tolist() for rows in shard] for shard in slice_rows])
+    assert hashlib.sha256(dealt.encode()).hexdigest() == DEAL_SHA256[args]
+
+
 def test_deal_covers_rows_evenly():
     slice_rows = _deal(37, 3, 4, seed=0)
     flat = np.concatenate([np.concatenate(shard) for shard in slice_rows])
@@ -199,34 +213,40 @@ def test_sisa_forget_matches_from_scratch_oracle():
     ds = make_dataset(60, seed=4)
     cfg = TrainConfig(batch_size=8, epochs=3, seed=2)
     store = sisa_train(ds, n_shards=2, n_slices=3, cfg=cfg, hidden_units=8)
+    for s in range(2):
+        for r, model in enumerate(sisa_oracle(ds, store, s, store.alive)):
+            assert models_equal(store.checkpoints[s][r], model), (s, r)
 
     # one row from the middle slice of shard 0 and one from slice 0 of shard 1,
     # exercising both the checkpoint-rollback and the fresh-init paths
     targets = [int(store.slice_rows[0][1][0]), int(store.slice_rows[1][0][0])]
     after = sisa_forget(store, ForgetRequest(tuple(targets)))
     assert not after.alive[targets].any()
-
-    from privforget import seeds
-
     for s in range(2):
-        fresh = mlp.init(
-            store.layer_dims,
-            seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s),
-            provenance=f"sisa_shard_{s}",
-        )
-        oracle = _train_shard_slices(
-            store.data,
-            store.slice_rows[s],
-            after.alive,
-            cfg,
-            store.per_slice_epochs,
-            cfg.seed,
-            s,
-            0,
-            fresh,
-            store.n_slices,
-        )
+        for r, model in enumerate(sisa_oracle(ds, store, s, after.alive)):
+            assert models_equal(after.checkpoints[s][r], model), (s, r)
+
+
+def test_sisa_forget_rolls_back_to_earliest_hit_slice():
+    """One request hitting shard 0 in slices 2 and 1, and shard 1 in slice 3."""
+    ds = make_dataset(60, seed=5)
+    cfg = TrainConfig(batch_size=8, epochs=4, seed=1)
+    store = sisa_train(ds, n_shards=3, n_slices=4, cfg=cfg, hidden_units=8)
+    targets = (
+        int(store.slice_rows[0][2][0]),
+        int(store.slice_rows[0][1][1]),
+        int(store.slice_rows[1][3][0]),
+    )
+    after = sisa_forget(store, ForgetRequest(targets))
+
+    assert after.checkpoints[2] is store.checkpoints[2]
+    for s, first in ((0, 1), (1, 3)):
+        oracle = sisa_oracle(ds, store, s, after.alive)
         for r in range(store.n_slices):
+            if r < first:
+                assert after.checkpoints[s][r] is store.checkpoints[s][r], (s, r)
+            else:
+                assert after.checkpoints[s][r] is not store.checkpoints[s][r], (s, r)
             assert models_equal(after.checkpoints[s][r], oracle[r]), (s, r)
 
 
@@ -260,8 +280,17 @@ def test_shard_of_row():
     store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
     s, r = store.shard_of_row(int(store.slice_rows[1][0][2]))
     assert (s, r) == (1, 0)
+    for s, shard in enumerate(store.slice_rows):
+        for r, rows in enumerate(shard):
+            assert all(store.shard_of_row(int(row)) == (s, r) for row in rows)
+    for row in (40, 10**6, -1):
+        with pytest.raises(DataError, match="not assigned"):
+            store.shard_of_row(row)
+    # slice_rows are read back from a manifest; a row missing from them is refused
+    row = int(store.slice_rows[1][0][0])
+    trimmed = (store.slice_rows[0], (store.slice_rows[1][0][1:], store.slice_rows[1][1]))
     with pytest.raises(DataError, match="not assigned"):
-        store.shard_of_row(10**6)
+        sisa_forget(dataclasses.replace(store, slice_rows=trimmed), ForgetRequest((row,)))
 
 
 # ---------------------------------------------------------------------------
