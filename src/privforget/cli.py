@@ -77,6 +77,7 @@ INTEGER_KEYS = ("k", "n_shards", "n_slices", "hidden_units", "batch_size", "epoc
                 "finetune_epochs", "seed", "privacy_seed", "forget_seed", "repetitions")
 REAL_KEYS = ("epsilon", "learning_rate", "forget_ratio")
 NULLABLE = ("k", "epsilon", "privacy_seed", "forget_seed", "forget_ratio")
+BOOLEAN_KEYS = ("shuffle", "clamp_out_of_range")
 
 DEFAULT_SWEEP = {
     "method": ["eupg_k", "eupg_dp"],
@@ -152,6 +153,9 @@ def _validated(conf: dict) -> dict:
     for key in INTEGER_KEYS + REAL_KEYS:
         if conf[key] is not None or key not in NULLABLE:
             conf[key] = _number(key, conf[key])
+    for key in BOOLEAN_KEYS:
+        if not isinstance(conf[key], bool):
+            raise DataError(f"config key {key!r} must be true or false, got {conf[key]!r}")
     if conf["method"] not in METHODS:
         raise DataError(f"unknown method {conf['method']!r}; expected one of {METHODS}")
     if not isinstance(conf["attacks"], list):
@@ -211,7 +215,7 @@ def _train_config(conf: dict, seed: int) -> TrainConfig:
         learning_rate=conf["learning_rate"],
         epochs=conf["epochs"],
         seed=seed,
-        shuffle=bool(conf["shuffle"]),
+        shuffle=conf["shuffle"],
     )
 
 
@@ -343,10 +347,12 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fie
     """Score a fitted model, ensemble or state on the test set and against
     membership inference, then write ``<command>_report.json``.
 
-    populations maps each population name to the member rows attacked
-    against the test rows.  fields fill the command-specific report keys in
-    place (timings_s, forget, artifacts, budget_ledger, kanonymity) and seeds
-    the privacy and forget seeds, so the key order is fixed here.
+    populations maps each population name to the encoded member rows
+    attacked against the test rows: takes of the one encoded training matrix
+    (encode(subset) equals encode(train).take(rows) bit for bit).  fields
+    fill the command-specific report keys in place (timings_s, forget,
+    artifacts, budget_ledger, kanonymity) and seeds the privacy and forget
+    seeds, so the key order is fixed here.
     """
     method = conf["method"]
     base_seed = conf["seed"] + rep
@@ -363,9 +369,7 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fie
     )
     mia = []
     for population, members in populations.items():
-        mia += _mia_entries(
-            probs_fn, encode(members), test_em, conf["attacks"], base_seed, population
-        )
+        mia += _mia_entries(probs_fn, members, test_em, conf["attacks"], base_seed, population)
     report = {
         "format_version": 1,
         "command": command,
@@ -428,7 +432,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         timings["artifact_io"] = time.perf_counter() - t0
         fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
 
-    populations = {"train_vs_test": train}
+    populations = {"train_vs_test": fitted.data if method == "sisa" else encode(train)}
     return _report(
         conf, "run", rep, rep_dir, fitted, train, test, populations, timings_s=timings, **fields
     )
@@ -492,6 +496,9 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         unlearn.save_shard_store(new_obj, after_dir)
         timings["artifact_io"] = time.perf_counter() - t0
 
+    train_em = new_obj.data if method == "sisa" else encode(train)
+    forgotten = np.zeros(train.n_rows, dtype=bool)
+    forgotten[list(request.forget_indices)] = True
     return _report(
         conf,
         "forget",
@@ -500,7 +507,10 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         new_obj,
         train,
         test,
-        {"forget_vs_test": forget_part, "retain_vs_test": retain},
+        {
+            "forget_vs_test": train_em.take(np.flatnonzero(forgotten)),
+            "retain_vs_test": train_em.take(np.flatnonzero(~forgotten)),
+        },
         timings_s=timings,
         seeds={"forget": forget_base + rep},
         forget={

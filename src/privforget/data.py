@@ -8,6 +8,7 @@ its encoded form (min-max scaled numerics + one-hot categoricals).
 """
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 from dataclasses import dataclass
@@ -206,8 +207,13 @@ class EncodedMatrix:
     normalization: dict[str, tuple[float, float]]
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, copy=True)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        self._own(
+            np.array(self.features, dtype=np.float64, copy=True),
+            np.array(self.labels, dtype=np.int64, copy=True),
+        )
+
+    def _own(self, feats: np.ndarray, labels: np.ndarray) -> None:
+        """Hold feats and labels, which no caller may write to, read-only."""
         if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
             raise DataError("features must be (n, d) and labels (n,)")
         feats.setflags(write=False)
@@ -230,9 +236,11 @@ class EncodedMatrix:
         raise SchemaError(f"no encoded columns for attribute {name!r}")
 
     def take(self, idx: np.ndarray) -> "EncodedMatrix":
-        return EncodedMatrix(
-            self.features[idx], self.labels[idx], self.column_map, self.normalization
-        )
+        """The rows idx (an index array), copied once: indexing already makes
+        the new arrays, so __post_init__'s defensive copy is skipped."""
+        out = copy.copy(self)
+        out._own(self.features[idx], self.labels[idx])
+        return out
 
 
 @dataclass(frozen=True)

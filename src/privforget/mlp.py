@@ -229,15 +229,25 @@ def _batch_gradients(model_params, x, y):
     return loss, grads_w, grads_b
 
 
-def train(model: MlpModel, data: EncodedMatrix, cfg: TrainConfig) -> MlpModel:
+def train(
+    model: MlpModel, data: EncodedMatrix, cfg: TrainConfig, rows: np.ndarray | None = None
+) -> MlpModel:
     """Run cfg.epochs of minibatch Adam; returns a new model, input untouched.
 
     The example order of epoch e is a deterministic function of
-    (cfg.seed, e) alone, so training is bit-reproducible.
+    (cfg.seed, e) alone, so training is bit-reproducible.  With rows (an
+    integer index array), training runs on those rows of data in that order
+    and gives the same bits as training on data.take(rows), without copying
+    them: each batch is gathered from data directly.
     """
     x = _check_features(model, data.features)
     y = data.labels
-    if data.n_rows and y.max() >= model.n_classes:
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ModelError(f"rows must be a 1-d integer array, got {rows.dtype} {rows.shape}")
+    n = data.n_rows if rows is None else len(rows)
+    if n and (y if rows is None else y[rows]).max() >= model.n_classes:
         raise ModelError("label outside the model's class range")
 
     weights = [np.array(w) for w in model.weights]
@@ -247,13 +257,14 @@ def train(model: MlpModel, data: EncodedMatrix, cfg: TrainConfig) -> MlpModel:
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
     t = 0
-    n = data.n_rows
 
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
             order = seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)
         else:
             order = np.arange(n)
+        if rows is not None:
+            order = rows[order]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads_w, grads_b = _batch_gradients((weights, biases), x[idx], y[idx])

@@ -4,10 +4,11 @@ from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from privforget.cli import DEFAULTS, _sweep_points, load_config, main
-from privforget.data import write_csv
+from privforget.cli import DEFAULTS, _sweep_points, load_config, load_train_test, main
+from privforget.data import ForgetRequest, encode, split_forget, write_csv
 from privforget.unlearn import load_eupg_state
 
 from conftest import make_dataset
@@ -198,6 +199,12 @@ def test_config_validation_errors(tmp_path, capsys):
         ("n_shards=2.5", "n_shards"),
         ("seed=true", "seed"),
         ("attacks=loss_based", "attacks"),
+        # booleans take JSON true/false only: "no" and "off" used to mean True
+        ("shuffle=no", "shuffle"),
+        ("shuffle=1", "shuffle"),
+        ('shuffle="false"', "shuffle"),
+        ("clamp_out_of_range=off", "clamp_out_of_range"),
+        ("clamp_out_of_range=null", "clamp_out_of_range"),
     ]:
         assert main(["run", "--config", cfg_path, "--set", pair]) == 1, pair
         err = capsys.readouterr().err
@@ -216,6 +223,22 @@ def test_forget_ratio_selecting_no_or_all_rows_refused(tmp_path, capsys, ratio):
     assert err.startswith("error:") and "forget_ratio" in err and "120" in err
     assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
     assert (tmp_path / "out" / "rep0" / "original.model").read_bytes() == model
+
+
+@pytest.mark.parametrize("ratio,seed", [(0.1, 0), (0.5, 3), (0.99, 1)])
+def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
+    """The forget report attacks takes of encode(train): the same bytes as
+    encoding each part of split_forget on its own."""
+    train, _ = load_train_test(load_config(write_config(tmp_path, write_inputs(tmp_path))))
+    request = ForgetRequest.from_ratio(train.n_rows, ratio, seed)
+    retain, forget = split_forget(train, request)
+    forget_rows = np.array(request.forget_indices)
+    retain_rows = np.setdiff1d(np.arange(train.n_rows), forget_rows)
+    whole = encode(train)
+    for part, rows in ((retain, retain_rows), (forget, forget_rows)):
+        alone, taken = encode(part), whole.take(rows)
+        assert alone.features.tobytes() == taken.features.tobytes()
+        assert alone.labels.tobytes() == taken.labels.tobytes()
 
 
 def test_missing_inputs_exit_one(tmp_path, capsys):
@@ -409,6 +432,9 @@ def test_load_config_defaults_and_types(tmp_path):
     typed = load_config(path)
     assert (typed["epochs"], typed["epsilon"], typed["forget_ratio"]) == (7, 2.0, None)
     assert isinstance(typed["epsilon"], float)
+    path.write_text(json.dumps({"shuffle": False, "clamp_out_of_range": True}))
+    typed = load_config(path)
+    assert (typed["shuffle"], typed["clamp_out_of_range"]) == (False, True)
     path.write_text(json.dumps({"utility_metric": "f1"}))
     with pytest.raises(DataError, match="utility_metric"):
         load_config(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from privforget.data import (
     AttributeSchema,
     CsvFormatError,
     DataError,
+    EncodedMatrix,
     EncodingError,
     ForgetRequest,
     Provenance,
@@ -307,6 +310,27 @@ def test_split_forget_properties(n, ratio, seed):
 def test_dataset_immutability(small_dataset):
     with pytest.raises(ValueError):
         small_dataset.rows[0, 0] = 99.0
+
+
+def test_encoded_take_copies_once_read_only():
+    rng = np.random.default_rng(0)
+    em = EncodedMatrix(rng.random((2000, 50)), rng.integers(0, 2, 2000), (), {})
+    idx = rng.permutation(2000)[:1500]
+    tracemalloc.start()
+    try:
+        taken = em.take(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one copy of the rows, not a second one made by the constructor
+    assert peak < 1.5 * (taken.features.nbytes + taken.labels.nbytes)
+    assert taken.features.tobytes() == em.features[idx].tobytes()
+    assert taken.labels.tobytes() == em.labels[idx].tobytes()
+    assert not np.shares_memory(taken.features, em.features)
+    for arr in (taken.features, taken.labels):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert taken.column_map == em.column_map and taken.normalization == em.normalization
 
 
 def test_dataset_category_bounds():

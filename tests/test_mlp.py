@@ -135,6 +135,31 @@ def test_training_is_deterministic(small_dataset):
     assert not models_equal(a, c)
 
 
+def param_bytes(model):
+    return b"".join(a.tobytes() for a in model.weights + model.biases)
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_train_on_rows_equals_train_on_take(small_dataset, shuffle):
+    """Training on rows of a matrix gives the bits of training on their copy."""
+    em = encode(small_dataset)
+    model = init((em.width, 8, 2), seed=2)
+    cfg = TrainConfig(batch_size=16, epochs=3, seed=9, shuffle=shuffle)
+    # 45 rows in no sorted order: two full batches and a partial one of 13
+    rows = np.random.default_rng(0).permutation(em.n_rows)[:45]
+    on_rows = train(model, em, cfg, rows=rows)
+    assert param_bytes(on_rows) == param_bytes(train(model, em.take(rows), cfg))
+    assert param_bytes(on_rows) != param_bytes(train(model, em, cfg))
+    assert param_bytes(train(model, em, cfg, rows=np.arange(em.n_rows))) == param_bytes(
+        train(model, em, cfg)
+    )
+    with pytest.raises(ModelError, match="1-d integer"):
+        train(model, em, cfg, rows=rows.astype(float))
+    with pytest.raises(ModelError, match="class range"):
+        bad = matrix(em.features, np.where(np.arange(em.n_rows) == rows[3], 5, em.labels))
+        train(model, bad, cfg, rows=rows)
+
+
 def test_training_reduces_loss_and_fits_blobs():
     ds = make_dataset(400, seed=3, class_sep=4.0)
     em = encode(ds)

@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from privforget import mlp, seeds, unlearn
 from privforget.data import (
     DataError,
     ForgetRequest,
@@ -15,7 +18,7 @@ from privforget.data import (
     write_csv,
 )
 from privforget.dpanon import CategoricalMechanism, MechanismSpec
-from privforget.mlp import TrainConfig, models_equal, utility_from_probs
+from privforget.mlp import TrainConfig, TrainingDiverged, models_equal, utility_from_probs
 from privforget.unlearn import (
     EupgState,
     PrivacySpec,
@@ -248,6 +251,72 @@ def test_sisa_forget_rolls_back_to_earliest_hit_slice():
             else:
                 assert after.checkpoints[s][r] is not store.checkpoints[s][r], (s, r)
             assert models_equal(after.checkpoints[s][r], oracle[r]), (s, r)
+
+
+def model_bytes(model):
+    return b"".join(a.tobytes() for a in model.weights + model.biases)
+
+
+def store_bytes(store):
+    return [[model_bytes(m) for m in shard] for shard in store.checkpoints]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
+    """Shards replay on one thread per usable CPU; the checkpoints are the
+    bytes of the sequential from-scratch oracle either way."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    threads = set()
+    replay = unlearn._replay_shard
+
+    def recording_replay(*args):
+        threads.add(threading.current_thread().name)
+        return replay(*args)
+
+    monkeypatch.setattr(unlearn, "_replay_shard", recording_replay)
+    ds = make_dataset(70, seed=8)
+    cfg = TrainConfig(batch_size=8, epochs=3, seed=3)
+    store = sisa_train(ds, n_shards=3, n_slices=3, cfg=cfg, hidden_units=8)
+    # rows in shards 0 and 2, from different slices
+    targets = (int(store.slice_rows[0][2][0]), int(store.slice_rows[2][0][1]))
+    after = sisa_forget(store, ForgetRequest(targets))
+    if cpus == 1:
+        assert threads == {threading.main_thread().name}
+    else:
+        assert threading.main_thread().name not in threads and len(threads) > 1
+
+    for trained, alive in ((store, store.alive), (after, after.alive)):
+        oracle = [sisa_oracle(ds, store, s, alive) for s in range(3)]
+        assert store_bytes(trained) == [[model_bytes(m) for m in shard] for shard in oracle]
+    assert after.checkpoints[1] is store.checkpoints[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_sisa_forget_divergence_propagates(monkeypatch, cpus):
+    """A shard whose replay diverges fails the whole forget; the input store
+    is left as it was."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    ds = make_dataset(70, seed=8)
+    cfg = TrainConfig(batch_size=8, epochs=2, seed=3)
+    store = sisa_train(ds, n_shards=3, n_slices=2, cfg=cfg, hidden_units=8)
+    before = store_bytes(store)
+    checkpoints, alive = store.checkpoints, store.alive.copy()
+    diverging = seeds.derive(cfg.seed, seeds.SISA_SLICE, 1, 1)
+    train = mlp.train
+
+    def train_diverging_in_shard_1(model, data, cfg, rows=None):
+        if cfg.seed == diverging:
+            raise TrainingDiverged("non-finite loss at epoch 0, batch 0")
+        return train(model, data, cfg, rows=rows)
+
+    monkeypatch.setattr(mlp, "train", train_diverging_in_shard_1)
+    # every shard is hit in slice 0, so all three replay and shard 1 fails
+    targets = tuple(int(store.slice_rows[s][0][0]) for s in range(3))
+    with pytest.raises(TrainingDiverged, match="non-finite"):
+        sisa_forget(store, ForgetRequest(targets))
+    assert store.checkpoints is checkpoints
+    assert store_bytes(store) == before
+    assert np.array_equal(store.alive, alive) and store.removed_log == ()
 
 
 def test_sisa_forget_leaves_other_shards_untouched():
