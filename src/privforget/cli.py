@@ -472,11 +472,11 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
             f"forget_ratio {conf['forget_ratio']} selects {len(request.forget_indices)} of "
             f"the {train.n_rows} training rows; a forget needs rows to forget and to retain"
         )
-    retain, forget_part = split_forget(train, request)
     timings: dict[str, float] = {}
     after_dir = rep_dir / "state_after_forget"
 
     if method == "original":
+        retain, _ = split_forget(train, request)
         t0 = time.perf_counter()
         new_obj = unlearn.retrain_scratch(retain, cfg, hidden)
         timings["forget"] = time.perf_counter() - t0
@@ -515,7 +515,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         seeds={"forget": forget_base + rep},
         forget={
             "ratio": conf["forget_ratio"],
-            "n_forgotten": forget_part.n_rows,
+            "n_forgotten": len(request.forget_indices),
             "epochs": conf["finetune_epochs"] if method.startswith("eupg") else None,
         },
         artifacts={"state_dir": str(after_dir)},

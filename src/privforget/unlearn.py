@@ -23,6 +23,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -294,27 +295,40 @@ def _replay_shard(store: ShardStore, s: int, first: int, alive: np.ndarray):
     return tuple(kept) + tuple(replayed)
 
 
+def _shard_workers(n_jobs: int) -> int:
+    """Threads to replay n_jobs shards on: the usable CPUs left after each
+    thread's BLAS calls take theirs, at least one and at most n_jobs.
+
+    The BLAS thread count is read as OpenBLAS (the BLAS of numpy's wheels)
+    reads it: the first of its thread-count variables set to a positive
+    integer, else one thread per usable CPU.  Shard threads on top of a
+    multithreaded BLAS oversubscribe the CPUs and replay slower than one
+    thread does.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(n_jobs, cpus // blas))
+
+
 def _replay_shards(store: ShardStore, starts: list[tuple[int, int]], alive: np.ndarray) -> list:
     """_replay_shard(store, s, first, alive) for each (s, first) in starts, in order.
 
     Shards are independent and each is a pure function of its seeds, so they
-    run concurrently on one thread per usable CPU (numpy releases the GIL in
-    its BLAS and ufunc loops) and give the same bits as a sequential loop,
-    whatever the CPU count.  The first exception raised by a shard
-    propagates; shards not yet started are cancelled.
+    run concurrently on _shard_workers threads (numpy releases the GIL in its
+    BLAS and ufunc loops) and give the same bits whatever the thread count.
+    The first exception raised by a shard propagates; shards not yet started
+    are cancelled.
     """
-    workers = min(len(starts), len(os.sched_getaffinity(0)))
 
     def replay(job):
         return _replay_shard(store, job[0], job[1], alive)
 
-    if workers <= 1:
-        return [replay(job) for job in starts]
-    # imported here, so that a process that never runs shards on threads does
-    # not load it (it measurably adds to the peak RSS of the EUPG workloads)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_shard_workers(len(starts))) as pool:
         return list(pool.map(replay, starts))
 
 

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -261,29 +260,51 @@ def store_bytes(store):
     return [[model_bytes(m) for m in shard] for shard in store.checkpoints]
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def pin_cpus(monkeypatch, cpus, **blas):
+    """Pretend the process may run on `cpus` CPUs, with only the given BLAS
+    thread-count variables set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+
+
+@pytest.mark.parametrize(
+    "cpus, blas, jobs, workers",
+    [
+        (1, {}, 5, 1),
+        (4, {}, 5, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 5, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        (4, {"OMP_NUM_THREADS": "2"}, 5, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 5, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "abc", "GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 5, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "8"}, 5, 1),
+    ],
+)
+def test_shard_workers_leave_cpus_to_blas(monkeypatch, cpus, blas, jobs, workers):
+    """Shard threads times BLAS threads never exceed the usable CPUs; an
+    unset BLAS count means one BLAS thread per CPU."""
+    pin_cpus(monkeypatch, cpus, **blas)
+    assert unlearn._shard_workers(jobs) == workers
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
-    """Shards replay on one thread per usable CPU; the checkpoints are the
-    bytes of the sequential from-scratch oracle either way."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    threads = set()
-    replay = unlearn._replay_shard
-
-    def recording_replay(*args):
-        threads.add(threading.current_thread().name)
-        return replay(*args)
-
-    monkeypatch.setattr(unlearn, "_replay_shard", recording_replay)
+    """Shards replay on one thread per usable CPU (BLAS on one thread); the
+    checkpoints are the bytes of the sequential from-scratch oracle either
+    way."""
+    pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
     ds = make_dataset(70, seed=8)
     cfg = TrainConfig(batch_size=8, epochs=3, seed=3)
     store = sisa_train(ds, n_shards=3, n_slices=3, cfg=cfg, hidden_units=8)
     # rows in shards 0 and 2, from different slices
     targets = (int(store.slice_rows[0][2][0]), int(store.slice_rows[2][0][1]))
     after = sisa_forget(store, ForgetRequest(targets))
-    if cpus == 1:
-        assert threads == {threading.main_thread().name}
-    else:
-        assert threading.main_thread().name not in threads and len(threads) > 1
 
     for trained, alive in ((store, store.alive), (after, after.alive)):
         oracle = [sisa_oracle(ds, store, s, alive) for s in range(3)]
@@ -295,7 +316,7 @@ def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
 def test_sisa_forget_divergence_propagates(monkeypatch, cpus):
     """A shard whose replay diverges fails the whole forget; the input store
     is left as it was."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
     ds = make_dataset(70, seed=8)
     cfg = TrainConfig(batch_size=8, epochs=2, seed=3)
     store = sisa_train(ds, n_shards=3, n_slices=2, cfg=cfg, hidden_units=8)
