@@ -288,16 +288,21 @@ def _write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, indent=2))
 
 
+def _metric_columns(report: dict) -> dict[str, float]:
+    """A report's timing_<key> and mia_<attack>_<population> values, in report order."""
+    columns = {f"timing_{key}": value for key, value in report["timings_s"].items()}
+    for entry in report["mia"]:
+        columns[f"mia_{entry['attack']}_{entry['population']}"] = entry["auc"]
+    return columns
+
+
 def _summarize(reports: list[dict]) -> dict:
     """Mean and population standard deviation per numeric metric."""
     metrics: dict[str, list[float]] = {}
     for rep in reports:
         metrics.setdefault("utility", []).append(rep["utility"]["value"])
-        for key, value in rep["timings_s"].items():
-            metrics.setdefault(f"timing_{key}", []).append(value)
-        for entry in rep["mia"]:
-            key = f"mia_{entry['attack']}_{entry['population']}"
-            metrics.setdefault(key, []).append(entry["auc"])
+        for key, value in _metric_columns(rep).items():
+            metrics.setdefault(key, []).append(value)
     summary = {}
     for key, values in metrics.items():
         arr = np.array(values)
@@ -497,8 +502,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         timings["artifact_io"] = time.perf_counter() - t0
 
     train_em = new_obj.data if method == "sisa" else encode(train)
-    forgotten = np.zeros(train.n_rows, dtype=bool)
-    forgotten[list(request.forget_indices)] = True
+    forgotten = request.mask(train.n_rows)
     return _report(
         conf,
         "forget",
@@ -667,7 +671,7 @@ def cmd_report(args) -> int:
     if not files:
         raise DataError(f"no report JSONs found under {root}")
     rows = []
-    extra_cols: list[str] = []
+    extra_cols: set[str] = set()
     for path in files:
         rep = json.loads(path.read_text())
         if "command" not in rep:
@@ -687,16 +691,9 @@ def cmd_report(args) -> int:
             "utility_metric": rep["utility"]["metric"],
             "utility": rep["utility"]["value"],
         }
-        for entry in rep["mia"]:
-            col = f"mia_{entry['attack']}_{entry['population']}"
-            row[col] = entry["auc"]
-            if col not in extra_cols:
-                extra_cols.append(col)
-        for key, value in rep["timings_s"].items():
-            col = f"timing_{key}"
-            row[col] = value
-            if col not in extra_cols:
-                extra_cols.append(col)
+        metric_columns = _metric_columns(rep)
+        row.update(metric_columns)
+        extra_cols.update(metric_columns)
         rows.append(row)
     columns = _REPORT_COLUMNS + sorted(extra_cols)
     target = open(args.out, "w", newline="") if args.out else sys.stdout

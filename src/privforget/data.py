@@ -276,6 +276,20 @@ class ForgetRequest:
         idx = seeds.stream(seed, seeds.FORGET_DRAW).permutation(n_rows)[:m]
         return cls(tuple(int(i) for i in idx), ratio=ratio, seed=seed)
 
+    def mask(self, n_rows: int) -> np.ndarray:
+        """Boolean mask over a table of n_rows, True at the forgotten rows.
+
+        The one range check of a request against a table: an index past its
+        end raises DataError naming the index and n_rows.
+        """
+        if self.forget_indices and self.forget_indices[-1] >= n_rows:
+            raise DataError(
+                f"forget index {self.forget_indices[-1]} out of range for {n_rows} rows"
+            )
+        mask = np.zeros(n_rows, dtype=bool)
+        mask[list(self.forget_indices)] = True
+        return mask
+
 
 # ---------------------------------------------------------------------------
 # schema files
@@ -538,14 +552,7 @@ def split_forget(ds: TabularDataset, request: ForgetRequest):
         raise DataError(
             f"forget splits run on raw data, got provenance {ds.provenance.tag()!r}"
         )
-    n = ds.n_rows
-    forget_idx = np.array(request.forget_indices, dtype=np.int64)
-    if forget_idx.size and forget_idx.max() >= n:
-        raise DataError(
-            f"forget index {int(forget_idx.max())} out of range for {n} rows"
-        )
-    mask = np.zeros(n, dtype=bool)
-    mask[forget_idx] = True
+    mask = request.mask(ds.n_rows)
     retain = TabularDataset(ds.schema, ds.rows[~mask], Provenance.retain_subset())
     forget = TabularDataset(ds.schema, ds.rows[mask], Provenance.forget_subset())
     return retain, forget

@@ -235,19 +235,18 @@ def train(
     """Run cfg.epochs of minibatch Adam; returns a new model, input untouched.
 
     The example order of epoch e is a deterministic function of
-    (cfg.seed, e) alone, so training is bit-reproducible.  With rows (an
-    integer index array), training runs on those rows of data in that order
-    and gives the same bits as training on data.take(rows), without copying
-    them: each batch is gathered from data directly.
+    (cfg.seed, e) alone, so training is bit-reproducible.  Training runs on
+    rows (an integer index array, every row of data by default) in that
+    order and gives the same bits as training on data.take(rows), without
+    copying them: each batch is gathered from data directly.
     """
     x = _check_features(model, data.features)
     y = data.labels
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ModelError(f"rows must be a 1-d integer array, got {rows.dtype} {rows.shape}")
-    n = data.n_rows if rows is None else len(rows)
-    if n and (y if rows is None else y[rows]).max() >= model.n_classes:
+    rows = np.arange(data.n_rows) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ModelError(f"rows must be a 1-d integer array, got {rows.dtype} {rows.shape}")
+    n = len(rows)
+    if n and y[rows].max() >= model.n_classes:
         raise ModelError("label outside the model's class range")
 
     weights = [np.array(w) for w in model.weights]
@@ -260,11 +259,9 @@ def train(
 
     for epoch in range(cfg.epochs):
         if cfg.shuffle:
-            order = seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)
+            order = rows[seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)]
         else:
-            order = np.arange(n)
-        if rows is not None:
-            order = rows[order]
+            order = rows
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads_w, grads_b = _batch_gradients((weights, biases), x[idx], y[idx])

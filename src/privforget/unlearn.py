@@ -40,7 +40,6 @@ from .data import (
     encoded_width,
     schema_from_dicts,
     schema_to_dicts,
-    split_forget,
 )
 from .dpanon import DpLedger, MechanismSpec
 from .mlp import MlpModel, TrainConfig
@@ -173,18 +172,20 @@ def eupg_forget(
     """Serve a forgetting request: re-fine-tune the base on the retain set.
 
     The new deployed model is a function of (base model, retain rows,
-    epochs, config seed) only; nothing about the forgotten rows' contents
-    enters the computation.
+    epochs, config seed) only: the fine-tune sees the retain rows of the
+    encoded table, so nothing about the forgotten rows' contents enters it.
     """
     if ds.schema != state.protected_data.schema:
         raise DataError("dataset schema does not match the prepared state")
+    if ds.provenance.kind != "raw":
+        raise DataError(f"forget expects the raw training dataset, got {ds.provenance.tag()!r}")
     epochs = state.finetune_epochs if epochs is None else epochs
-    retain, forget_part = split_forget(ds, request)
+    retain_rows = np.flatnonzero(~request.mask(ds.n_rows))
     t0 = time.perf_counter()
-    deployed = mlp.finetune(state.base_model, encode(retain), epochs, state.cfg)
+    deployed = mlp.finetune(state.base_model, encode(ds).take(retain_rows), epochs, state.cfg)
     seconds = time.perf_counter() - t0
     event = ForgetEvent(
-        n_forgotten=forget_part.n_rows,
+        n_forgotten=len(request.forget_indices),
         epochs=epochs,
         seconds=seconds,
         ratio=request.ratio,
@@ -369,15 +370,12 @@ def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
     slice with the forgotten rows dropped (see _replay_shard).  Untouched
     shards keep their exact checkpoint objects.
     """
-    forget_rows = np.array(request.forget_indices, dtype=np.int64)
-    n = len(store.alive)
-    if forget_rows.size and forget_rows.max() >= n:
-        raise DataError(f"forget index {int(forget_rows.max())} out of range")
-    if not store.alive[forget_rows].all():
-        dead = forget_rows[~store.alive[forget_rows]]
+    forget = request.mask(len(store.alive))
+    dead = np.flatnonzero(forget & ~store.alive)
+    if dead.size:
         raise DataError(f"rows already forgotten: {dead.tolist()}")
-    alive = store.alive.copy()
-    alive[forget_rows] = False
+    forget_rows = np.flatnonzero(forget)
+    alive = store.alive & ~forget
 
     hit_shard, hit_slice = store.row_slices[forget_rows].T
     if (hit_shard < 0).any():
@@ -420,14 +418,6 @@ SHARD_FORMAT_VERSION = 1
 PROTECTED_ROWS = "protected.npy"
 
 
-def _cfg_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def _cfg_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(**d)
-
-
 def _read_manifest(state_dir, kind: str, what: str, version: int) -> dict:
     manifest = json.loads((Path(state_dir) / "manifest.json").read_text())
     if manifest.get("kind") != kind:
@@ -465,7 +455,7 @@ def save_eupg_state(state: EupgState, out_dir) -> None:
         },
         "finetune_epochs": state.finetune_epochs,
         "hidden_units": state.hidden_units,
-        "cfg": _cfg_to_dict(state.cfg),
+        "cfg": dataclasses.asdict(state.cfg),
         "timings": state.timings,
         "audit_log": [dataclasses.asdict(e) for e in state.audit_log],
         "schema": schema_to_dicts(state.protected_data.schema),
@@ -533,7 +523,7 @@ def load_eupg_state(state_dir) -> EupgState:
         base_model=mlp.load_model(out / "base.model"),
         deployed_model=mlp.load_model(out / "deployed.model"),
         finetune_epochs=manifest["finetune_epochs"],
-        cfg=_cfg_from_dict(manifest["cfg"]),
+        cfg=TrainConfig(**manifest["cfg"]),
         hidden_units=manifest["hidden_units"],
         timings=manifest["timings"],
         audit_log=tuple(ForgetEvent(**e) for e in manifest["audit_log"]),
@@ -559,7 +549,7 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
         "kind": "shard_store",
         "n_shards": store.n_shards,
         "n_slices": store.n_slices,
-        "cfg": _cfg_to_dict(store.cfg),
+        "cfg": dataclasses.asdict(store.cfg),
         "hidden_units": store.hidden_units,
         "layer_dims": list(store.layer_dims),
         "slice_rows": [
@@ -594,7 +584,7 @@ def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
     return ShardStore(
         n_shards=n_shards,
         n_slices=n_slices,
-        cfg=_cfg_from_dict(manifest["cfg"]),
+        cfg=TrainConfig(**manifest["cfg"]),
         hidden_units=manifest["hidden_units"],
         layer_dims=tuple(manifest["layer_dims"]),
         slice_rows=tuple(

@@ -252,6 +252,21 @@ def test_missing_inputs_exit_one(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_unseen_test_category_exits_one(tmp_path, capsys):
+    conf = write_inputs(tmp_path)
+    lines = (tmp_path / "test.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[header.index("cat0")] = "unseen"
+    lines[3] = ",".join(cells)
+    (tmp_path / "test.csv").write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", write_config(tmp_path, conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "test.csv" in err, err
+    assert "row 3" in err and "'cat0'" in err and "unknown category" in err, err
+    assert not (tmp_path / "out" / "rep0").exists()
+
+
 def test_unexpected_error_exits_two(tmp_path, monkeypatch):
     import privforget.cli as cli
 

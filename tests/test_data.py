@@ -264,6 +264,16 @@ def test_forget_request_validation():
         ForgetRequest.from_ratio(10, 1.5, seed=0)
 
 
+def test_forget_request_mask():
+    mask = ForgetRequest((4, 0, 2)).mask(6)
+    assert mask.dtype == bool
+    assert mask.tolist() == [True, False, True, False, True, False]
+    assert ForgetRequest(()).mask(3).tolist() == [False, False, False]
+    assert ForgetRequest(()).mask(0).shape == (0,)
+    with pytest.raises(DataError, match=r"forget index 6 out of range for 6 rows"):
+        ForgetRequest((1, 6)).mask(6)
+
+
 def test_split_forget_partition(small_dataset):
     req = ForgetRequest.from_ratio(small_dataset.n_rows, 0.1, seed=3)
     retain, forget = split_forget(small_dataset, req)

@@ -145,6 +145,16 @@ def test_eupg_forget_schema_mismatch(small_dataset):
         eupg_forget(state, other, ForgetRequest((0,)))
 
 
+def test_eupg_forget_refuses_subset_and_out_of_range(small_dataset):
+    state = prepared(small_dataset)
+    retain, _ = split_forget(small_dataset, ForgetRequest((0,)))
+    with pytest.raises(DataError, match="raw training dataset, got 'retain_subset'"):
+        eupg_forget(state, retain, ForgetRequest((1,)))
+    n = small_dataset.n_rows
+    with pytest.raises(DataError, match=f"forget index {n} out of range for {n} rows"):
+        eupg_forget(state, small_dataset, ForgetRequest((3, n)))
+
+
 def test_retrain_scratch(small_dataset):
     request = ForgetRequest.from_ratio(small_dataset.n_rows, 0.1, seed=0)
     retain, _ = split_forget(small_dataset, request)
