@@ -41,7 +41,14 @@ from .data import (
 )
 from .mlp import ModelError, TrainConfig, TrainingDiverged
 
-METHODS = ("original", "eupg_k", "eupg_dp", "sisa")
+# each method's own config keys: its reports' params block and its sweep axes
+METHOD_PARAMS = {
+    "original": (),
+    "eupg_k": ("k",),
+    "eupg_dp": ("epsilon",),
+    "sisa": ("n_shards", "n_slices"),
+}
+METHODS = tuple(METHOD_PARAMS)
 
 DEFAULTS: dict = {
     "train_csv": None,
@@ -68,7 +75,6 @@ DEFAULTS: dict = {
     "clamp_out_of_range": False,
     "shuffle": True,
     "out": "privforget-out",
-    "run_dir": None,
     "sweep": None,
 }
 
@@ -160,9 +166,11 @@ def _validated(conf: dict) -> dict:
         raise DataError(f"unknown method {conf['method']!r}; expected one of {METHODS}")
     if not isinstance(conf["attacks"], list):
         raise DataError(f"config key 'attacks' must be a list of names, got {conf['attacks']!r}")
-    for atk in conf["attacks"]:
+    for i, atk in enumerate(conf["attacks"]):
         if atk not in attack_mod.ATTACKS:
             raise DataError(f"unknown attack {atk!r}; expected one of {attack_mod.ATTACKS}")
+        if atk in conf["attacks"][:i]:
+            raise DataError(f"config key 'attacks' names {atk!r} twice")
     if conf["utility_metric"] not in ("accuracy", "auc"):
         raise DataError("utility_metric must be 'accuracy' or 'auc'")
     if conf["repetitions"] < 1:
@@ -262,14 +270,15 @@ def _mia_entries(probs_fn, members, nonmembers, attacks, seed, population=None) 
 
 
 def _params_block(conf: dict) -> dict:
-    method = conf["method"]
-    if method == "eupg_k":
-        return {"k": conf["k"]}
-    if method == "eupg_dp":
-        return {"epsilon": conf["epsilon"]}
-    if method == "sisa":
-        return {"n_shards": conf["n_shards"], "n_slices": conf["n_slices"]}
-    return {}
+    return {key: conf[key] for key in METHOD_PARAMS[conf["method"]]}
+
+
+def _timed(timings: dict, key: str, fn, *args):
+    """fn(*args), with its wall time recorded as timings[key]."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[key] = time.perf_counter() - t0
+    return result
 
 
 def _verified_k_anonymity(protected: TabularDataset, k: int) -> dict:
@@ -319,18 +328,16 @@ def _summarize(reports: list[dict]) -> dict:
 
 def cmd_anonymize(conf: dict) -> int:
     """Write a protected copy of the training CSV plus a protection report."""
-    _require(conf, "train_csv", "schema")
-    out = resolve_out(conf)
-    out.mkdir(parents=True, exist_ok=True)
-    train, _ = load_train_test(conf)
     method = conf["method"]
     if method not in ("eupg_k", "eupg_dp"):
         raise DataError("anonymize requires method 'eupg_k' or 'eupg_dp'")
+    train, _ = load_train_test(conf)
+    out = resolve_out(conf)
+    out.mkdir(parents=True, exist_ok=True)
     privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else conf["seed"]
     spec = _privacy_spec(conf, privacy_seed, train.schema)
-    t0 = time.perf_counter()
-    protected, ledger = unlearn.protect(train, spec)
-    seconds = time.perf_counter() - t0
+    timing: dict[str, float] = {}
+    protected, ledger = _timed(timing, "protect", unlearn.protect, train, spec)
     kanonymity = _verified_k_anonymity(protected, conf["k"]) if method == "eupg_k" else None
     write_csv(protected, out / "protected.csv")
     report = {
@@ -338,7 +345,7 @@ def cmd_anonymize(conf: dict) -> int:
         "method": method,
         "params": _params_block(conf),
         "rows": protected.n_rows,
-        "seconds": seconds,
+        "seconds": timing["protect"],
         "seed": privacy_seed,
         "budget_ledger": ledger.to_json_dict() if ledger else None,
         "kanonymity": kanonymity,
@@ -348,13 +355,14 @@ def cmd_anonymize(conf: dict) -> int:
     return 0
 
 
-def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fields) -> dict:
+def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **fields) -> dict:
     """Score a fitted model, ensemble or state on the test set and against
     membership inference, then write ``<command>_report.json``.
 
-    populations maps each population name to the encoded member rows
-    attacked against the test rows: takes of the one encoded training matrix
-    (encode(subset) equals encode(train).take(rows) bit for bit).  fields
+    The members attacked against the test rows are the whole encoded
+    training matrix when forgotten is None (run), else its forgotten and
+    retained rows under that request mask (forget): takes of one matrix,
+    as encode(subset) equals encode(train).take(rows) bit for bit.  fields
     fill the command-specific report keys in place (timings_s, forget,
     artifacts, budget_ledger, kanonymity) and seeds the privacy and forget
     seeds, so the key order is fixed here.
@@ -365,9 +373,17 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, populations, **fie
     seeds.update(fields.pop("seeds", {}))
     if method == "sisa":
         probs_fn = lambda X: unlearn.sisa_predict(fitted, X)
+        train_em = fitted.data
     else:
         model = fitted.deployed_model if isinstance(fitted, unlearn.EupgState) else fitted
         probs_fn = lambda X: mlp.forward(model, X)
+        train_em = encode(train)
+    populations = {"train_vs_test": train_em}
+    if forgotten is not None:
+        populations = {
+            "forget_vs_test": train_em.take(np.flatnonzero(forgotten)),
+            "retain_vs_test": train_em.take(np.flatnonzero(~forgotten)),
+        }
     test_em = encode(test)
     utility = mlp.utility_from_probs(
         probs_fn(test_em.features), test_em.labels, conf["utility_metric"]
@@ -409,12 +425,10 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else base_seed
     hidden = conf["hidden_units"]
     timings: dict[str, float] = {}
-    fields: dict = {}
+    fields: dict = {"timings_s": timings}
 
     if method == "original":
-        t0 = time.perf_counter()
-        fitted = unlearn.retrain_scratch(train, cfg, hidden)
-        timings["train"] = time.perf_counter() - t0
+        fitted = _timed(timings, "train", unlearn.retrain_scratch, train, cfg, hidden)
         mlp.save_model(fitted, rep_dir / "original.model")
         fields["artifacts"] = {"model": str(rep_dir / "original.model")}
     elif method in ("eupg_k", "eupg_dp"):
@@ -429,18 +443,12 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         if fitted.dp_ledger:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
     else:
-        t0 = time.perf_counter()
-        fitted = unlearn.sisa_train(train, conf["n_shards"], conf["n_slices"], cfg, hidden)
-        timings["train"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        unlearn.save_shard_store(fitted, rep_dir / "state")
-        timings["artifact_io"] = time.perf_counter() - t0
+        shards, slices = conf["n_shards"], conf["n_slices"]
+        fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
+        _timed(timings, "artifact_io", unlearn.save_shard_store, fitted, rep_dir / "state")
         fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
 
-    populations = {"train_vs_test": fitted.data if method == "sisa" else encode(train)}
-    return _report(
-        conf, "run", rep, rep_dir, fitted, train, test, populations, timings_s=timings, **fields
-    )
+    return _report(conf, "run", rep, rep_dir, fitted, train, test, None, **fields)
 
 
 def cmd_run(conf: dict) -> int:
@@ -482,9 +490,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
 
     if method == "original":
         retain, _ = split_forget(train, request)
-        t0 = time.perf_counter()
-        new_obj = unlearn.retrain_scratch(retain, cfg, hidden)
-        timings["forget"] = time.perf_counter() - t0
+        new_obj = _timed(timings, "forget", unlearn.retrain_scratch, retain, cfg, hidden)
         after_dir.mkdir(parents=True, exist_ok=True)
         mlp.save_model(new_obj, after_dir / "original.model")
     elif method in ("eupg_k", "eupg_dp"):
@@ -494,15 +500,9 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         unlearn.save_eupg_state(new_obj, after_dir)
     else:
         store = unlearn.load_shard_store(rep_dir / "state", train)
-        t0 = time.perf_counter()
-        new_obj = unlearn.sisa_forget(store, request)
-        timings["forget"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        unlearn.save_shard_store(new_obj, after_dir)
-        timings["artifact_io"] = time.perf_counter() - t0
+        new_obj = _timed(timings, "forget", unlearn.sisa_forget, store, request)
+        _timed(timings, "artifact_io", unlearn.save_shard_store, new_obj, after_dir)
 
-    train_em = new_obj.data if method == "sisa" else encode(train)
-    forgotten = request.mask(train.n_rows)
     return _report(
         conf,
         "forget",
@@ -511,10 +511,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         new_obj,
         train,
         test,
-        {
-            "forget_vs_test": train_em.take(np.flatnonzero(forgotten)),
-            "retain_vs_test": train_em.take(np.flatnonzero(~forgotten)),
-        },
+        request.mask(train.n_rows),
         timings_s=timings,
         seeds={"forget": forget_base + rep},
         forget={
@@ -529,7 +526,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
 def cmd_forget(conf: dict) -> int:
     """Serve a forgetting request against the artifacts of a previous run."""
     _require(conf, "train_csv", "test_csv", "schema", "forget_ratio")
-    run_dir = Path(conf["run_dir"]) if conf["run_dir"] else resolve_out(conf)
+    run_dir = resolve_out(conf)
     if not run_dir.exists():
         raise DataError(f"run directory not found: {run_dir} (run 'run' first)")
     train, test = load_train_test(conf)
@@ -574,26 +571,27 @@ def cmd_attack(args) -> int:
 
 
 def _sweep_points(conf: dict) -> list[dict]:
-    """Cartesian product of the sweep axes, with per-method irrelevant axes
-    dropped and the resulting duplicate points removed."""
+    """Cartesian product of the sweep axes, with the method-specific axes a
+    point's method does not use dropped and the resulting duplicate points
+    removed."""
     grid = conf["sweep"] if conf["sweep"] else DEFAULT_SWEEP
     for key in grid:
         if key not in DEFAULTS or key == "sweep":
             raise DataError(f"sweep: unknown config key {key!r}")
         if not isinstance(grid[key], list) or not grid[key]:
             raise DataError(f"sweep: {key!r} must map to a non-empty list")
+        if any(isinstance(value, (list, dict)) for value in grid[key]):
+            raise DataError(f"sweep: {key!r} values must be single values, not lists or objects")
+    method_axes = {"finetune_epochs"}.union(*METHOD_PARAMS.values())
     keys = sorted(grid)
     seen = set()
     points = []
     for values in itertools.product(*(grid[k] for k in keys)):
         point = dict(zip(keys, values))
         method = point.get("method", conf["method"])
-        if method != "eupg_k":
-            point.pop("k", None)
-        if method != "eupg_dp":
-            point.pop("epsilon", None)
-        if method not in ("eupg_k", "eupg_dp"):
-            point.pop("finetune_epochs", None)
+        tuning = ("finetune_epochs",) if method in ("eupg_k", "eupg_dp") else ()
+        for key in method_axes.difference(METHOD_PARAMS.get(method, ()), tuning):
+            point.pop(key, None)
         if method == "eupg_k" and "k" in grid and point.get("k") is None:
             continue
         key = tuple(sorted(point.items()))
@@ -621,8 +619,7 @@ def cmd_sweep(conf: dict) -> int:
         point_dir = out / "points" / name
         merged = _validated({**conf, **point})
         merged["sweep"] = None
-        merged["out"] = str(point_dir)
-        merged["run_dir"] = str(point_dir)
+        merged["out"] = str(Path(conf["out"]) / "points" / name)  # rooted by resolve_out
         wants_forget = merged.get("forget_ratio") is not None
         run_done = (point_dir / "summary.json").exists()
         forget_done = (point_dir / "forget_summary.json").exists()
@@ -645,38 +642,19 @@ def cmd_sweep(conf: dict) -> int:
     return 0
 
 
-_REPORT_COLUMNS = [
-    "path",
-    "command",
-    "method",
-    "k",
-    "epsilon",
-    "n_shards",
-    "n_slices",
-    "repetition",
-    "finetune_epochs",
-    "forget_ratio",
-    "n_forgotten",
-    "utility_metric",
-    "utility",
-]
-
-
 def cmd_report(args) -> int:
     """Flatten every *report.json under a directory into one CSV table."""
     root = Path(args.root)
     if not root.exists():
         raise DataError(f"no such directory: {root}")
-    files = sorted(root.rglob("*report.json"))
-    if not files:
-        raise DataError(f"no report JSONs found under {root}")
     rows = []
     extra_cols: set[str] = set()
-    for path in files:
+    for path in sorted(root.rglob("*report.json")):
         rep = json.loads(path.read_text())
         if "command" not in rep:
             continue
-        row = {
+        forget = rep.get("forget") or {}
+        fixed = {
             "path": str(path.relative_to(root)),
             "command": rep["command"],
             "method": rep["method"],
@@ -686,16 +664,17 @@ def cmd_report(args) -> int:
             "n_slices": rep["params"].get("n_slices"),
             "repetition": rep["repetition"],
             "finetune_epochs": rep["config"].get("finetune_epochs"),
-            "forget_ratio": (rep.get("forget") or {}).get("ratio"),
-            "n_forgotten": (rep.get("forget") or {}).get("n_forgotten"),
+            "forget_ratio": forget.get("ratio"),
+            "n_forgotten": forget.get("n_forgotten"),
             "utility_metric": rep["utility"]["metric"],
             "utility": rep["utility"]["value"],
         }
         metric_columns = _metric_columns(rep)
-        row.update(metric_columns)
         extra_cols.update(metric_columns)
-        rows.append(row)
-    columns = _REPORT_COLUMNS + sorted(extra_cols)
+        rows.append({**fixed, **metric_columns})
+    if not rows:
+        raise DataError(f"no run or forget report JSONs found under {root}")
+    columns = list(fixed) + sorted(extra_cols)
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csvmod.DictWriter(target, fieldnames=columns, restval="")

@@ -199,6 +199,7 @@ def test_config_validation_errors(tmp_path, capsys):
         ("n_shards=2.5", "n_shards"),
         ("seed=true", "seed"),
         ("attacks=loss_based", "attacks"),
+        ('attacks=["loss_based","entropy_based","loss_based"]', "attacks"),
         # booleans take JSON true/false only: "no" and "off" used to mean True
         ("shuffle=no", "shuffle"),
         ("shuffle=1", "shuffle"),
@@ -295,7 +296,7 @@ def test_anonymize_kanon(tmp_path):
     assert report["budget_ledger"] is None
 
 
-def test_anonymize_dp(tmp_path):
+def test_anonymize_dp(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     conf.update({"method": "eupg_dp", "epsilon": 1.0})
     assert main(["anonymize", "--config", write_config(tmp_path, conf)]) == 0
@@ -305,6 +306,12 @@ def test_anonymize_dp(tmp_path):
     assert len(ledger["entries"]) == 5  # all non-class attributes
     conf["method"] = "original"
     assert main(["anonymize", "--config", write_config(tmp_path, conf)]) == 1
+    # the method is refused before any CSV is read
+    conf.update({"method": "sisa", "train_csv": str(tmp_path / "gone.csv")})
+    capsys.readouterr()
+    assert main(["anonymize", "--config", write_config(tmp_path, conf)]) == 1
+    err = capsys.readouterr().err
+    assert "anonymize requires method" in err and "gone.csv" not in err, err
 
 
 @pytest.mark.parametrize("command", ["anonymize", "run"])
@@ -363,7 +370,7 @@ def test_attack_subcommand(tmp_path):
     assert all(0.0 <= r["auc"] <= 1.0 for r in results)
 
 
-def test_report_subcommand(tmp_path):
+def test_report_subcommand(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     conf.update({"method": "eupg_k", "k": 3})
     cfg_path = write_config(tmp_path, conf)
@@ -383,25 +390,42 @@ def test_report_subcommand(tmp_path):
 
     assert main(["report", "--root", str(tmp_path / "nowhere")]) == 1
 
+    # a root holding only anonymize reports has no run or forget report to flatten
+    conf["out"] = str(tmp_path / "anon")
+    assert main(["anonymize", "--config", write_config(tmp_path, conf)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--root", conf["out"]]) == 1
+    assert conf["out"] in capsys.readouterr().err
 
-def test_sweep_runs_and_resumes(tmp_path, capsys):
+
+def test_sweep_runs_and_resumes(tmp_path, capsys, monkeypatch):
     conf = write_inputs(tmp_path)
     conf["sweep"] = {"method": ["eupg_k"], "k": [2, 3]}
     cfg_path = write_config(tmp_path, conf)
-    assert main(["sweep", "--config", cfg_path]) == 0
-    manifest = json.loads((tmp_path / "out" / "sweep_manifest.json").read_text())
-    assert len(manifest["points"]) == 2
-    assert len(manifest["completed_this_invocation"]) == 2
-    for name in manifest["points"]:
-        point_dir = tmp_path / "out" / "points" / name
-        assert (point_dir / "summary.json").exists()
-        assert (point_dir / "forget_summary.json").exists()
+    monkeypatch.chdir(tmp_path)
+    # an absolute out, then a relative out under a relative output root,
+    # which each point's run and forget must root exactly once
+    for out, root, where in [
+        (str(tmp_path / "out"), None, tmp_path / "out"),
+        ("out", "rootdir", tmp_path / "rootdir" / "out"),
+    ]:
+        if root is not None:
+            monkeypatch.setenv("PRIVFORGET_OUTPUT_ROOT", root)
+        overrides = ["--set", f"out={out}"]
+        assert main(["sweep", "--config", cfg_path, *overrides]) == 0
+        manifest = json.loads((where / "sweep_manifest.json").read_text())
+        assert len(manifest["points"]) == 2
+        assert len(manifest["completed_this_invocation"]) == 2
+        for name in manifest["points"]:
+            point_dir = where / "points" / name
+            assert (point_dir / "summary.json").exists()
+            assert (point_dir / "forget_summary.json").exists()
 
-    # second invocation finds everything done and reruns nothing
-    assert main(["sweep", "--config", cfg_path]) == 0
-    manifest = json.loads((tmp_path / "out" / "sweep_manifest.json").read_text())
-    assert manifest["completed_this_invocation"] == []
-    assert len(manifest["skipped_as_done"]) == 2
+        # second invocation finds everything done and reruns nothing
+        assert main(["sweep", "--config", cfg_path, *overrides]) == 0
+        manifest = json.loads((where / "sweep_manifest.json").read_text())
+        assert manifest["completed_this_invocation"] == []
+        assert len(manifest["skipped_as_done"]) == 2
 
 
 def test_sweep_point_grid_drops_irrelevant_axes():
@@ -422,12 +446,20 @@ def test_sweep_point_grid_drops_irrelevant_axes():
         if p["method"] == "sisa":
             assert "k" not in p and "epsilon" not in p
 
-    bad = dict(DEFAULTS)
-    bad["sweep"] = {"bogus": [1]}
+    # SISA's own axes do not multiply the points of the other methods
+    conf["sweep"] = {"method": ["eupg_k", "original"], "k": [3], "n_shards": [2, 5]}
+    assert _sweep_points(conf) == [{"k": 3, "method": "eupg_k"}, {"method": "original"}]
+
     from privforget.data import DataError
 
-    with pytest.raises(DataError, match="unknown config key"):
-        _sweep_points(bad)
+    for grid, message in [
+        ({"bogus": [1]}, "unknown config key"),
+        ({"attacks": [["loss_based"], ["entropy_based"]]}, "'attacks'"),
+    ]:
+        bad = dict(DEFAULTS)
+        bad["sweep"] = grid
+        with pytest.raises(DataError, match=message):
+            _sweep_points(bad)
 
 
 def test_load_config_defaults_and_types(tmp_path):
