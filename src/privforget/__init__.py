@@ -34,18 +34,14 @@ from .dpanon import (
 from .mlp import (
     MlpModel,
     TrainConfig,
-    accuracy,
-    auc_utility,
-    entropy_per_example,
     finetune,
     forward,
     init,
     load_model,
-    loss_per_example,
     save_model,
     train,
 )
-from .attack import balanced_pair, mia_scores, roc_auc
+from .attack import balanced_pair, mia_from_probs, roc_auc, utility_from_probs
 from .unlearn import (
     EupgState,
     PrivacySpec,

@@ -1,10 +1,13 @@
-"""Membership-inference attacks and ROC-AUC scoring.
+"""Scoring of probability matrices: utility, membership inference, ROC-AUC.
 
-An attack assigns each example a score that is higher when the example
-looks like a training member: the negated per-example loss, or the negated
-predictive entropy.  Attack strength is the probability that a random
-member outscores a random non-member, i.e. the ROC-AUC of the two score
-samples, computed rank-based with ties counted one half.
+Every score here is a function of a matrix of class probabilities (one
+model's or an ensemble's) and the true labels, so one model, a SISA
+ensemble and a saved model are all scored by the same code.  An attack
+assigns each example a score that is higher when the example looks like a
+training member: the negated per-example loss (Yeom et al., CSF 2018), or
+the negated predictive entropy.  Attack strength is the probability that a
+random member outscores a random non-member, i.e. the ROC-AUC of the two
+score samples, computed rank-based with ties counted one half.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import numpy as np
 
 from . import seeds
 from .data import DataError, EncodedMatrix
-from .mlp import MlpModel, forward
 
 LOSS_BASED = "loss_based"
 ENTROPY_BASED = "entropy_based"
@@ -73,31 +75,45 @@ class MiaResult:
     nonmember_scores: np.ndarray
 
 
-def mia_scores(
-    model: MlpModel,
-    members: EncodedMatrix,
-    nonmembers: EncodedMatrix,
-    attack: str = LOSS_BASED,
-) -> MiaResult:
-    """Score both populations and report the membership AUC.
+def _checked_labels(probs: np.ndarray, labels) -> np.ndarray:
+    """labels as int64, one per row of probs and each a column of it."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (probs.shape[0],):
+        raise DataError(f"{len(labels)} labels for {probs.shape[0]} probability rows")
+    bad = labels[(labels < 0) | (labels >= probs.shape[1])]
+    if len(bad):
+        raise DataError(
+            f"label {bad[0]} outside the {probs.shape[1]} columns of the probability matrix"
+        )
+    return labels
 
-    0.5 means the attack cannot tell members from non-members; higher
-    means training rows are identifiable.
-    """
-    return mia_from_probs(
-        forward(model, members.features),
-        members.labels,
-        forward(model, nonmembers.features),
-        nonmembers.labels,
-        attack,
-    )
+
+def utility_from_probs(probs: np.ndarray, labels: np.ndarray, metric: str) -> float:
+    """Accuracy, or binary ROC-AUC of the positive-class (label 1) probability."""
+    if len(labels) == 0:
+        raise DataError(f"{metric} of an empty dataset is undefined")
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = _checked_labels(probs, labels)
+    if metric == "accuracy":
+        return float((np.argmax(probs, axis=1) == labels).mean())
+    if metric != "auc":
+        raise DataError(f"unknown utility metric {metric!r}")
+    if probs.shape[1] != 2:
+        raise DataError("AUC utility is defined for binary classifiers")
+    pos = probs[labels == 1, 1]
+    neg = probs[labels == 0, 1]
+    if len(pos) == 0 or len(neg) == 0:
+        raise DataError("AUC needs both classes present")
+    return roc_auc(pos, neg)
 
 
 def scores_from_probs(probs: np.ndarray, labels: np.ndarray, attack: str) -> np.ndarray:
-    """Membership scores from a probability matrix (works for ensembles)."""
+    """Membership scores from a probability matrix: log p(true class),
+    floored at log(tiny), or the negated predictive entropy in nats."""
     probs = np.asarray(probs, dtype=np.float64)
+    labels = _checked_labels(probs, labels)
     if attack == LOSS_BASED:
-        p = probs[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
+        p = probs[np.arange(len(labels)), labels]
         return np.log(np.maximum(p, np.finfo(np.float64).tiny))
     if attack == ENTROPY_BASED:
         plogp = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
@@ -112,6 +128,11 @@ def mia_from_probs(
     nonmember_labels: np.ndarray,
     attack: str = LOSS_BASED,
 ) -> MiaResult:
+    """Score both populations and report the membership AUC.
+
+    0.5 means the attack cannot tell members from non-members; higher
+    means training rows are identifiable.
+    """
     member_scores = scores_from_probs(member_probs, member_labels, attack)
     nonmember_scores = scores_from_probs(nonmember_probs, nonmember_labels, attack)
     auc = roc_auc(member_scores, nonmember_scores)

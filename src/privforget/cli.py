@@ -154,6 +154,17 @@ def _number(key: str, value):
     return number
 
 
+def _check_attacks(attacks, source: str) -> None:
+    """DataError unless attacks is a list of known attack names, none repeated."""
+    if not isinstance(attacks, list):
+        raise DataError(f"{source} must be a list of names, got {attacks!r}")
+    for i, atk in enumerate(attacks):
+        if atk not in attack_mod.ATTACKS:
+            raise DataError(f"unknown attack {atk!r}; expected one of {attack_mod.ATTACKS}")
+        if atk in attacks[:i]:
+            raise DataError(f"{source} names {atk!r} twice")
+
+
 def _validated(conf: dict) -> dict:
     """Check a complete config and type its numeric keys, in place."""
     for key in INTEGER_KEYS + REAL_KEYS:
@@ -164,13 +175,9 @@ def _validated(conf: dict) -> dict:
             raise DataError(f"config key {key!r} must be true or false, got {conf[key]!r}")
     if conf["method"] not in METHODS:
         raise DataError(f"unknown method {conf['method']!r}; expected one of {METHODS}")
-    if not isinstance(conf["attacks"], list):
-        raise DataError(f"config key 'attacks' must be a list of names, got {conf['attacks']!r}")
-    for i, atk in enumerate(conf["attacks"]):
-        if atk not in attack_mod.ATTACKS:
-            raise DataError(f"unknown attack {atk!r}; expected one of {attack_mod.ATTACKS}")
-        if atk in conf["attacks"][:i]:
-            raise DataError(f"config key 'attacks' names {atk!r} twice")
+    _check_attacks(conf["attacks"], "config key 'attacks'")
+    if conf["sweep"] is not None and not isinstance(conf["sweep"], dict):
+        raise DataError(f"config key 'sweep' must be a JSON object, got {conf['sweep']!r}")
     if conf["utility_metric"] not in ("accuracy", "auc"):
         raise DataError("utility_metric must be 'accuracy' or 'auc'")
     if conf["repetitions"] < 1:
@@ -385,7 +392,7 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
             "retain_vs_test": train_em.take(np.flatnonzero(~forgotten)),
         }
     test_em = encode(test)
-    utility = mlp.utility_from_probs(
+    utility = attack_mod.utility_from_probs(
         probs_fn(test_em.features), test_em.labels, conf["utility_metric"]
     )
     mia = []
@@ -455,7 +462,6 @@ def cmd_run(conf: dict) -> int:
     """Train the configured method, measure utility and attack strength."""
     _require(conf, "train_csv", "test_csv", "schema")
     out = resolve_out(conf)
-    out.mkdir(parents=True, exist_ok=True)
     train, test = load_train_test(conf)
     reports = []
     for rep in range(conf["repetitions"]):
@@ -550,6 +556,7 @@ def cmd_forget(conf: dict) -> int:
 
 def cmd_attack(args) -> int:
     """Membership inference against a saved model file."""
+    _check_attacks(args.attacks, "--attacks")
     model = mlp.load_model(args.model)
     schema = parse_schema_file(args.schema)
     members_ds = load_csv(args.members, schema)
@@ -610,7 +617,6 @@ def cmd_sweep(conf: dict) -> int:
     """Run a grid of configurations; completed points are skipped on rerun."""
     _require(conf, "train_csv", "test_csv", "schema")
     out = resolve_out(conf)
-    out.mkdir(parents=True, exist_ok=True)
     points = _sweep_points(conf)
     completed = []
     skipped = []
@@ -637,6 +643,7 @@ def cmd_sweep(conf: dict) -> int:
         "completed_this_invocation": completed,
         "skipped_as_done": skipped,
     }
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep_manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"sweep: {len(completed)} point(s) run, {len(skipped)} already done")
     return 0

@@ -9,7 +9,7 @@ parameters.  Models serialize to a binary format that round-trips exactly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +47,7 @@ class TrainConfig:
             raise ModelError(f"seed must be non-negative, got {self.seed}")
 
     def with_(self, **kw) -> "TrainConfig":
-        import dataclasses
-
-        return dataclasses.replace(self, **kw)
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def models_equal(a: MlpModel, b: MlpModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# forward / loss
+# forward
 
 def _check_features(model: MlpModel, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
@@ -149,58 +147,6 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     x = _check_features(model, features)
     _, act = _affine_relu_stack(model.weights, model.biases, x)
     return np.exp(_log_softmax(act[-1]))
-
-
-def loss_per_example(model: MlpModel, data: EncodedMatrix) -> np.ndarray:
-    """Cross-entropy -log p(true class), per example."""
-    x = _check_features(model, data.features)
-    if data.n_rows and data.labels.max() >= model.n_classes:
-        raise ModelError("label outside the model's class range")
-    _, act = _affine_relu_stack(model.weights, model.biases, x)
-    logp = _log_softmax(act[-1])
-    return -logp[np.arange(data.n_rows), data.labels]
-
-
-def entropy_per_example(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) of the predictive distribution, per example."""
-    p = forward(model, features)
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -plogp.sum(axis=1)
-
-
-def mean_loss(model: MlpModel, data: EncodedMatrix) -> float:
-    if data.n_rows == 0:
-        raise ModelError("mean loss of an empty dataset is undefined")
-    return float(loss_per_example(model, data).mean())
-
-
-def utility_from_probs(probs: np.ndarray, labels: np.ndarray, metric: str) -> float:
-    """Accuracy, or binary ROC-AUC of the positive-class (label 1) probability,
-    of a probability matrix (one model's or an ensemble's)."""
-    from . import attack
-
-    if len(labels) == 0:
-        raise ModelError(f"{metric} of an empty dataset is undefined")
-    if metric == "accuracy":
-        return float((np.argmax(probs, axis=1) == labels).mean())
-    if metric != "auc":
-        raise ModelError(f"unknown utility metric {metric!r}")
-    if probs.shape[1] != 2:
-        raise ModelError("AUC utility is defined for binary classifiers")
-    pos = probs[labels == 1, 1]
-    neg = probs[labels == 0, 1]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ModelError("AUC needs both classes present")
-    return attack.roc_auc(pos, neg)
-
-
-def accuracy(model: MlpModel, data: EncodedMatrix) -> float:
-    return utility_from_probs(forward(model, data.features), data.labels, "accuracy")
-
-
-def auc_utility(model: MlpModel, data: EncodedMatrix) -> float:
-    """Binary ROC-AUC of the positive-class (label 1) probability."""
-    return utility_from_probs(forward(model, data.features), data.labels, "auc")
 
 
 # ---------------------------------------------------------------------------

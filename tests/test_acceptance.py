@@ -15,7 +15,13 @@ import scipy.stats
 from scipy.special import logsumexp
 
 from privforget import mlp
-from privforget.attack import balanced_pair, mia_from_probs, roc_auc, roc_auc_pairwise
+from privforget.attack import (
+    balanced_pair,
+    mia_from_probs,
+    roc_auc,
+    roc_auc_pairwise,
+    utility_from_probs,
+)
 from privforget.data import (
     AttributeSchema,
     ForgetRequest,
@@ -38,7 +44,7 @@ from privforget.dpanon import (
     pixelize,
 )
 from privforget.kanon import centroid_replace, mdav, verify_k_anonymity
-from privforget.mlp import TrainConfig, accuracy, save_model
+from privforget.mlp import TrainConfig, save_model
 from privforget.unlearn import (
     PrivacySpec,
     eupg_forget,
@@ -266,6 +272,10 @@ def _load_adult():
     train_ds = load_csv(ADULT_DIR / "train.csv", schema)
     test_ds = load_csv(ADULT_DIR / "test.csv", train_ds.schema)
     return train_ds, test_ds
+
+
+def accuracy(model, em) -> float:
+    return utility_from_probs(mlp.forward(model, em.features), em.labels, "accuracy")
 
 
 def _loss_mia(model, members, nonmembers, seed):

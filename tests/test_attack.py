@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,22 +10,25 @@ from privforget.attack import (
     LOSS_BASED,
     _average_ranks,
     balanced_pair,
-    mia_scores,
+    mia_from_probs,
     roc_auc,
     roc_auc_pairwise,
     scores_from_probs,
 )
 from privforget.data import DataError, EncodedMatrix, encode, split_forget, ForgetRequest
-from privforget.mlp import (
-    TrainConfig,
-    entropy_per_example,
-    forward,
-    init,
-    loss_per_example,
-    train,
-)
+from privforget.mlp import MlpModel, TrainConfig, forward, init, train
 
 from conftest import make_dataset
+
+
+def mia(model, members, nonmembers, attack):
+    return mia_from_probs(
+        forward(model, members.features),
+        members.labels,
+        forward(model, nonmembers.features),
+        nonmembers.labels,
+        attack,
+    )
 
 
 def test_average_ranks_hand_cases():
@@ -99,7 +104,7 @@ def test_mia_detects_overfit_model():
         TrainConfig(batch_size=8, epochs=500, seed=0),
     )
     for attack in (LOSS_BASED, ENTROPY_BASED):
-        result = mia_scores(model, em_train, em_hold, attack)
+        result = mia(model, em_train, em_hold, attack)
         assert result.auc > 0.55, f"{attack}: auc {result.auc}"
         assert result.n_members == em_train.n_rows
         assert result.n_nonmembers == em_hold.n_rows
@@ -109,23 +114,31 @@ def test_mia_rejects_unknown_attack(small_dataset):
     em = encode(small_dataset)
     model = init((em.width, 4, 2), seed=0)
     with pytest.raises(DataError, match="unknown attack"):
-        mia_scores(model, em, em, "gradient_based")
+        mia(model, em, em, "gradient_based")
 
 
-def test_scores_from_probs_match_model_scores(small_dataset):
-    em = encode(small_dataset)
-    model = init((em.width, 4, 2), seed=3)
-    probs = forward(model, em.features)
-    assert np.allclose(
-        scores_from_probs(probs, em.labels, LOSS_BASED),
-        -loss_per_example(model, em),
-        rtol=1e-10,
+def test_scores_from_probs_hand_values():
+    # a zero model predicts 1/3 for every class: log p_y = -H = -log 3
+    uniform = forward(MlpModel((4, 3), (np.zeros((4, 3)),), (np.zeros(3),)), np.ones((4, 4)))
+    labels = np.array([0, 1, 2, 0])
+    for attack in (LOSS_BASED, ENTROPY_BASED):
+        assert np.allclose(scores_from_probs(uniform, labels, attack), -math.log(3), rtol=1e-12)
+
+    probs = np.array([[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]])
+    # p_y = 0 clamps to log(tiny) rather than -inf
+    loss = scores_from_probs(probs, np.array([1, 1, 1]), LOSS_BASED)
+    assert loss.tolist() == pytest.approx(
+        [math.log(np.finfo(np.float64).tiny), 0.0, math.log(0.75)], rel=1e-12
     )
-    assert np.allclose(
-        scores_from_probs(probs, em.labels, ENTROPY_BASED),
-        -entropy_per_example(model, em.features),
-        rtol=1e-10,
-    )
+    # a one-hot row has entropy 0
+    entropy = scores_from_probs(probs, np.array([0, 1, 1]), ENTROPY_BASED)
+    assert entropy[:2].tolist() == [0.0, 0.0]
+    assert entropy[2] == pytest.approx(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
+
+    for attack in (LOSS_BASED, ENTROPY_BASED):
+        for bad in (2, -1):
+            with pytest.raises(DataError, match=f"label {bad} outside the 2 columns"):
+                scores_from_probs(probs, np.array([0, bad, 1]), attack)
 
 
 def test_balanced_pair(small_dataset):

@@ -206,10 +206,16 @@ def test_config_validation_errors(tmp_path, capsys):
         ('shuffle="false"', "shuffle"),
         ("clamp_out_of_range=off", "clamp_out_of_range"),
         ("clamp_out_of_range=null", "clamp_out_of_range"),
+        # a sweep grid is an object: a string or list used to fail on its characters or items
+        ("sweep=abc", "sweep"),
+        ("sweep=[1,2]", "sweep"),
     ]:
         assert main(["run", "--config", cfg_path, "--set", pair]) == 1, pair
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err, (pair, err)
+    for pair in ("sweep=abc", "sweep=[1,2]"):
+        assert main(["sweep", "--config", cfg_path, "--set", pair]) == 1, pair
+        assert "config key 'sweep' must be a JSON object" in capsys.readouterr().err, pair
 
 
 @pytest.mark.parametrize("ratio", [0.005, 1.0])  # floor(0.005 * 120) = 0 rows; all rows
@@ -245,7 +251,12 @@ def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
 def test_missing_inputs_exit_one(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     conf["train_csv"] = str(tmp_path / "gone.csv")
-    assert main(["run", "--config", write_config(tmp_path, conf)]) == 1
+    cfg_path = write_config(tmp_path, conf)
+    # neither command leaves an output directory behind when its inputs fail to load
+    assert main(["run", "--config", cfg_path]) == 1
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", "--config", cfg_path, "--set", 'sweep={"method": ["original"]}']) == 1
+    assert not (tmp_path / "out").exists()
     conf2 = write_inputs(tmp_path)
     del conf2["test_csv"]
     conf2.pop("train_csv")
@@ -343,7 +354,7 @@ def test_clamp_out_of_range(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--set", "clamp_out_of_range=true"]) == 0
 
 
-def test_attack_subcommand(tmp_path):
+def test_attack_subcommand(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     cfg_path = write_config(tmp_path, conf)
     assert main(["run", "--config", cfg_path]) == 0
@@ -368,6 +379,21 @@ def test_attack_subcommand(tmp_path):
     results = json.loads(out_json.read_text())["results"]
     assert {r["attack"] for r in results} == {"loss_based", "entropy_based"}
     assert all(0.0 <= r["auc"] <= 1.0 for r in results)
+
+    base = ["attack", "--model", str(model_path), "--schema", conf["schema"]]
+    populations = ["--members", conf["test_csv"], "--nonmembers", conf["train_csv"]]
+    # an attack named twice is refused, as in a config's attacks list
+    assert main(base + populations + ["--attacks", "loss_based", "loss_based"]) == 1
+    assert "names 'loss_based' twice" in capsys.readouterr().err
+    # a member labelled with a class the model lacks is a data error, not a traceback
+    lines = Path(conf["test_csv"]).read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",c2"
+    (tmp_path / "three_classes.csv").write_text("\n".join(lines) + "\n")
+    populations[1] = str(tmp_path / "three_classes.csv")
+    for attacks in (["loss_based"], ["entropy_based"]):
+        assert main(base + populations + ["--attacks", *attacks]) == 1, attacks
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label 2 outside the 2 columns" in err, err
 
 
 def test_report_subcommand(tmp_path, capsys):

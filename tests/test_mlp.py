@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from privforget.data import EncodedMatrix, encode
+from privforget.attack import (
+    ENTROPY_BASED,
+    LOSS_BASED,
+    mia_from_probs,
+    scores_from_probs,
+    utility_from_probs,
+)
+from privforget.data import DataError, EncodedMatrix, encode
 from privforget.mlp import (
     MlpModel,
     ModelError,
     TrainConfig,
     TrainingDiverged,
     _batch_gradients,
-    accuracy,
-    auc_utility,
-    entropy_per_example,
     finetune,
     forward,
     init,
     load_model,
-    loss_per_example,
-    mean_loss,
     models_equal,
     save_model,
     train,
@@ -39,6 +41,14 @@ def ref_loss(weights, biases, x, y):
         z = h @ w + b
         h = np.maximum(z, 0.0) if i < len(weights) - 1 else z
     return float(np.mean(logsumexp(h, axis=1) - h[np.arange(len(y)), y]))
+
+
+def model_loss(model, data):
+    return ref_loss(model.weights, model.biases, data.features, data.labels)
+
+
+def utility(model, data, metric="accuracy"):
+    return utility_from_probs(forward(model, data.features), data.labels, metric)
 
 
 def fd_gradient_check(dims, seed, n=8, h=1e-6):
@@ -95,9 +105,10 @@ def test_zero_model_is_uniform():
     x = np.random.default_rng(0).normal(size=(5, 4))
     p = forward(model, x)
     assert np.allclose(p, 1.0 / 3)
-    data = matrix(x, [0, 1, 2, 0, 1])
-    assert mean_loss(model, data) == pytest.approx(math.log(3), rel=1e-12)
-    assert np.allclose(entropy_per_example(model, x), math.log(3))
+    labels = np.array([0, 1, 2, 0, 1])
+    mean_loss = -scores_from_probs(p, labels, LOSS_BASED).mean()
+    assert mean_loss == pytest.approx(math.log(3), rel=1e-12)
+    assert np.allclose(-scores_from_probs(p, labels, ENTROPY_BASED), math.log(3))
 
 
 def test_forward_hand_example():
@@ -109,11 +120,13 @@ def test_forward_hand_example():
 
 
 def test_loss_matches_forward_probabilities(small_dataset):
+    """The loss score of forward's probabilities is the log-softmax loss of the logits."""
     em = encode(small_dataset)
     model = init((em.width, 6, 2), seed=0)
-    losses = loss_per_example(model, em)
-    probs = forward(model, em.features)
-    direct = -np.log(probs[np.arange(em.n_rows), em.labels])
+    losses = -scores_from_probs(forward(model, em.features), em.labels, LOSS_BASED)
+    assert losses.mean() == pytest.approx(model_loss(model, em), rel=1e-10)
+    direct = [model_loss(model, matrix(em.features[i : i + 1], em.labels[i : i + 1]))
+              for i in range(em.n_rows)]
     assert np.allclose(losses, direct, rtol=1e-10)
 
 
@@ -164,11 +177,11 @@ def test_training_reduces_loss_and_fits_blobs():
     ds = make_dataset(400, seed=3, class_sep=4.0)
     em = encode(ds)
     model = init((em.width, 16, 2), seed=0)
-    before = mean_loss(model, em)
+    before = model_loss(model, em)
     trained = train(model, em, TrainConfig(batch_size=64, epochs=30, seed=0))
-    after = mean_loss(trained, em)
+    after = model_loss(trained, em)
     assert after < before * 0.5
-    assert accuracy(trained, em) >= 0.99
+    assert utility(trained, em) >= 0.99
 
 
 def test_divergence_is_reported():
@@ -184,8 +197,8 @@ def test_label_and_width_validation(small_dataset):
     em = encode(small_dataset)
     model = init((em.width, 4, 2), seed=0)
     bad_labels = matrix(em.features, np.full(em.n_rows, 5))
-    with pytest.raises(ModelError, match="class range"):
-        loss_per_example(model, bad_labels)
+    with pytest.raises(DataError, match="label 5 outside the 2 columns"):
+        scores_from_probs(forward(model, em.features), bad_labels.labels, LOSS_BASED)
     with pytest.raises(ModelError, match="input columns"):
         forward(model, em.features[:, :3])
     with pytest.raises(ModelError, match="class range"):
@@ -226,19 +239,20 @@ def test_auc_utility():
     # scores proportional to the first feature separate the classes perfectly
     model = MlpModel((1, 2), (np.array([[0.0, 4.0]]),), (np.zeros(2),))
     data = matrix([[-2.0], [-1.0], [1.0], [2.0]], [0, 0, 1, 1])
-    assert auc_utility(model, data) == 1.0
+    assert utility(model, data, "auc") == 1.0
     three = init((1, 3), seed=0)
-    with pytest.raises(ModelError, match="binary"):
-        auc_utility(three, data)
+    with pytest.raises(DataError, match="binary"):
+        utility(three, data, "auc")
 
 
 def test_empty_metrics_raise():
     model = init((2, 2), seed=0)
     empty = matrix(np.empty((0, 2)), np.empty(0, dtype=int))
-    with pytest.raises(ModelError):
-        mean_loss(model, empty)
-    with pytest.raises(ModelError):
-        accuracy(model, empty)
+    probs = forward(model, empty.features)
+    with pytest.raises(DataError):
+        mia_from_probs(probs, empty.labels, probs, empty.labels)
+    with pytest.raises(DataError):
+        utility(model, empty)
 
 
 def test_save_load_round_trip(tmp_path):

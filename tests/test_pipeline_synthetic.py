@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from privforget import mlp
-from privforget.attack import mia_from_probs
+from privforget.attack import mia_from_probs, utility_from_probs
 from privforget.data import (
     ForgetRequest,
     Provenance,
@@ -25,7 +25,7 @@ from privforget.data import (
     encode,
     split_forget,
 )
-from privforget.mlp import TrainConfig, accuracy
+from privforget.mlp import TrainConfig
 from privforget.unlearn import (
     PrivacySpec,
     eupg_forget,
@@ -41,6 +41,10 @@ from conftest import make_dataset
 CFG = TrainConfig(batch_size=16, epochs=400, seed=0)
 HIDDEN = 64
 FT_EPOCHS = 5
+
+
+def accuracy(model, em) -> float:
+    return utility_from_probs(mlp.forward(model, em.features), em.labels, "accuracy")
 
 
 def loss_auc(probs_fn, members, nonmembers) -> float:

@@ -5,6 +5,7 @@ these streams, so a change to how a stream is built (a reordered entropy
 list, another bit generator) silently changes every saved artifact.  The
 pins below were taken from ``Generator(PCG64(SeedSequence([7, TAG])))``.
 """
+import ast
 import hashlib
 from pathlib import Path
 
@@ -51,3 +52,28 @@ def test_streams_built_only_in_seeds_module():
             continue
         text = path.read_text()
         assert "SeedSequence(" not in text and "PCG64(" not in text, path.name
+
+
+def _imported_modules(tree) -> set[str]:
+    """Every module name an import statement anywhere in tree mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_model_and_scoring_modules_import_neither_each_other_nor_lazily():
+    """mlp.py is only the model and attack.py only scores probability matrices:
+    neither imports the other, and neither imports inside a function."""
+    package = Path(privforget.__file__).parent
+    trees = {name: ast.parse((package / f"{name}.py").read_text()) for name in ("mlp", "attack")}
+    assert "attack" not in _imported_modules(trees["mlp"])
+    assert "mlp" not in _imported_modules(trees["attack"])
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                assert not _imported_modules(func), (name, func.lineno)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from privforget import mlp, seeds, unlearn
+from privforget.attack import utility_from_probs
 from privforget.data import (
     DataError,
     ForgetRequest,
@@ -17,7 +18,7 @@ from privforget.data import (
     write_csv,
 )
 from privforget.dpanon import CategoricalMechanism, MechanismSpec
-from privforget.mlp import TrainConfig, TrainingDiverged, models_equal, utility_from_probs
+from privforget.mlp import TrainConfig, TrainingDiverged, models_equal
 from privforget.unlearn import (
     EupgState,
     PrivacySpec,
