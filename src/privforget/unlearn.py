@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -31,10 +30,10 @@ import numpy as np
 
 from . import dpanon, kanon, mlp, seeds
 from .data import (
+    AttributeSchema,
     DataError,
     EncodedMatrix,
     ForgetRequest,
-    Provenance,
     TabularDataset,
     encode,
     encoded_width,
@@ -95,14 +94,17 @@ class ForgetEvent:
 
 @dataclass(frozen=True)
 class EupgState:
-    """The protected view, both models and the training settings.
+    """Both models, the training settings and the raw table's schema.
 
     With the raw training table, which eupg_forget takes separately and
     which is not stored here, this serves any forgetting request.
+    protected_data is the protected view the base model was trained on; a
+    prepared state holds it, a loaded one holds None, since forgetting never
+    reads it and protect(ds, spec) re-derives it.
     """
 
     spec: PrivacySpec
-    protected_data: TabularDataset
+    schema: tuple[AttributeSchema, ...]
     base_model: MlpModel
     deployed_model: MlpModel
     finetune_epochs: int
@@ -111,6 +113,7 @@ class EupgState:
     timings: dict[str, float] = field(default_factory=dict)
     audit_log: tuple[ForgetEvent, ...] = ()
     dp_ledger: DpLedger | None = None
+    protected_data: TabularDataset | None = None
 
 
 def _model_dims(ds: TabularDataset, hidden_units: int) -> tuple[int, int, int]:
@@ -152,7 +155,7 @@ def eupg_prepare(
     t3 = time.perf_counter()
     return EupgState(
         spec=spec,
-        protected_data=protected,
+        schema=ds.schema,
         base_model=base,
         deployed_model=deployed,
         finetune_epochs=finetune_epochs,
@@ -160,6 +163,7 @@ def eupg_prepare(
         hidden_units=hidden_units,
         timings={"anonymize": t1 - t0, "train": t2 - t1, "finetune": t3 - t2},
         dp_ledger=ledger,
+        protected_data=protected,
     )
 
 
@@ -175,7 +179,7 @@ def eupg_forget(
     epochs, config seed) only: the fine-tune sees the retain rows of the
     encoded table, so nothing about the forgotten rows' contents enters it.
     """
-    if ds.schema != state.protected_data.schema:
+    if ds.schema != state.schema:
         raise DataError("dataset schema does not match the prepared state")
     if ds.provenance.kind != "raw":
         raise DataError(f"forget expects the raw training dataset, got {ds.provenance.tag()!r}")
@@ -217,9 +221,11 @@ class ShardStore:
 
     slice_rows[s][r] holds the original row indices of shard s, slice r in
     dealt order; that order, filtered by the alive mask, is the canonical
-    training order and must never be re-sorted.  A saved store keeps
-    slice_rows in its manifest, because they record which rows each saved
-    checkpoint saw.  checkpoints[s][r] is the shard model after training
+    training order and must never be re-sorted.  slice_rows is re-derived
+    from the row count, shard and slice counts and cfg.seed (see _deal), so
+    every row is dealt.  A saved store keeps only a sha256 of the deal, and
+    loading refuses a store whose re-dealt rows differ from those its
+    checkpoints saw.  checkpoints[s][r] is the shard model after training
     through slice r; _replay_shard is the only code that trains one.
     """
 
@@ -228,7 +234,6 @@ class ShardStore:
     cfg: TrainConfig
     hidden_units: int
     layer_dims: tuple[int, ...]
-    slice_rows: tuple[tuple[np.ndarray, ...], ...]
     alive: np.ndarray
     data: EncodedMatrix
     checkpoints: tuple[tuple[MlpModel, ...], ...]
@@ -239,9 +244,13 @@ class ShardStore:
         return math.ceil(self.cfg.epochs / self.n_slices)
 
     @functools.cached_property
+    def slice_rows(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return _deal(len(self.alive), self.n_shards, self.n_slices, self.cfg.seed)
+
+    @functools.cached_property
     def row_slices(self) -> np.ndarray:
-        """(n_rows, 2) array: the (shard, slice) holding each row, -1 if none."""
-        where = np.full((len(self.alive), 2), -1, dtype=np.int64)
+        """(n_rows, 2) array: the (shard, slice) holding each row."""
+        where = np.empty((len(self.alive), 2), dtype=np.int64)
         for s, shard in enumerate(self.slice_rows):
             for r, rows in enumerate(shard):
                 where[rows] = (s, r)
@@ -251,10 +260,10 @@ class ShardStore:
         return tuple(cp[-1] for cp in self.checkpoints)
 
     def shard_of_row(self, row: int) -> tuple[int, int]:
-        if 0 <= row < len(self.alive) and self.row_slices[row, 0] >= 0:
-            s, r = self.row_slices[row]
-            return int(s), int(r)
-        raise DataError(f"row {row} is not assigned to any shard")
+        if not 0 <= row < len(self.alive):
+            raise DataError(f"row {row} is not assigned to any shard")
+        s, r = self.row_slices[row]
+        return int(s), int(r)
 
 
 def _deal(n: int, n_shards: int, n_slices: int, seed: int):
@@ -354,7 +363,6 @@ def sisa_train(
         cfg=cfg,
         hidden_units=hidden_units,
         layer_dims=_model_dims(ds, hidden_units),
-        slice_rows=_deal(ds.n_rows, n_shards, n_slices, cfg.seed),
         alive=np.ones(ds.n_rows, dtype=bool),
         data=encode(ds),
         checkpoints=((),) * n_shards,
@@ -378,8 +386,6 @@ def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
     alive = store.alive & ~forget
 
     hit_shard, hit_slice = store.row_slices[forget_rows].T
-    if (hit_shard < 0).any():
-        raise DataError(f"rows not assigned to any shard: {forget_rows[hit_shard < 0].tolist()}")
     first_hit = np.full(store.n_shards, store.n_slices)
     np.minimum.at(first_hit, hit_shard, hit_slice)
     hit = [(s, int(first)) for s, first in enumerate(first_hit) if first < store.n_slices]
@@ -403,24 +409,24 @@ def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # persistence
 #
-# A state directory holds manifest.json plus binary model files.  An EUPG
-# state also holds its protected rows as protected.npy: the raw float64
-# matrix (categorical cells are category indices), with its shape and the
-# sha256 of the file's bytes in the manifest.  Shard stores do not embed the
-# training data: load_shard_store re-encodes the dataset the caller supplies
-# and verifies it against a checksum in the manifest.  Each kind carries its
-# own format version; a directory of another version is refused, not
-# converted.  `privforget anonymize` is the human-readable CSV export of a
-# protected table.
+# A state directory holds manifest.json plus binary model files, and nothing
+# that forgetting does not read.  An EUPG state keeps both models, the spec,
+# the training settings and the raw table's schema, but not the protected
+# rows: protect(ds, spec) re-derives them, and `privforget anonymize` is
+# their CSV export.  Shard stores do not embed the training data:
+# load_shard_store re-encodes the dataset the caller supplies and re-deals
+# its rows to shards and slices, and verifies each against a checksum in the
+# manifest.  Each kind carries its own format version; a directory of
+# another version is refused, not converted.
 
-EUPG_FORMAT_VERSION = 2
-SHARD_FORMAT_VERSION = 1
-PROTECTED_ROWS = "protected.npy"
+EUPG_FORMAT_VERSION = 3
+SHARD_FORMAT_VERSION = 2
 
 
-def _read_manifest(state_dir, kind: str, what: str, version: int) -> dict:
+def _read_manifest(state_dir, kind: str, what: str, version: int, *keys: str) -> dict:
+    """The manifest of a saved `kind`, holding every key its caller reads."""
     manifest = json.loads((Path(state_dir) / "manifest.json").read_text())
-    if manifest.get("kind") != kind:
+    if not isinstance(manifest, dict) or manifest.get("kind") != kind:
         raise DataError(f"{state_dir}: not a saved {what}")
     found = manifest.get("format_version")
     if found != version:
@@ -428,98 +434,50 @@ def _read_manifest(state_dir, kind: str, what: str, version: int) -> dict:
             f"{state_dir}: {what} format version {found} is not supported "
             f"(expected {version}); re-run `privforget run` to rebuild it"
         )
+    missing = [key for key in keys if key not in manifest]
+    if missing:
+        raise DataError(f"{state_dir}: manifest.json lacks key {', '.join(map(repr, missing))}")
     return manifest
 
 
 def save_eupg_state(state: EupgState, out_dir) -> None:
-    """Write manifest.json, base.model, deployed.model and protected.npy."""
+    """Write manifest.json, base.model and deployed.model."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mlp.save_model(state.base_model, out / "base.model")
     mlp.save_model(state.deployed_model, out / "deployed.model")
-    rows = np.ascontiguousarray(state.protected_data.rows, dtype="<f8")
-    buf = io.BytesIO()
-    np.save(buf, rows, allow_pickle=False)
-    rows_bytes = buf.getvalue()
-    (out / PROTECTED_ROWS).write_bytes(rows_bytes)
-    spec = state.spec
+    mechanisms = state.spec.mechanisms
     manifest = {
         "format_version": EUPG_FORMAT_VERSION,
         "kind": "eupg_state",
         "spec": {
-            "method": spec.method,
-            "k": spec.k,
-            "epsilon": spec.epsilon,
-            "seed": spec.seed,
-            "mechanisms": None if spec.mechanisms is None else spec.mechanisms.to_json_dict(),
+            **vars(state.spec),
+            "mechanisms": None if mechanisms is None else mechanisms.to_json_dict(),
         },
         "finetune_epochs": state.finetune_epochs,
         "hidden_units": state.hidden_units,
         "cfg": dataclasses.asdict(state.cfg),
         "timings": state.timings,
         "audit_log": [dataclasses.asdict(e) for e in state.audit_log],
-        "schema": schema_to_dicts(state.protected_data.schema),
-        "protected_rows": {
-            "shape": list(rows.shape),
-            "sha256": hashlib.sha256(rows_bytes).hexdigest(),
-        },
-        "protected_provenance": {
-            "kind": state.protected_data.provenance.kind,
-            "param": state.protected_data.provenance.param,
-        },
+        "schema": schema_to_dicts(state.schema),
         "dp_ledger": state.dp_ledger.to_json_dict() if state.dp_ledger else None,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _load_protected_rows(path: Path, meta: dict, n_columns: int) -> np.ndarray:
-    """Read the protected row matrix, refusing anything the manifest does not vouch for.
-
-    The checksum is verified before parsing, and the file is parsed with
-    pickling disabled, so an object array is refused, never unpickled.
-    """
-    raw = path.read_bytes()
-    if hashlib.sha256(raw).hexdigest() != meta["sha256"]:
-        raise DataError(f"{path}: sha256 does not match the manifest (file corrupted or replaced)")
-    try:
-        rows = np.load(io.BytesIO(raw), allow_pickle=False)
-    except (ValueError, EOFError, OSError) as exc:
-        raise DataError(f"{path}: not a readable .npy row matrix: {exc}") from None
-    if rows.dtype != np.dtype("<f8"):
-        raise DataError(f"{path}: expected float64 ('<f8') rows, got dtype {rows.dtype.str!r}")
-    expected = tuple(meta["shape"])
-    if rows.shape != expected or rows.ndim != 2 or rows.shape[1] != n_columns:
-        raise DataError(
-            f"{path}: shape {rows.shape} does not match the manifest "
-            f"({expected}, {n_columns} schema columns)"
-        )
-    return rows
-
-
 def load_eupg_state(state_dir) -> EupgState:
-    """Reload a format-version-2 state; DataError names the file at fault."""
+    """Reload a format-version-3 state; its protected_data is None."""
     out = Path(state_dir)
-    manifest = _read_manifest(state_dir, "eupg_state", "unlearning state", EUPG_FORMAT_VERSION)
-    schema = schema_from_dicts(manifest["schema"])
-    rows = _load_protected_rows(out / PROTECTED_ROWS, manifest["protected_rows"], len(schema))
-    prov = Provenance(
-        manifest["protected_provenance"]["kind"],
-        manifest["protected_provenance"]["param"],
+    manifest = _read_manifest(
+        state_dir, "eupg_state", "unlearning state", EUPG_FORMAT_VERSION, "spec", "finetune_epochs",
+        "hidden_units", "cfg", "timings", "audit_log", "schema", "dp_ledger",
     )
-    protected = TabularDataset(schema, rows, prov)
-    spec_d = manifest["spec"]
-    mechanisms = spec_d["mechanisms"]
-    spec = PrivacySpec(
-        spec_d["method"],
-        k=spec_d["k"],
-        epsilon=spec_d["epsilon"],
-        seed=spec_d["seed"],
-        mechanisms=None if mechanisms is None else MechanismSpec.from_json_dict(mechanisms),
-    )
-    ledger = manifest.get("dp_ledger")
+    spec, ledger = manifest["spec"], manifest["dp_ledger"]
+    mechanisms = spec["mechanisms"]
+    mechanisms = None if mechanisms is None else MechanismSpec.from_json_dict(mechanisms)
     return EupgState(
-        spec=spec,
-        protected_data=protected,
+        spec=PrivacySpec(**{**spec, "mechanisms": mechanisms}),
+        schema=schema_from_dicts(manifest["schema"]),
         base_model=mlp.load_model(out / "base.model"),
         deployed_model=mlp.load_model(out / "deployed.model"),
         finetune_epochs=manifest["finetune_epochs"],
@@ -538,6 +496,12 @@ def _data_checksum(em: EncodedMatrix) -> str:
     return h.hexdigest()
 
 
+def _deal_checksum(slice_rows) -> str:
+    """sha256 of the dealt row indices, shard by shard and slice by slice."""
+    rows = np.concatenate([np.concatenate(shard) for shard in slice_rows])
+    return hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
+
+
 def save_shard_store(store: ShardStore, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -552,9 +516,7 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
         "cfg": dataclasses.asdict(store.cfg),
         "hidden_units": store.hidden_units,
         "layer_dims": list(store.layer_dims),
-        "slice_rows": [
-            [rows.tolist() for rows in shard] for shard in store.slice_rows
-        ],
+        "deal_sha256": _deal_checksum(store.slice_rows),
         "removed_rows": sorted(int(i) for i in np.flatnonzero(~store.alive)),
         "removed_log": list(store.removed_log),
         "data_sha256": _data_checksum(store.data),
@@ -565,32 +527,43 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
 def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
     """Reload a shard store; ds must be the dataset it was trained on."""
     out = Path(state_dir)
-    manifest = _read_manifest(state_dir, "shard_store", "shard store", SHARD_FORMAT_VERSION)
+    manifest = _read_manifest(
+        state_dir, "shard_store", "shard store", SHARD_FORMAT_VERSION, "n_shards", "n_slices",
+        "cfg", "hidden_units", "layer_dims", "deal_sha256", "removed_rows", "removed_log",
+        "data_sha256",
+    )
     data = encode(ds)
     if _data_checksum(data) != manifest["data_sha256"]:
         raise DataError(
             f"{state_dir}: supplied dataset does not match the one this store "
             "was trained on"
         )
-    n_shards, n_slices = manifest["n_shards"], manifest["n_slices"]
-    checkpoints = tuple(
-        tuple(
-            mlp.load_model(out / f"shard{s}_slice{r}.model") for r in range(n_slices)
+    removed = manifest["removed_rows"]
+    ok = isinstance(removed, list) and all(type(i) is int and 0 <= i < ds.n_rows for i in removed)
+    if not ok or len(set(removed)) != len(removed):
+        raise DataError(
+            f"{state_dir}: manifest key 'removed_rows' must list distinct integer "
+            f"row indices in [0, {ds.n_rows})"
         )
+    n_shards, n_slices = manifest["n_shards"], manifest["n_slices"]
+    cfg = TrainConfig(**manifest["cfg"])
+    if _deal_checksum(_deal(ds.n_rows, n_shards, n_slices, cfg.seed)) != manifest["deal_sha256"]:
+        raise DataError(
+            f"{state_dir}: the rows dealt to shards and slices do not match the "
+            "manifest's deal_sha256; re-run `privforget run` to rebuild the store"
+        )
+    checkpoints = tuple(
+        tuple(mlp.load_model(out / f"shard{s}_slice{r}.model") for r in range(n_slices))
         for s in range(n_shards)
     )
     alive = np.ones(ds.n_rows, dtype=bool)
-    alive[manifest["removed_rows"]] = False
+    alive[removed] = False
     return ShardStore(
         n_shards=n_shards,
         n_slices=n_slices,
-        cfg=TrainConfig(**manifest["cfg"]),
+        cfg=cfg,
         hidden_units=manifest["hidden_units"],
         layer_dims=tuple(manifest["layer_dims"]),
-        slice_rows=tuple(
-            tuple(np.array(rows, dtype=np.int64) for rows in shard)
-            for shard in manifest["slice_rows"]
-        ),
         alive=alive,
         data=data,
         checkpoints=checkpoints,

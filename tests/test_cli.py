@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from importlib.resources import files
 from pathlib import Path
 
@@ -110,11 +111,15 @@ def test_run_then_forget(tmp_path, method, extra):
         for p in ("forget_vs_test", "retain_vs_test")
     }
     after_dir = tmp_path / "out" / "rep0" / "state_after_forget"
-    assert after_dir.exists()
-    if method != "sisa":
+    # a state holds the manifest and the models forgetting reads, nothing else
+    if method == "sisa":
+        expected = {"manifest.json"} | {f"shard{s}_slice{r}.model" for s in range(2) for r in range(2)}
+    else:
+        expected = {"manifest.json", "base.model", "deployed.model"}
         after = load_eupg_state(after_dir)
         assert [e.n_forgotten for e in after.audit_log] == [12]
-        assert after.protected_data.n_rows == 120
+    for state_dir in (tmp_path / "out" / "rep0" / "state", after_dir):
+        assert {f.name for f in state_dir.iterdir()} == expected, state_dir
     assert (tmp_path / "out" / "forget_summary.json").exists()
 
 
@@ -143,6 +148,47 @@ def test_forget_without_run_fails(tmp_path):
     conf = write_inputs(tmp_path)
     code = main(["forget", "--config", write_config(tmp_path, conf)])
     assert code == 1
+
+
+@pytest.fixture(scope="module")
+def sisa_run(tmp_path_factory):
+    """A SISA `run` output directory and its config."""
+    root = tmp_path_factory.mktemp("sisa_run")
+    conf = write_inputs(root)
+    conf["method"] = "sisa"
+    assert main(["run", "--config", write_config(root, conf)]) == 0
+    return conf
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("removed_log", None, "lacks key 'removed_log'"),
+        ("removed_rows", [120], "'removed_rows'"),
+        ("removed_rows", [-1], "'removed_rows'"),
+        ("removed_rows", [3, 3], "'removed_rows'"),
+        ("removed_rows", [2.0], "'removed_rows'"),
+        ("deal_sha256", "0" * 64, "deal_sha256"),
+    ],
+    ids=["missing_key", "out_of_range", "negative", "duplicated", "not_integer", "deal_mismatch"],
+)
+def test_malformed_shard_manifest_exits_one(tmp_path, capsys, sisa_run, key, value, message):
+    """forget refuses a damaged shard manifest, naming the state directory
+    and the key, and writes no state after forgetting."""
+    shutil.copytree(Path(sisa_run["out"]), tmp_path / "out")
+    state_dir = tmp_path / "out" / "rep0" / "state"
+    manifest = json.loads((state_dir / "manifest.json").read_text())
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    (state_dir / "manifest.json").write_text(json.dumps(manifest))
+    conf = {**sisa_run, "out": str(tmp_path / "out")}
+    capsys.readouterr()
+    assert main(["forget", "--config", write_config(tmp_path, conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {state_dir}:") and message in err, err
+    assert not (state_dir.parent / "state_after_forget").exists()
 
 
 def test_repetitions_and_summary(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -139,11 +138,14 @@ def test_eupg_forget_is_independent_of_forgotten_contents(small_dataset):
     assert models_equal(baseline.deployed_model, other.deployed_model)
 
 
-def test_eupg_forget_schema_mismatch(small_dataset):
+def test_eupg_forget_schema_mismatch(tmp_path, small_dataset):
     state = prepared(small_dataset)
+    save_eupg_state(state, tmp_path / "state")
     other = make_dataset(50, seed=9, n_numeric=2)
-    with pytest.raises(DataError, match="schema"):
-        eupg_forget(state, other, ForgetRequest((0,)))
+    # a reloaded state, which holds no protected rows, checks the schema too
+    for checked in (state, load_eupg_state(tmp_path / "state")):
+        with pytest.raises(DataError, match="schema"):
+            eupg_forget(checked, other, ForgetRequest((0,)))
 
 
 def test_eupg_forget_refuses_subset_and_out_of_range(small_dataset):
@@ -169,8 +171,9 @@ def test_retrain_scratch(small_dataset):
 # ---------------------------------------------------------------------------
 # SISA
 
-# sha256 of the dealt slices in manifest form; saved stores persist this
-# assignment, so a change here orphans every saved shard store
+# sha256 of the dealt slices as JSON lists; saved stores re-deal their rows
+# and refuse to load when the deal differs from their manifest's deal_sha256,
+# so a change here orphans every saved shard store
 DEAL_SHA256 = {
     (37, 3, 4, 0): "029e60433b71c4b273890cd60332cfd7b90a47b300c930bdad2ee4238f1f3c7f",
     (30000, 5, 10, 0): "c856c006c74fab1d41be26eae96dea36f8dd03fdc906e4b99b5c7d8beaf5ef61",
@@ -387,17 +390,12 @@ def test_shard_of_row():
     for row in (40, 10**6, -1):
         with pytest.raises(DataError, match="not assigned"):
             store.shard_of_row(row)
-    # slice_rows are read back from a manifest; a row missing from them is refused
-    row = int(store.slice_rows[1][0][0])
-    trimmed = (store.slice_rows[0], (store.slice_rows[1][0][1:], store.slice_rows[1][1]))
-    with pytest.raises(DataError, match="not assigned"):
-        sisa_forget(dataclasses.replace(store, slice_rows=trimmed), ForgetRequest((row,)))
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-STATE_FILES = {"manifest.json", "base.model", "deployed.model", "protected.npy"}
+STATE_FILES = {"manifest.json", "base.model", "deployed.model"}
 
 
 @pytest.mark.parametrize(
@@ -417,9 +415,12 @@ def test_eupg_state_round_trip(tmp_path, small_dataset, spec):
     assert models_equal(back.base_model, state.base_model)
     assert models_equal(back.deployed_model, state.deployed_model)
     assert back.spec == state.spec
-    assert back.protected_data.rows.tobytes() == state.protected_data.rows.tobytes()
-    assert back.protected_data.schema == state.protected_data.schema
-    assert back.protected_data.provenance == state.protected_data.provenance
+    assert back.schema == state.schema == small_dataset.schema
+    assert back.protected_data is None
+    # the saved spec re-derives the protected view the base was trained on
+    again, _ = protect(small_dataset, back.spec)
+    assert again.rows.tobytes() == state.protected_data.rows.tobytes()
+    assert again.provenance == state.protected_data.provenance
     assert back.audit_log == state.audit_log
     assert back.finetune_epochs == state.finetune_epochs
     assert back.cfg == state.cfg
@@ -455,108 +456,44 @@ def test_eupg_state_keeps_mechanisms(tmp_path, small_dataset):
     assert again.rows.tobytes() == state.protected_data.rows.tobytes()
 
 
-def test_eupg_state_v1_directory_refused(tmp_path, small_dataset):
-    state_dir = tmp_path / "state"
-    save_eupg_state(prepared(small_dataset), state_dir)
-    # the version-1 layout: protected rows as CSV, no row checksum
-    manifest = json.loads((state_dir / "manifest.json").read_text())
-    manifest["format_version"] = 1
-    del manifest["protected_rows"]
+def assert_old_eupg_layout_refused(state_dir, version, manifest):
+    """Write manifest into state_dir as a format-`version` one; loading must
+    refuse it, naming the directory and the version."""
+    manifest["format_version"] = version
     (state_dir / "manifest.json").write_text(json.dumps(manifest))
-    (state_dir / "protected.npy").unlink()
-    write_csv(small_dataset, state_dir / "protected.csv")
-
     with pytest.raises(DataError) as err:
         load_eupg_state(state_dir)
     message = str(err.value)
     assert str(state_dir) in message
-    assert "version 1" in message
+    assert f"version {version}" in message
     assert "privforget run" in message
 
 
-UNPICKLED: list = []
+def test_eupg_state_v1_directory_refused(tmp_path, small_dataset):
+    state_dir = tmp_path / "state"
+    save_eupg_state(prepared(small_dataset), state_dir)
+    # the version-1 layout: protected rows as CSV, no row checksum
+    write_csv(small_dataset, state_dir / "protected.csv")
+    manifest = json.loads((state_dir / "manifest.json").read_text())
+    assert_old_eupg_layout_refused(state_dir, 1, manifest)
 
 
-def _trip():
-    UNPICKLED.append("unpickled")
-
-
-class _Canary:
-    """Unpickling this object calls _trip."""
-
-    def __reduce__(self):
-        return (_trip, ())
-
-
-def _npy_bytes(array, allow_pickle=False) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=allow_pickle)
-    return buf.getvalue()
-
-
-def _replace_protected_rows(state_dir, data: bytes, rehash: bool) -> None:
-    """Overwrite protected.npy; with rehash the manifest checksum matches the new bytes."""
-    (state_dir / "protected.npy").write_bytes(data)
-    if rehash:
-        manifest = json.loads((state_dir / "manifest.json").read_text())
-        manifest["protected_rows"]["sha256"] = hashlib.sha256(data).hexdigest()
-        (state_dir / "manifest.json").write_text(json.dumps(manifest))
-
-
-@pytest.mark.parametrize(
-    "corrupt,rehash",
-    [
-        (lambda data, rows: data[:-1] + bytes([data[-1] ^ 0x01]), False),
-        (lambda data, rows: data[:-13], False),
-        (lambda data, rows: data[:-13], True),
-        (lambda data, rows: _npy_bytes(rows[:-1]), True),
-        (lambda data, rows: _npy_bytes(rows[:, :-1]), True),
-        (lambda data, rows: _npy_bytes(rows.ravel()), True),
-        (lambda data, rows: _npy_bytes(rows.astype(np.float32)), True),
-        (lambda data, rows: _npy_bytes(rows.astype(">f8")), True),
-        (lambda data, rows: b"not an npy file", True),
-    ],
-    ids=[
-        "flipped_byte",
-        "truncated",
-        "truncated_rehashed",
-        "fewer_rows",
-        "fewer_columns",
-        "one_dimensional",
-        "float32",
-        "big_endian",
-        "garbage",
-    ],
-)
-def test_protected_rows_corruption_refused(tmp_path, small_dataset, corrupt, rehash):
-    """Each damaged protected.npy is refused, whether or not the manifest
-    checksum was updated to match it (rehash)."""
+def test_eupg_state_v2_directory_refused(tmp_path, small_dataset):
     state_dir = tmp_path / "state"
     state = prepared(small_dataset)
     save_eupg_state(state, state_dir)
-    data = (state_dir / "protected.npy").read_bytes()
-    _replace_protected_rows(state_dir, corrupt(data, np.array(state.protected_data.rows)), rehash)
-    with pytest.raises(DataError, match="protected.npy"):
-        load_eupg_state(state_dir)
-
-
-@pytest.mark.parametrize("rehash", [False, True])
-def test_protected_rows_object_array_not_unpickled(tmp_path, small_dataset, rehash):
-    UNPICKLED.clear()
-    state_dir = tmp_path / "state"
-    save_eupg_state(prepared(small_dataset), state_dir)
-    payload = np.empty((1, 1), dtype=object)
-    payload[0, 0] = _Canary()
-    data = _npy_bytes(payload, allow_pickle=True)
-    # the payload is live: loading it with pickling allowed runs the canary
-    np.load(io.BytesIO(data), allow_pickle=True)
-    assert UNPICKLED == ["unpickled"]
-    UNPICKLED.clear()
-
-    _replace_protected_rows(state_dir, data, rehash)
-    with pytest.raises(DataError, match="protected.npy"):
-        load_eupg_state(state_dir)
-    assert UNPICKLED == []
+    # the version-2 layout: protected rows as protected.npy, with their shape,
+    # checksum and provenance in the manifest
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(state.protected_data.rows, dtype="<f8"), allow_pickle=False)
+    (state_dir / "protected.npy").write_bytes(buf.getvalue())
+    manifest = json.loads((state_dir / "manifest.json").read_text())
+    manifest["protected_rows"] = {
+        "shape": list(state.protected_data.rows.shape),
+        "sha256": hashlib.sha256(buf.getvalue()).hexdigest(),
+    }
+    manifest["protected_provenance"] = {"kind": "k_anonymized", "param": 3}
+    assert_old_eupg_layout_refused(state_dir, 2, manifest)
 
 
 def test_shard_store_round_trip(tmp_path):
@@ -583,6 +520,46 @@ def test_shard_store_round_trip(tmp_path):
         assert models_equal(m1, m2)
 
 
+def test_shard_store_v1_directory_refused(tmp_path):
+    """A version-1 store, whose manifest lists each slice's rows, is refused."""
+    ds = make_dataset(40, seed=0)
+    store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
+    save_shard_store(store, tmp_path / "sisa")
+    manifest = json.loads((tmp_path / "sisa" / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    del manifest["deal_sha256"]
+    manifest["slice_rows"] = [[rows.tolist() for rows in shard] for shard in store.slice_rows]
+    (tmp_path / "sisa" / "manifest.json").write_text(json.dumps(manifest))
+
+    with pytest.raises(DataError) as err:
+        load_shard_store(tmp_path / "sisa", ds)
+    message = str(err.value)
+    assert str(tmp_path / "sisa") in message
+    assert "version 1" in message and "privforget run" in message
+
+
+@pytest.mark.parametrize("damage", ["manifest", "deal"])
+def test_shard_store_deal_mismatch_refused(tmp_path, monkeypatch, damage):
+    """A store is refused when its rows re-deal differently from what its
+    checkpoints saw: an altered deal_sha256, or a deal that moved (as a
+    numpy permutation change would move it)."""
+    ds = make_dataset(40, seed=0)
+    store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
+    save_shard_store(store, tmp_path / "sisa")
+    if damage == "manifest":
+        manifest = json.loads((tmp_path / "sisa" / "manifest.json").read_text())
+        manifest["deal_sha256"] = hashlib.sha256(b"another deal").hexdigest()
+        (tmp_path / "sisa" / "manifest.json").write_text(json.dumps(manifest))
+    else:
+        deal = unlearn._deal
+        monkeypatch.setattr(unlearn, "_deal", lambda n, *args: deal(n, *args)[::-1])
+
+    with pytest.raises(DataError) as err:
+        load_shard_store(tmp_path / "sisa", ds)
+    message = str(err.value)
+    assert str(tmp_path / "sisa") in message and "deal_sha256" in message
+
+
 def test_shard_store_rejects_wrong_dataset(tmp_path):
     ds = make_dataset(60, seed=8)
     store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
@@ -606,3 +583,8 @@ def test_persistence_kind_checks(tmp_path, small_dataset):
     save_shard_store(store, tmp_path / "sisa")
     with pytest.raises(DataError, match="not a saved unlearning state"):
         load_eupg_state(tmp_path / "sisa")
+
+    # a manifest that is valid JSON but not an object is refused the same way
+    (tmp_path / "sisa" / "manifest.json").write_text("[]")
+    with pytest.raises(DataError, match="not a saved shard store"):
+        load_shard_store(tmp_path / "sisa", ds)
