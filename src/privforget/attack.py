@@ -146,18 +146,29 @@ def mia_from_probs(
     )
 
 
+def balanced_rows(n_members: int, n_nonmembers: int, seed: int) -> tuple:
+    """The rows of each population that an attack on a balanced pair scores.
+
+    The larger population is cut to the smaller one's size by a seeded draw
+    (side 0 for the members, 1 for the non-members) and keeps those rows as
+    a sorted index array; a population of that size keeps every row, as
+    the slice slice(None), so that taking them copies nothing.
+    """
+    n = min(n_members, n_nonmembers)
+    if n == 0:
+        raise DataError("both populations must be non-empty")
+
+    def cut(size: int, side: int):
+        if size == n:
+            return slice(None)
+        return np.sort(seeds.stream(seed, seeds.MIA_SUBSAMPLE, side).permutation(size)[:n])
+
+    return cut(n_members, 0), cut(n_nonmembers, 1)
+
+
 def balanced_pair(
     members: EncodedMatrix, nonmembers: EncodedMatrix, seed: int
 ) -> tuple[EncodedMatrix, EncodedMatrix]:
     """Subsample the larger population down to the smaller one, seeded."""
-    n = min(members.n_rows, nonmembers.n_rows)
-    if n == 0:
-        raise DataError("both populations must be non-empty")
-
-    def cut(em: EncodedMatrix, side: int) -> EncodedMatrix:
-        if em.n_rows == n:
-            return em
-        idx = np.sort(seeds.stream(seed, seeds.MIA_SUBSAMPLE, side).permutation(em.n_rows)[:n])
-        return em.take(idx)
-
-    return cut(members, 0), cut(nonmembers, 1)
+    m_rows, nm_rows = balanced_rows(members.n_rows, nonmembers.n_rows, seed)
+    return members.take(m_rows), nonmembers.take(nm_rows)

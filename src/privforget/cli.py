@@ -254,10 +254,9 @@ def _privacy_spec(conf: dict, privacy_seed: int, schema) -> unlearn.PrivacySpec:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _mia_entries(probs_fn, members, nonmembers, attacks, seed, population=None) -> list[dict]:
+def _mia_entries(probs_fn, m, nm, attacks, population=None) -> list[dict]:
     """One entry per attack on a balanced member/non-member pair; the
     population key is left out when no population is named."""
-    m, nm = attack_mod.balanced_pair(members, nonmembers, seed)
     m_probs = probs_fn(m.features)
     nm_probs = probs_fn(nm.features)
     entries = []
@@ -366,10 +365,12 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
     """Score a fitted model, ensemble or state on the test set and against
     membership inference, then write ``<command>_report.json``.
 
-    The members attacked against the test rows are the whole encoded
-    training matrix when forgotten is None (run), else its forgotten and
-    retained rows under that request mask (forget): takes of one matrix,
-    as encode(subset) equals encode(train).take(rows) bit for bit.  fields
+    The members attacked against the test rows are every row of the
+    encoded training matrix when forgotten is None (run), else its
+    forgotten and its retained rows under that request mask (forget).  Each
+    population stays an array of row indices, and only the rows of its
+    balanced pair are taken from that one matrix: encode(subset) equals
+    encode(train).take(rows) bit for bit.  fields
     fill the command-specific report keys in place (timings_s, forget,
     artifacts, budget_ledger, kanonymity) and seeds the privacy and forget
     seeds, so the key order is fixed here.
@@ -385,19 +386,21 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
         model = fitted.deployed_model if isinstance(fitted, unlearn.EupgState) else fitted
         probs_fn = lambda X: mlp.forward(model, X)
         train_em = encode(train)
-    populations = {"train_vs_test": train_em}
+    populations = {"train_vs_test": np.arange(train_em.n_rows)}
     if forgotten is not None:
         populations = {
-            "forget_vs_test": train_em.take(np.flatnonzero(forgotten)),
-            "retain_vs_test": train_em.take(np.flatnonzero(~forgotten)),
+            "forget_vs_test": np.flatnonzero(forgotten),
+            "retain_vs_test": np.flatnonzero(~forgotten),
         }
     test_em = encode(test)
     utility = attack_mod.utility_from_probs(
         probs_fn(test_em.features), test_em.labels, conf["utility_metric"]
     )
     mia = []
-    for population, members in populations.items():
-        mia += _mia_entries(probs_fn, members, test_em, conf["attacks"], base_seed, population)
+    for population, rows in populations.items():
+        m_rows, nm_rows = attack_mod.balanced_rows(len(rows), test_em.n_rows, base_seed)
+        members, nonmembers = train_em.take(rows[m_rows]), test_em.take(nm_rows)
+        mia += _mia_entries(probs_fn, members, nonmembers, conf["attacks"], population)
     report = {
         "format_version": 1,
         "command": command,
@@ -561,13 +564,8 @@ def cmd_attack(args) -> int:
     schema = parse_schema_file(args.schema)
     members_ds = load_csv(args.members, schema)
     nonmembers_ds = load_csv(args.nonmembers, members_ds.schema)
-    results = _mia_entries(
-        lambda X: mlp.forward(model, X),
-        encode(members_ds),
-        encode(nonmembers_ds),
-        args.attacks,
-        args.seed,
-    )
+    m, nm = attack_mod.balanced_pair(encode(members_ds), encode(nonmembers_ds), args.seed)
+    results = _mia_entries(lambda X: mlp.forward(model, X), m, nm, args.attacks)
     payload = json.dumps({"seed": args.seed, "results": results}, indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,6 @@ its encoded form (min-max scaled numerics + one-hot categoricals).
 """
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 from dataclasses import dataclass
@@ -212,6 +211,16 @@ class EncodedMatrix:
             np.array(self.labels, dtype=np.int64, copy=True),
         )
 
+    @classmethod
+    def _holding(cls, feats, labels, column_map, normalization) -> "EncodedMatrix":
+        """An EncodedMatrix of feats and labels themselves, without the
+        constructor's defensive copy: for arrays that no caller holds."""
+        em = object.__new__(cls)
+        object.__setattr__(em, "column_map", column_map)
+        object.__setattr__(em, "normalization", normalization)
+        em._own(feats, labels)
+        return em
+
     def _own(self, feats: np.ndarray, labels: np.ndarray) -> None:
         """Hold feats and labels, which no caller may write to, read-only."""
         if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
@@ -235,12 +244,12 @@ class EncodedMatrix:
                 return s
         raise SchemaError(f"no encoded columns for attribute {name!r}")
 
-    def take(self, idx: np.ndarray) -> "EncodedMatrix":
-        """The rows idx (an index array), copied once: indexing already makes
-        the new arrays, so __post_init__'s defensive copy is skipped."""
-        out = copy.copy(self)
-        out._own(self.features[idx], self.labels[idx])
-        return out
+    def take(self, idx) -> "EncodedMatrix":
+        """The rows idx, as numpy indexes them: an index array gives a copy,
+        made once, and a slice a view (both read-only)."""
+        return EncodedMatrix._holding(
+            self.features[idx], self.labels[idx], self.column_map, self.normalization
+        )
 
 
 @dataclass(frozen=True)
@@ -472,13 +481,15 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
     otherwise the range observed at load time.  A value outside an
     explicitly declared range raises.  Values outside an observed range
     (e.g. test data encoded under the training schema) pass through and may
-    fall outside [0, 1].  A zero-width range maps to 0.0.
+    fall outside [0, 1].  A zero-width range maps to 0.0.  The features are
+    built in one (n, encoded_width) array, which the result holds.
     """
     class_attr = ds.schema[ds.class_index]
     if class_attr.kind != CATEGORICAL:
         raise EncodingError("class attribute must be categorical")
     n = ds.n_rows
-    blocks = []
+    features = np.zeros((n, encoded_width(ds.schema)))
+    row_ids = np.arange(n)
     column_map = []
     normalization = {}
     start = 0
@@ -498,22 +509,20 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
                         "(set config key clamp_out_of_range to clamp)"
                     )
             width = hi - lo
-            scaled = (col - lo) / width if width > 0 else np.zeros(n)
-            blocks.append(scaled.reshape(n, 1))
+            if width > 0:
+                scaled = features[:, start]
+                np.subtract(col, lo, out=scaled)
+                scaled /= width
             normalization[attr.name] = (float(lo), float(hi))
             column_map.append(ColumnSpan(attr.name, start, start + 1))
             start += 1
         else:
             c = len(attr.categories)
-            onehot = np.zeros((n, c))
-            if n:
-                onehot[np.arange(n), col.astype(np.int64)] = 1.0
-            blocks.append(onehot)
+            features[row_ids, start + col.astype(np.int64)] = 1.0
             column_map.append(ColumnSpan(attr.name, start, start + c))
             start += c
-    features = np.hstack(blocks) if blocks else np.empty((n, 0))
     labels = ds.rows[:, ds.class_index].astype(np.int64)
-    return EncodedMatrix(features, labels, tuple(column_map), normalization)
+    return EncodedMatrix._holding(features, labels, tuple(column_map), normalization)
 
 
 def decode(em: EncodedMatrix, schema) -> TabularDataset:

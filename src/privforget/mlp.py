@@ -125,16 +125,17 @@ def _check_features(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _affine_relu_stack(weights, biases, x: np.ndarray):
-    """Pre-activations and activations for every layer; last layer is linear."""
-    pre, act = [], [x]
-    h = x
+def _affine_relu_stack(weights, biases, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activations, x first: ReLU on hidden layers, the last
+    layer linear.  Each layer's output is one array, computed in place."""
+    act = [x]
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < len(weights) - 1 else z
-        act.append(h)
-    return pre, act
+        z = act[-1] @ w
+        z += b
+        if i < len(weights) - 1:
+            np.maximum(z, 0.0, out=z)
+        act.append(z)
+    return act
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -145,8 +146,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per example; rows sum to 1."""
     x = _check_features(model, features)
-    _, act = _affine_relu_stack(model.weights, model.biases, x)
-    return np.exp(_log_softmax(act[-1]))
+    logits = _affine_relu_stack(model.weights, model.biases, x)[-1]
+    return np.exp(_log_softmax(logits))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def _batch_gradients(model_params, x, y):
     """Mean cross-entropy loss and its gradients for one batch."""
     weights, biases = model_params
     n_layers = len(weights)
-    pre, act = _affine_relu_stack(weights, biases, x)
+    act = _affine_relu_stack(weights, biases, x)
     logp = _log_softmax(act[-1])
     batch = x.shape[0]
     loss = float(-logp[np.arange(batch), y].mean())
@@ -171,7 +172,8 @@ def _batch_gradients(model_params, x, y):
         grads_w[i] = act[i].T @ dz
         grads_b[i] = dz.sum(axis=0)
         if i > 0:
-            dz = (dz @ weights[i].T) * (pre[i - 1] > 0.0)
+            # relu(z) > 0 exactly where z > 0: the ReLU's derivative
+            dz = (dz @ weights[i].T) * (act[i] > 0.0)
     return loss, grads_w, grads_b
 
 

@@ -440,6 +440,21 @@ def _read_manifest(state_dir, kind: str, what: str, version: int, *keys: str) ->
     return manifest
 
 
+def _fields(state_dir, key: str, cls, record) -> dict:
+    """record, the manifest's entry under key, which was saved from a cls:
+    DataError naming state_dir and key unless it holds exactly cls's fields."""
+    if not isinstance(record, dict):
+        raise DataError(f"{state_dir}: manifest key {key!r}: expected a JSON object, got {record!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = [name for name in record if name not in names]
+    if unknown:
+        raise DataError(f"{state_dir}: manifest key {key!r} has unknown key {unknown[0]!r}")
+    missing = [name for name in names if name not in record]
+    if missing:
+        raise DataError(f"{state_dir}: manifest key {key!r} lacks key {missing[0]!r}")
+    return record
+
+
 def save_eupg_state(state: EupgState, out_dir) -> None:
     """Write manifest.json, base.model and deployed.model."""
     out = Path(out_dir)
@@ -472,7 +487,8 @@ def load_eupg_state(state_dir) -> EupgState:
         state_dir, "eupg_state", "unlearning state", EUPG_FORMAT_VERSION, "spec", "finetune_epochs",
         "hidden_units", "cfg", "timings", "audit_log", "schema", "dp_ledger",
     )
-    spec, ledger = manifest["spec"], manifest["dp_ledger"]
+    spec = _fields(state_dir, "spec", PrivacySpec, manifest["spec"])
+    ledger = manifest["dp_ledger"]
     mechanisms = spec["mechanisms"]
     mechanisms = None if mechanisms is None else MechanismSpec.from_json_dict(mechanisms)
     return EupgState(
@@ -481,18 +497,22 @@ def load_eupg_state(state_dir) -> EupgState:
         base_model=mlp.load_model(out / "base.model"),
         deployed_model=mlp.load_model(out / "deployed.model"),
         finetune_epochs=manifest["finetune_epochs"],
-        cfg=TrainConfig(**manifest["cfg"]),
+        cfg=TrainConfig(**_fields(state_dir, "cfg", TrainConfig, manifest["cfg"])),
         hidden_units=manifest["hidden_units"],
         timings=manifest["timings"],
-        audit_log=tuple(ForgetEvent(**e) for e in manifest["audit_log"]),
+        audit_log=tuple(
+            ForgetEvent(**_fields(state_dir, "audit_log", ForgetEvent, e))
+            for e in manifest["audit_log"]
+        ),
         dp_ledger=DpLedger.from_json_dict(ledger) if ledger else None,
     )
 
 
 def _data_checksum(em: EncodedMatrix) -> str:
+    """sha256 of the features' bytes, then the labels', hashed in place."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(em.features).tobytes())
-    h.update(np.ascontiguousarray(em.labels).tobytes())
+    h.update(np.ascontiguousarray(em.features))
+    h.update(np.ascontiguousarray(em.labels))
     return h.hexdigest()
 
 
@@ -546,7 +566,7 @@ def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
             f"row indices in [0, {ds.n_rows})"
         )
     n_shards, n_slices = manifest["n_shards"], manifest["n_slices"]
-    cfg = TrainConfig(**manifest["cfg"])
+    cfg = TrainConfig(**_fields(state_dir, "cfg", TrainConfig, manifest["cfg"]))
     if _deal_checksum(_deal(ds.n_rows, n_shards, n_slices, cfg.seed)) != manifest["deal_sha256"]:
         raise DataError(
             f"{state_dir}: the rows dealt to shards and slices do not match the "

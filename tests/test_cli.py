@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from privforget.cli import DEFAULTS, _sweep_points, load_config, load_train_test, main
-from privforget.data import ForgetRequest, encode, split_forget, write_csv
+from privforget import unlearn
+from privforget.cli import DEFAULTS, _report, _sweep_points, load_config, load_train_test, main
+from privforget.data import ForgetRequest, TabularDataset, encode, split_forget, write_csv
+from privforget.mlp import TrainConfig
 from privforget.unlearn import load_eupg_state
 
 from conftest import make_dataset
@@ -150,14 +153,41 @@ def test_forget_without_run_fails(tmp_path):
     assert code == 1
 
 
+def saved_run(tmp_path_factory, method, **extra):
+    """The config of a `run` of method, whose output directory it names."""
+    root = tmp_path_factory.mktemp(f"{method}_run")
+    conf = {**write_inputs(root), "method": method, **extra}
+    assert main(["run", "--config", write_config(root, conf)]) == 0
+    return conf
+
+
 @pytest.fixture(scope="module")
 def sisa_run(tmp_path_factory):
     """A SISA `run` output directory and its config."""
-    root = tmp_path_factory.mktemp("sisa_run")
-    conf = write_inputs(root)
-    conf["method"] = "sisa"
-    assert main(["run", "--config", write_config(root, conf)]) == 0
-    return conf
+    return saved_run(tmp_path_factory, "sisa")
+
+
+@pytest.fixture(scope="module")
+def eupg_run(tmp_path_factory):
+    """An eupg_dp `run` output directory and its config."""
+    return saved_run(tmp_path_factory, "eupg_dp", epsilon=2.0)
+
+
+def assert_forget_refuses_state(tmp_path, capsys, run_conf, edit, message):
+    """forget on a copy of run_conf's output whose rep0/state manifest went
+    through edit exits 1, naming the state directory and message, and
+    writes no state after forgetting."""
+    shutil.copytree(Path(run_conf["out"]), tmp_path / "out")
+    state_dir = tmp_path / "out" / "rep0" / "state"
+    manifest = json.loads((state_dir / "manifest.json").read_text())
+    edit(manifest)
+    (state_dir / "manifest.json").write_text(json.dumps(manifest))
+    conf = {**run_conf, "out": str(tmp_path / "out")}
+    capsys.readouterr()
+    assert main(["forget", "--config", write_config(tmp_path, conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {state_dir}:") and message in err, err
+    assert not (state_dir.parent / "state_after_forget").exists()
 
 
 @pytest.mark.parametrize(
@@ -175,20 +205,52 @@ def sisa_run(tmp_path_factory):
 def test_malformed_shard_manifest_exits_one(tmp_path, capsys, sisa_run, key, value, message):
     """forget refuses a damaged shard manifest, naming the state directory
     and the key, and writes no state after forgetting."""
-    shutil.copytree(Path(sisa_run["out"]), tmp_path / "out")
-    state_dir = tmp_path / "out" / "rep0" / "state"
-    manifest = json.loads((state_dir / "manifest.json").read_text())
-    if value is None:
-        del manifest[key]
-    else:
-        manifest[key] = value
-    (state_dir / "manifest.json").write_text(json.dumps(manifest))
-    conf = {**sisa_run, "out": str(tmp_path / "out")}
-    capsys.readouterr()
-    assert main(["forget", "--config", write_config(tmp_path, conf)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {state_dir}:") and message in err, err
-    assert not (state_dir.parent / "state_after_forget").exists()
+
+    def edit(manifest):
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+
+    assert_forget_refuses_state(tmp_path, capsys, sisa_run, edit, message)
+
+
+EVENT = {"n_forgotten": 1, "epochs": 2, "seconds": 0.5, "ratio": None, "request_seed": None}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cfg: cfg.update(momentum=0.9), "key 'cfg' has unknown key 'momentum'"),
+        (lambda cfg: cfg.pop("seed"), "key 'cfg' lacks key 'seed'"),
+    ],
+    ids=["unknown", "missing"],
+)
+def test_shard_manifest_cfg_fields_checked(tmp_path, capsys, sisa_run, edit, message):
+    """forget refuses a shard manifest whose training settings name a field
+    TrainConfig lacks, or lack one of its fields."""
+    assert_forget_refuses_state(tmp_path, capsys, sisa_run, lambda m: edit(m["cfg"]), message)
+
+
+@pytest.mark.parametrize(
+    "key, edit, message",
+    [
+        ("cfg", lambda cfg: cfg.update(momentum=0.9), "key 'cfg' has unknown key 'momentum'"),
+        ("spec", lambda spec: spec.pop("mechanisms"), "key 'spec' lacks key 'mechanisms'"),
+        ("spec", lambda spec: spec.update(delta=1e-5), "key 'spec' has unknown key 'delta'"),
+        ("audit_log", lambda log: log.append({**EVENT, "rows": [3]}),
+         "key 'audit_log' has unknown key 'rows'"),
+        ("audit_log", lambda log: log.append({}), "key 'audit_log' lacks key 'n_forgotten'"),
+        ("audit_log", lambda log: log.append(7), "key 'audit_log': expected a JSON object"),
+    ],
+    ids=["cfg_unknown", "spec_missing", "spec_unknown", "event_unknown", "event_missing",
+         "event_not_object"],
+)
+def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, edit, message):
+    """forget refuses an EUPG manifest whose settings, privacy spec or
+    forget events name a field their dataclass lacks, or lack one of its
+    fields."""
+    assert_forget_refuses_state(tmp_path, capsys, eupg_run, lambda m: edit(m[key]), message)
 
 
 def test_repetitions_and_summary(tmp_path):
@@ -292,6 +354,27 @@ def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
         alone, taken = encode(part), whole.take(rows)
         assert alone.features.tobytes() == taken.features.tobytes()
         assert alone.labels.tobytes() == taken.labels.tobytes()
+
+
+def test_forget_report_copies_no_population(tmp_path):
+    """A SISA forget report takes only the sampled rows of each population
+    from the store's encoded matrix: it never allocates as much as the
+    2,970 retained rows."""
+    train = make_dataset(3000, seed=0, n_categorical=10)
+    test = TabularDataset(train.schema, make_dataset(100, seed=1, n_categorical=10).rows, train.provenance)
+    store = unlearn.sisa_train(train, 2, 2, TrainConfig(batch_size=256, epochs=1), hidden_units=8)
+    conf = load_config(None, {"method": "sisa", "n_shards": 2, "n_slices": 2})
+    forgotten = ForgetRequest.from_ratio(train.n_rows, 0.01, 0).mask(train.n_rows)
+    retain_bytes = int((~forgotten).sum()) * store.data.width * 8
+    tracemalloc.start()
+    try:
+        report = _report(conf, "forget", 0, tmp_path, store, train, test, forgotten)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < retain_bytes
+    sizes = {e["population"]: (e["n_members"], e["n_nonmembers"]) for e in report["mia"]}
+    assert sizes == {"forget_vs_test": (30, 30), "retain_vs_test": (100, 100)}
 
 
 def test_missing_inputs_exit_one(tmp_path, capsys):

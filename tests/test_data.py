@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -341,6 +342,64 @@ def test_encoded_take_copies_once_read_only():
         with pytest.raises(ValueError):
             arr[0] = 1
     assert taken.column_map == em.column_map and taken.normalization == em.normalization
+
+
+def encoding_table(n: int) -> TabularDataset:
+    """n rows with a declared range, an observed range that some rows leave,
+    a zero-width range and categoricals of 7, 16 and 41 categories (width 67);
+    cells are fixed arithmetic of the row number, so no generator is involved."""
+    i = np.arange(n)
+    schema = (
+        AttributeSchema("age", "numeric", "quasi_identifier", declared_range=(17.0, 90.0)),
+        AttributeSchema("work", "categorical", "quasi_identifier", categories=tuple("abcdefg")),
+        AttributeSchema("hours", "numeric", "quasi_identifier", observed_range=(-3.5, 12.25)),
+        AttributeSchema("edu", "categorical", "quasi_identifier", categories=tuple("ABCDEFGHIJKLMNOP")),
+        AttributeSchema("flat", "numeric", "other", observed_range=(5.0, 5.0)),
+        AttributeSchema("country", "categorical", "quasi_identifier",
+                        categories=tuple(f"c{k}" for k in range(41))),
+        AttributeSchema("label", "categorical", "class", categories=("no", "yes")),
+    )
+    rows = np.column_stack([
+        17.0 + (i * 37 % 731) / 10.0,
+        i * 5 % 7,
+        (i * 0.37) % 17.0 - 4.0,
+        i * 11 % 16,
+        np.full(n, 5.0),
+        i * 13 % 41,
+        i * 3 % 7 % 2,
+    ])
+    return TabularDataset(schema, rows, Provenance.raw())
+
+
+# sha256 of encode(encoding_table(2000))'s features and labels bytes, taken
+# from the encoder that stacked per-attribute blocks
+ENCODING_TABLE_SHA256 = {
+    "features": "b4ded0826d54e58283c41d2cb97f83728580ebdf0cc1a0087e2edf48c2219a5e",
+    "labels": "da630e0afeebe5445d417e5bca6873bc586373d64e14239b9b3bea15cc2bc634",
+}
+
+
+def test_encode_bytes_pinned():
+    em = encode(encoding_table(2000))
+    assert em.features.shape == (2000, 67)
+    assert hashlib.sha256(em.features.tobytes()).hexdigest() == ENCODING_TABLE_SHA256["features"]
+    assert hashlib.sha256(em.labels.tobytes()).hexdigest() == ENCODING_TABLE_SHA256["labels"]
+
+
+def test_encode_builds_one_matrix():
+    ds = encoding_table(3000)
+    tracemalloc.start()
+    try:
+        em = encode(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the features array it returns, not per-attribute blocks, a stacked
+    # copy of them and the constructor's copy of that
+    assert peak < 1.5 * (em.features.nbytes + em.labels.nbytes)
+    for arr in (em.features, em.labels):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_dataset_category_bounds():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from privforget.attack import (
     scores_from_probs,
     utility_from_probs,
 )
+from privforget import mlp
 from privforget.data import DataError, EncodedMatrix, encode
 from privforget.mlp import (
     MlpModel,
@@ -150,6 +152,62 @@ def test_training_is_deterministic(small_dataset):
 
 def param_bytes(model):
     return b"".join(a.tobytes() for a in model.weights + model.biases)
+
+
+def reference_batch_gradients(model_params, x, y):
+    """Loss and gradients as computed before the layer stack ran in place:
+    a new array for every affine step and ReLU, kept with its pre-activation."""
+    weights, biases = model_params
+    pre, act = [], [x]
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < len(weights) - 1 else z
+        act.append(h)
+    logp = h - h.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    batch = x.shape[0]
+    loss = float(-logp[np.arange(batch), y].mean())
+    dz = np.exp(logp)
+    dz[np.arange(batch), y] -= 1.0
+    dz /= batch
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = act[i].T @ dz
+        grads_b[i] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ weights[i].T) * (pre[i - 1] > 0.0)
+    return loss, grads_w, grads_b
+
+
+@pytest.mark.parametrize("hidden", [(8,), (8, 5)])
+def test_in_place_stack_trains_the_reference_bits(small_dataset, monkeypatch, hidden):
+    """Training through the in-place layer stack gives the model bytes of
+    training through the reference, for one hidden layer and for two."""
+    em = encode(small_dataset)
+    model = init((em.width, *hidden, 2), seed=2)
+    cfg = TrainConfig(batch_size=32, epochs=3, seed=9)
+    trained = train(model, em, cfg)
+    monkeypatch.setattr(mlp, "_batch_gradients", reference_batch_gradients)
+    reference = train(model, em, cfg)
+    assert param_bytes(trained) == param_bytes(reference)
+
+
+def test_forward_holds_one_hidden_activation():
+    """forward on 8,000 rows at the CLI's layer sizes computes its hidden
+    layer in place: no pre-activation copy and no second ReLU output."""
+    model = init((104, 128, 2), seed=0)
+    x = np.random.default_rng(0).random((8000, 104))
+    tracemalloc.start()
+    try:
+        probs = forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden_bytes = 8000 * 128 * 8
+    assert peak < 1.5 * (hidden_bytes + probs.nbytes)
 
 
 @pytest.mark.parametrize("shuffle", [True, False])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from privforget import mlp, seeds, unlearn
 from privforget.attack import utility_from_probs
 from privforget.data import (
     DataError,
+    EncodedMatrix,
     ForgetRequest,
     Provenance,
     encode,
@@ -570,6 +572,22 @@ def test_shard_store_rejects_wrong_dataset(tmp_path):
     tampered = ds.replace_rows(rows, Provenance.raw())
     with pytest.raises(DataError, match="does not match"):
         load_shard_store(tmp_path / "sisa", tampered)
+
+
+def test_data_checksum_hashes_in_place():
+    """A store's data checksum reads the matrix where it lies: under 1 MiB
+    allocated for an 11 MB matrix, and the digest of its bytes as before."""
+    rng = np.random.default_rng(0)
+    em = EncodedMatrix(rng.random((13_000, 104)), rng.integers(0, 2, 13_000), (), {})
+    assert em.features.nbytes >= 10_000_000
+    tracemalloc.start()
+    try:
+        digest = unlearn._data_checksum(em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert digest == hashlib.sha256(em.features.tobytes() + em.labels.tobytes()).hexdigest()
 
 
 def test_persistence_kind_checks(tmp_path, small_dataset):
