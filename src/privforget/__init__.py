@@ -25,8 +25,6 @@ from .kanon import Clustering, centroid_replace, k_anonymize, mdav, verify_k_ano
 from .dpanon import (
     CategoricalMechanism,
     MechanismSpec,
-    PixelImage,
-    dp_pix,
     dp_protect_table,
     laplace_sample,
     perturb_numeric,

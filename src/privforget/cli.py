@@ -2,7 +2,7 @@
 
 Subcommands: anonymize (write a protected copy of a dataset), run (train a
 method and attack it), forget (serve a forgetting request against a
-previous run), attack (membership inference against a saved model), sweep
+previous run), attack (membership inference against a saved state), sweep
 (grid of runs/forgets, resumable), report (flatten report JSONs to CSV).
 
 Configuration comes from a JSON file; every key can be overridden on the
@@ -26,20 +26,19 @@ from pathlib import Path
 import numpy as np
 
 from . import attack as attack_mod
-from . import dpanon, kanon, mlp, unlearn
+from . import dpanon, kanon, unlearn
 from .data import (
     NUMERIC,
     DataError,
     ForgetRequest,
     TabularDataset,
     encode,
-    encoded_width,
     load_csv,
     parse_schema_file,
     split_forget,
     write_csv,
 )
-from .mlp import ModelError, TrainConfig, TrainingDiverged
+from .mlp import MlpModel, ModelError, TrainConfig, TrainingDiverged
 
 # each method's own config keys: its reports' params block and its sweep axes
 METHOD_PARAMS = {
@@ -49,6 +48,13 @@ METHOD_PARAMS = {
     "sisa": ("n_shards", "n_slices"),
 }
 METHODS = tuple(METHOD_PARAMS)
+# the class of the state each method's run saves and its forget reads
+METHOD_STATE = {
+    "original": MlpModel,
+    "eupg_k": unlearn.EupgState,
+    "eupg_dp": unlearn.EupgState,
+    "sisa": unlearn.ShardStore,
+}
 
 DEFAULTS: dict = {
     "train_csv": None,
@@ -361,12 +367,12 @@ def cmd_anonymize(conf: dict) -> int:
     return 0
 
 
-def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **fields) -> dict:
-    """Score a fitted model, ensemble or state on the test set and against
-    membership inference, then write ``<command>_report.json``.
+def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fields) -> dict:
+    """Score what a fitted method serves (unlearn.predict) on the test set
+    and against membership inference, then write ``<command>_report.json``.
 
-    The members attacked against the test rows are every row of the
-    encoded training matrix when forgotten is None (run), else its
+    train_em is the encoded training table.  The members attacked against
+    the test rows are all its rows when forgotten is None (run), else its
     forgotten and its retained rows under that request mask (forget).  Each
     population stays an array of row indices, and only the rows of its
     balanced pair are taken from that one matrix: encode(subset) equals
@@ -379,13 +385,7 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
     base_seed = conf["seed"] + rep
     seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
     seeds.update(fields.pop("seeds", {}))
-    if method == "sisa":
-        probs_fn = lambda X: unlearn.sisa_predict(fitted, X)
-        train_em = fitted.data
-    else:
-        model = fitted.deployed_model if isinstance(fitted, unlearn.EupgState) else fitted
-        probs_fn = lambda X: mlp.forward(model, X)
-        train_em = encode(train)
+    probs_fn = lambda X: unlearn.predict(fitted, X)
     populations = {"train_vs_test": np.arange(train_em.n_rows)}
     if forgotten is not None:
         populations = {
@@ -409,10 +409,10 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
         "repetition": rep,
         "seeds": seeds,
         "dataset": {
-            "train_rows": train.n_rows,
+            "train_rows": train_em.n_rows,
             "test_rows": test.n_rows,
-            "n_classes": len(train.schema[train.class_index].categories),
-            "encoded_width": encoded_width(train.schema),
+            "n_classes": len(test.schema[test.class_index].categories),
+            "encoded_width": train_em.width,
         },
         "config": {k: v for k, v in conf.items() if k != "sweep"},
         "timings_s": None,
@@ -434,31 +434,27 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     cfg = _train_config(conf, base_seed)
     privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else base_seed
     hidden = conf["hidden_units"]
+    state_dir = rep_dir / "state"
     timings: dict[str, float] = {}
-    fields: dict = {"timings_s": timings}
+    fields: dict = {"timings_s": timings, "artifacts": {"state_dir": str(state_dir)}}
 
     if method == "original":
         fitted = _timed(timings, "train", unlearn.retrain_scratch, train, cfg, hidden)
-        mlp.save_model(fitted, rep_dir / "original.model")
-        fields["artifacts"] = {"model": str(rep_dir / "original.model")}
     elif method in ("eupg_k", "eupg_dp"):
         spec = _privacy_spec(conf, privacy_seed, train.schema)
         fitted = unlearn.eupg_prepare(train, spec, cfg, conf["finetune_epochs"], hidden)
         if method == "eupg_k":
             fields["kanonymity"] = _verified_k_anonymity(fitted.protected_data, conf["k"])
         timings.update(fitted.timings)
-        unlearn.save_eupg_state(fitted, rep_dir / "state")
-        fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
         fields["seeds"] = {"privacy": privacy_seed}
         if fitted.dp_ledger:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
     else:
         shards, slices = conf["n_shards"], conf["n_slices"]
         fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
-        _timed(timings, "artifact_io", unlearn.save_shard_store, fitted, rep_dir / "state")
-        fields["artifacts"] = {"state_dir": str(rep_dir / "state")}
+    _timed(timings, "artifact_io", unlearn.save_state, fitted, train.schema, state_dir)
 
-    return _report(conf, "run", rep, rep_dir, fitted, train, test, None, **fields)
+    return _report(conf, "run", rep, rep_dir, fitted, encode(train), test, None, **fields)
 
 
 def cmd_run(conf: dict) -> int:
@@ -495,30 +491,31 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
             f"the {train.n_rows} training rows; a forget needs rows to forget and to retain"
         )
     timings: dict[str, float] = {}
-    after_dir = rep_dir / "state_after_forget"
+    state_dir, after_dir = rep_dir / "state", rep_dir / "state_after_forget"
+    fitted, _ = unlearn.load_state(state_dir)
+    if not isinstance(fitted, METHOD_STATE[method]):
+        raise DataError(f"{state_dir}: not the saved state of a {method!r} run")
 
-    if method == "original":
-        retain, _ = split_forget(train, request)
-        new_obj = _timed(timings, "forget", unlearn.retrain_scratch, retain, cfg, hidden)
-        after_dir.mkdir(parents=True, exist_ok=True)
-        mlp.save_model(new_obj, after_dir / "original.model")
-    elif method in ("eupg_k", "eupg_dp"):
-        state = unlearn.load_eupg_state(rep_dir / "state")
-        new_obj = unlearn.eupg_forget(state, train, request, epochs=conf["finetune_epochs"])
-        timings["forget"] = new_obj.timings["forget"]
-        unlearn.save_eupg_state(new_obj, after_dir)
-    else:
-        store = unlearn.load_shard_store(rep_dir / "state", train)
-        new_obj = _timed(timings, "forget", unlearn.sisa_forget, store, request)
-        _timed(timings, "artifact_io", unlearn.save_shard_store, new_obj, after_dir)
+    try:
+        if method == "original":
+            retain, _ = split_forget(train, request)
+            after = _timed(timings, "forget", unlearn.retrain_scratch, retain, cfg, hidden)
+        elif method in ("eupg_k", "eupg_dp"):
+            after = unlearn.eupg_forget(fitted, train, request, epochs=conf["finetune_epochs"])
+            timings["forget"] = after.timings["forget"]
+        else:
+            after = _timed(timings, "forget", unlearn.sisa_forget, fitted, train, request)
+    except DataError as exc:
+        raise DataError(f"{state_dir}: {exc}") from None
+    _timed(timings, "artifact_io", unlearn.save_state, after, train.schema, after_dir)
 
     return _report(
         conf,
         "forget",
         rep,
         rep_dir,
-        new_obj,
-        train,
+        after,
+        encode(train),
         test,
         request.mask(train.n_rows),
         timings_s=timings,
@@ -558,14 +555,16 @@ def cmd_forget(conf: dict) -> int:
 
 
 def cmd_attack(args) -> int:
-    """Membership inference against a saved model file."""
+    """Membership inference against what a saved state serves.
+
+    Both CSVs are loaded and encoded under the state's schema, the
+    training table's, so a member scores as it did in `run`.
+    """
     _check_attacks(args.attacks, "--attacks")
-    model = mlp.load_model(args.model)
-    schema = parse_schema_file(args.schema)
-    members_ds = load_csv(args.members, schema)
-    nonmembers_ds = load_csv(args.nonmembers, members_ds.schema)
-    m, nm = attack_mod.balanced_pair(encode(members_ds), encode(nonmembers_ds), args.seed)
-    results = _mia_entries(lambda X: mlp.forward(model, X), m, nm, args.attacks)
+    fitted, schema = unlearn.load_state(args.state)
+    members, nonmembers = (encode(load_csv(path, schema)) for path in (args.members, args.nonmembers))
+    m, nm = attack_mod.balanced_pair(members, nonmembers, args.seed)
+    results = _mia_entries(lambda X: unlearn.predict(fitted, X), m, nm, args.attacks)
     payload = json.dumps({"seed": args.seed, "results": results}, indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -716,9 +715,8 @@ def build_parser() -> _Parser:
     add_config_command("forget", "serve a forgetting request against a previous run")
     add_config_command("sweep", "grid of runs and forgets; resumable")
 
-    p_attack = sub.add_parser("attack", help="membership inference on a saved model")
-    p_attack.add_argument("--model", required=True, help="model file")
-    p_attack.add_argument("--schema", required=True, help="schema file")
+    p_attack = sub.add_parser("attack", help="membership inference on a saved state")
+    p_attack.add_argument("--state", required=True, help="state directory a run or forget wrote")
     p_attack.add_argument("--members", required=True, help="CSV of training members")
     p_attack.add_argument("--nonmembers", required=True, help="CSV of non-members")
     p_attack.add_argument(

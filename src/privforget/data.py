@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -399,13 +400,12 @@ def load_csv(path, schema) -> TabularDataset:
             )
         categories: list[list[str]] = [list(a.categories) for a in schema]
         closed = [a.kind == CATEGORICAL and len(a.categories) > 0 for a in schema]
-        cells: list[list[float]] = []
+        cells = array("d")  # row-major, one float64 per cell
         for rownum, record in enumerate(reader, start=1):
             if len(record) != len(schema):
                 raise CsvFormatError(
                     f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}"
                 )
-            parsed = []
             for attr, cat_list, is_closed, field in zip(schema, categories, closed, record):
                 value = field.strip()
                 if value == "":
@@ -414,7 +414,7 @@ def load_csv(path, schema) -> TabularDataset:
                     )
                 if attr.kind == NUMERIC:
                     try:
-                        parsed.append(float(value))
+                        cells.append(float(value))
                     except ValueError:
                         raise CsvFormatError(
                             f"{path}: row {rownum}, column {attr.name!r}: "
@@ -422,7 +422,7 @@ def load_csv(path, schema) -> TabularDataset:
                         ) from None
                 else:
                     if value in cat_list:
-                        parsed.append(float(cat_list.index(value)))
+                        cells.append(float(cat_list.index(value)))
                     elif is_closed:
                         raise CsvFormatError(
                             f"{path}: row {rownum}, column {attr.name!r}: "
@@ -430,10 +430,9 @@ def load_csv(path, schema) -> TabularDataset:
                         )
                     else:
                         cat_list.append(value)
-                        parsed.append(float(len(cat_list) - 1))
-            cells.append(parsed)
+                        cells.append(float(len(cat_list) - 1))
 
-    rows = np.array(cells, dtype=np.float64) if cells else np.empty((0, len(schema)))
+    rows = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(schema))
     final_schema = []
     for j, attr in enumerate(schema):
         if attr.kind == CATEGORICAL:

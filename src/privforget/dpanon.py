@@ -1,12 +1,10 @@
-"""Differentially private table and image protection.
+"""Differentially private table protection.
 
 Numeric attributes are perturbed with Laplace noise scaled to the
 attribute's value-range sensitivity; categorical attributes are resampled
 with the exponential mechanism.  A table-level budget epsilon is split
 uniformly over the protected (non-class) attributes by sequential
-composition.  Images are protected by b x b pixelization followed by
-Laplace noise with sensitivity 255 * m / b^2, where m bounds the number of
-pixels any one individual contributes.
+composition.
 """
 from __future__ import annotations
 
@@ -337,108 +335,3 @@ def load_utility_file(path, schema) -> MechanismSpec:
             )
         categorical[name] = mech
     return MechanismSpec(categorical=categorical)
-
-
-# ---------------------------------------------------------------------------
-# image protection
-
-@dataclass(frozen=True)
-class PixelImage:
-    """Integer image, shape (height, width, channels), values in 0..255."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.array(self.pixels, copy=True)
-        if px.ndim == 2:
-            px = px[:, :, None]
-        if px.ndim != 3:
-            raise DpError(f"expected a 2-d or 3-d pixel array, got shape {px.shape}")
-        if px.dtype != np.uint8:
-            if px.min() < 0 or px.max() > 255:
-                raise DpError("pixel values must lie in [0, 255]")
-            px = px.astype(np.uint8)
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
-
-_IMAGE_MAGIC = b"PFIMG1"
-
-
-def write_image(img: PixelImage, path) -> None:
-    """Raw format: magic, ascii 'width height channels' line, then row-major bytes."""
-    with open(path, "wb") as fh:
-        fh.write(_IMAGE_MAGIC + b"\n")
-        fh.write(f"{img.width} {img.height} {img.channels}\n".encode())
-        fh.write(img.pixels.tobytes())
-
-
-def read_image(path) -> PixelImage:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != _IMAGE_MAGIC:
-            raise DpError(f"{path}: not a {_IMAGE_MAGIC.decode()} image file")
-        try:
-            w, h, c = (int(t) for t in fh.readline().split())
-        except ValueError:
-            raise DpError(f"{path}: malformed image header") from None
-        buf = fh.read()
-    if len(buf) != w * h * c:
-        raise DpError(f"{path}: expected {w * h * c} pixel bytes, got {len(buf)}")
-    return PixelImage(np.frombuffer(buf, dtype=np.uint8).reshape(h, w, c))
-
-
-def _block_means(img: PixelImage, b: int) -> np.ndarray:
-    """Per-channel mean of each b x b block, shape (height/b, width/b, channels)."""
-    h, w = img.height, img.width
-    if h % b or w % b:
-        raise DpError(f"image {w}x{h} is not divisible into {b}x{b} blocks")
-    blocks = img.pixels.astype(np.float64).reshape(h // b, b, w // b, b, img.channels)
-    return blocks.mean(axis=(1, 3))
-
-
-def _fill_blocks(values: np.ndarray, b: int) -> PixelImage:
-    """Paint each block value over its b x b pixels, rounded half-to-even."""
-    full = np.repeat(np.repeat(values, b, axis=0), b, axis=1)
-    return PixelImage(np.rint(full).astype(np.uint8))
-
-
-def pixelize(img: PixelImage, b: int) -> PixelImage:
-    """Replace each b x b block by its mean, rounded half-to-even."""
-    return _fill_blocks(_block_means(img, b), b)
-
-
-def dp_pix_scale(b: int, m: int, epsilon: float) -> float:
-    """Laplace scale for pixelized images: (255 * m / b^2) / epsilon."""
-    if epsilon <= 0:
-        raise DpError(f"epsilon must be positive, got {epsilon}")
-    if b < 1 or m < 1:
-        raise DpError("block size and contribution bound must be >= 1")
-    return (255.0 * m / (b * b)) / epsilon
-
-
-def dp_pix(
-    img: PixelImage, b: int, m: int, epsilon: float, rng: np.random.Generator
-) -> PixelImage:
-    """Differentially private pixelization.
-
-    Each b x b block (per channel) is replaced by its mean plus Laplace
-    noise of scale (255 m / b^2) / epsilon, clamped to [0, 255] and rounded
-    half-to-even.  One individual is assumed to contribute at most m pixels.
-    """
-    means = _block_means(img, b)
-    scale = dp_pix_scale(b, m, epsilon)
-    noised = means + laplace_sample(scale, rng, size=means.shape)
-    return _fill_blocks(np.clip(noised, 0.0, 255.0), b)

@@ -39,8 +39,9 @@ from .data import (
     encoded_width,
     schema_from_dicts,
     schema_to_dicts,
+    split_forget,
 )
-from .dpanon import DpLedger, MechanismSpec
+from .dpanon import CategoricalMechanism, DpBudgetEntry, DpLedger, MechanismSpec
 from .mlp import MlpModel, TrainConfig
 
 K_ANONYMITY = "k_anonymity"
@@ -184,9 +185,9 @@ def eupg_forget(
     if ds.provenance.kind != "raw":
         raise DataError(f"forget expects the raw training dataset, got {ds.provenance.tag()!r}")
     epochs = state.finetune_epochs if epochs is None else epochs
-    retain_rows = np.flatnonzero(~request.mask(ds.n_rows))
+    retain, _ = split_forget(ds, request)
     t0 = time.perf_counter()
-    deployed = mlp.finetune(state.base_model, encode(ds).take(retain_rows), epochs, state.cfg)
+    deployed = mlp.finetune(state.base_model, encode(retain), epochs, state.cfg)
     seconds = time.perf_counter() - t0
     event = ForgetEvent(
         n_forgotten=len(request.forget_indices),
@@ -222,11 +223,13 @@ class ShardStore:
     slice_rows[s][r] holds the original row indices of shard s, slice r in
     dealt order; that order, filtered by the alive mask, is the canonical
     training order and must never be re-sorted.  slice_rows is re-derived
-    from the row count, shard and slice counts and cfg.seed (see _deal), so
-    every row is dealt.  A saved store keeps only a sha256 of the deal, and
-    loading refuses a store whose re-dealt rows differ from those its
-    checkpoints saw.  checkpoints[s][r] is the shard model after training
-    through slice r; _replay_shard is the only code that trains one.
+    from the row count (len(alive)), shard and slice counts and cfg.seed
+    (see _deal), so every row is dealt.  A saved store keeps only a sha256
+    of the deal, and loading refuses a store whose re-dealt rows differ
+    from those its checkpoints saw.  checkpoints[s][r] is the shard model
+    after training through slice r; _replay_shard is the only code that
+    trains one.  The training table is not held: sisa_forget takes it from
+    its caller and refuses one whose encoding's sha256 is not data_sha256.
     """
 
     n_shards: int
@@ -234,8 +237,9 @@ class ShardStore:
     cfg: TrainConfig
     hidden_units: int
     layer_dims: tuple[int, ...]
+    schema: tuple[AttributeSchema, ...]
     alive: np.ndarray
-    data: EncodedMatrix
+    data_sha256: str
     checkpoints: tuple[tuple[MlpModel, ...], ...]
     removed_log: tuple[int, ...] = ()
 
@@ -276,8 +280,8 @@ def _deal(n: int, n_shards: int, n_slices: int, seed: int):
     )
 
 
-def _replay_shard(store: ShardStore, s: int, first: int, alive: np.ndarray):
-    """Shard s's checkpoints with slices first.. retrained on the alive rows.
+def _replay_shard(store: ShardStore, data: EncodedMatrix, s: int, first: int, alive: np.ndarray):
+    """Shard s's checkpoints with slices first.. retrained on the alive rows of data.
 
     Training starts from checkpoint first-1, or from the shard's seeded
     initialization when first is 0; the checkpoints before first are kept
@@ -297,7 +301,7 @@ def _replay_shard(store: ShardStore, s: int, first: int, alive: np.ndarray):
         slice_seed = seeds.derive(store.cfg.seed, seeds.SISA_SLICE, s, r)
         model = mlp.train(
             model,
-            store.data,
+            data,
             store.cfg.with_(epochs=store.per_slice_epochs, seed=slice_seed),
             rows=rows,
         )
@@ -325,8 +329,10 @@ def _shard_workers(n_jobs: int) -> int:
     return max(1, min(n_jobs, cpus // blas))
 
 
-def _replay_shards(store: ShardStore, starts: list[tuple[int, int]], alive: np.ndarray) -> list:
-    """_replay_shard(store, s, first, alive) for each (s, first) in starts, in order.
+def _replay_shards(
+    store: ShardStore, data: EncodedMatrix, starts: list[tuple[int, int]], alive: np.ndarray
+) -> list:
+    """_replay_shard(store, data, s, first, alive) for each (s, first) in starts, in order.
 
     Shards are independent and each is a pure function of its seeds, so they
     run concurrently on _shard_workers threads (numpy releases the GIL in its
@@ -336,7 +342,7 @@ def _replay_shards(store: ShardStore, starts: list[tuple[int, int]], alive: np.n
     """
 
     def replay(job):
-        return _replay_shard(store, job[0], job[1], alive)
+        return _replay_shard(store, data, job[0], job[1], alive)
 
     with ThreadPoolExecutor(max_workers=_shard_workers(len(starts))) as pool:
         return list(pool.map(replay, starts))
@@ -357,27 +363,35 @@ def sisa_train(
         raise DataError(
             f"{ds.n_rows} rows cannot fill {n_shards} shards x {n_slices} slices"
         )
+    data = encode(ds)
     store = ShardStore(
         n_shards=n_shards,
         n_slices=n_slices,
         cfg=cfg,
         hidden_units=hidden_units,
         layer_dims=_model_dims(ds, hidden_units),
+        schema=ds.schema,
         alive=np.ones(ds.n_rows, dtype=bool),
-        data=encode(ds),
+        data_sha256=_data_checksum(data),
         checkpoints=((),) * n_shards,
     )
-    checkpoints = _replay_shards(store, [(s, 0) for s in range(n_shards)], store.alive)
+    checkpoints = _replay_shards(store, data, [(s, 0) for s in range(n_shards)], store.alive)
     return dataclasses.replace(store, checkpoints=tuple(checkpoints))
 
 
-def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
+def sisa_forget(store: ShardStore, ds: TabularDataset, request: ForgetRequest) -> ShardStore:
     """Exact unlearning: roll affected shards back and replay their slices.
 
-    Each shard holding a forgotten row is replayed from its earliest hit
-    slice with the forgotten rows dropped (see _replay_shard).  Untouched
-    shards keep their exact checkpoint objects.
+    ds must be the table the store was trained on; another one is refused
+    before any replay.  Each shard holding a forgotten row is replayed from
+    its earliest hit slice with the forgotten rows dropped (see
+    _replay_shard).  Untouched shards keep their exact checkpoint objects.
     """
+    if ds.schema != store.schema:
+        raise DataError("dataset schema does not match the shard store")
+    data = encode(ds)
+    if _data_checksum(data) != store.data_sha256:
+        raise DataError("supplied dataset does not match the one this store was trained on")
     forget = request.mask(len(store.alive))
     dead = np.flatnonzero(forget & ~store.alive)
     if dead.size:
@@ -390,7 +404,7 @@ def sisa_forget(store: ShardStore, request: ForgetRequest) -> ShardStore:
     np.minimum.at(first_hit, hit_shard, hit_slice)
     hit = [(s, int(first)) for s, first in enumerate(first_hit) if first < store.n_slices]
     checkpoints = list(store.checkpoints)
-    for (s, _), replayed in zip(hit, _replay_shards(store, hit, alive)):
+    for (s, _), replayed in zip(hit, _replay_shards(store, data, hit, alive)):
         checkpoints[s] = replayed
     return dataclasses.replace(
         store,
@@ -406,27 +420,51 @@ def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
     return np.mean(probs, axis=0)
 
 
+def predict(fitted, features: np.ndarray) -> np.ndarray:
+    """Class probabilities from what a fitted method serves: a shard store's
+    ensemble, an EUPG state's deployed model, or a bare model."""
+    if isinstance(fitted, ShardStore):
+        return sisa_predict(fitted, features)
+    model = fitted.deployed_model if isinstance(fitted, EupgState) else fitted
+    return mlp.forward(model, features)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 #
-# A state directory holds manifest.json plus binary model files, and nothing
-# that forgetting does not read.  An EUPG state keeps both models, the spec,
-# the training settings and the raw table's schema, but not the protected
-# rows: protect(ds, spec) re-derives them, and `privforget anonymize` is
-# their CSV export.  Shard stores do not embed the training data:
-# load_shard_store re-encodes the dataset the caller supplies and re-deals
-# its rows to shards and slices, and verifies each against a checksum in the
-# manifest.  Each kind carries its own format version; a directory of
-# another version is refused, not converted.
+# Every method saves what it fitted as a state directory: manifest.json plus
+# binary model files, and nothing that forgetting does not read.  The
+# manifest names its kind and holds the training table's fitted encoding
+# schema (category order and observed ranges), so load_state(dir) needs no
+# other input and a table loaded under that schema is encoded as the
+# training table was.
+#   - eupg_state: both models, the privacy spec, the training settings, the
+#     DP ledger and the audit log.  The protected rows are not stored:
+#     protect(ds, spec) re-derives them, and `privforget anonymize` is their
+#     CSV export.
+#   - shard_store: every checkpoint, the row count and sha256s of the encoded
+#     training table and of its deal to shards and slices.  load_shard_store
+#     re-deals the rows and checks the deal; sisa_forget takes the table
+#     from its caller and checks it.
+#   - original_model: the model trained from scratch.
+# Each kind carries its own format version; a directory of another version
+# is refused, not converted.
 
 EUPG_FORMAT_VERSION = 3
-SHARD_FORMAT_VERSION = 2
+SHARD_FORMAT_VERSION = 3
+ORIGINAL_FORMAT_VERSION = 1
+
+
+def _manifest(state_dir) -> dict:
+    """manifest.json of state_dir; {} when it does not hold a JSON object."""
+    manifest = json.loads((Path(state_dir) / "manifest.json").read_text())
+    return manifest if isinstance(manifest, dict) else {}
 
 
 def _read_manifest(state_dir, kind: str, what: str, version: int, *keys: str) -> dict:
     """The manifest of a saved `kind`, holding every key its caller reads."""
-    manifest = json.loads((Path(state_dir) / "manifest.json").read_text())
-    if not isinstance(manifest, dict) or manifest.get("kind") != kind:
+    manifest = _manifest(state_dir)
+    if manifest.get("kind") != kind:
         raise DataError(f"{state_dir}: not a saved {what}")
     found = manifest.get("format_version")
     if found != version:
@@ -455,12 +493,66 @@ def _fields(state_dir, key: str, cls, record) -> dict:
     return record
 
 
-def save_eupg_state(state: EupgState, out_dir) -> None:
-    """Write manifest.json, base.model and deployed.model."""
+def _schema(state_dir, records) -> tuple[AttributeSchema, ...]:
+    """The manifest's schema, one record of AttributeSchema's fields per attribute."""
+    if not isinstance(records, list):
+        raise DataError(f"{state_dir}: manifest key 'schema': expected a list, got {records!r}")
+    return schema_from_dicts(_fields(state_dir, "schema", AttributeSchema, r) for r in records)
+
+
+def _write_state(out_dir, models: dict[str, MlpModel], manifest: dict) -> None:
+    """Write each model under its file name, then manifest.json, to out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mlp.save_model(state.base_model, out / "base.model")
-    mlp.save_model(state.deployed_model, out / "deployed.model")
+    for name, model in models.items():
+        mlp.save_model(model, out / name)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def save_state(fitted, schema, out_dir) -> None:
+    """Write fitted, trained on a table of this schema, for load_state.
+
+    An EupgState or a ShardStore is written with the schema it holds; a
+    bare model, which holds none, with schema.
+    """
+    if isinstance(fitted, EupgState):
+        save_eupg_state(fitted, out_dir)
+    elif isinstance(fitted, ShardStore):
+        save_shard_store(fitted, out_dir)
+    else:
+        _write_state(
+            out_dir,
+            {"original.model": fitted},
+            {
+                "format_version": ORIGINAL_FORMAT_VERSION,
+                "kind": "original_model",
+                "schema": schema_to_dicts(schema),
+            },
+        )
+
+
+def load_state(state_dir) -> tuple:
+    """(fitted, schema) of the state saved in state_dir, whatever its kind:
+    an EupgState, a ShardStore or a bare model, and the training table's
+    encoding schema."""
+    kind = _manifest(state_dir).get("kind")
+    if kind == "eupg_state":
+        fitted = load_eupg_state(state_dir)
+    elif kind == "shard_store":
+        fitted = load_shard_store(state_dir)
+    elif kind == "original_model":
+        manifest = _read_manifest(
+            state_dir, kind, "original model", ORIGINAL_FORMAT_VERSION, "schema"
+        )
+        model = mlp.load_model(Path(state_dir) / "original.model")
+        return model, _schema(state_dir, manifest["schema"])
+    else:
+        raise DataError(f"{state_dir}: not a saved state (manifest kind {kind!r})")
+    return fitted, fitted.schema
+
+
+def save_eupg_state(state: EupgState, out_dir) -> None:
+    """Write manifest.json, base.model and deployed.model."""
     mechanisms = state.spec.mechanisms
     manifest = {
         "format_version": EUPG_FORMAT_VERSION,
@@ -477,7 +569,8 @@ def save_eupg_state(state: EupgState, out_dir) -> None:
         "schema": schema_to_dicts(state.schema),
         "dp_ledger": state.dp_ledger.to_json_dict() if state.dp_ledger else None,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    models = {"base.model": state.base_model, "deployed.model": state.deployed_model}
+    _write_state(out_dir, models, manifest)
 
 
 def load_eupg_state(state_dir) -> EupgState:
@@ -488,12 +581,20 @@ def load_eupg_state(state_dir) -> EupgState:
         "hidden_units", "cfg", "timings", "audit_log", "schema", "dp_ledger",
     )
     spec = _fields(state_dir, "spec", PrivacySpec, manifest["spec"])
-    ledger = manifest["dp_ledger"]
     mechanisms = spec["mechanisms"]
-    mechanisms = None if mechanisms is None else MechanismSpec.from_json_dict(mechanisms)
+    if mechanisms is not None:
+        _fields(state_dir, "spec.mechanisms", MechanismSpec, mechanisms)
+        for mechanism in mechanisms["categorical"].values():
+            _fields(state_dir, "spec.mechanisms.categorical", CategoricalMechanism, mechanism)
+        mechanisms = MechanismSpec.from_json_dict(mechanisms)
+    ledger = manifest["dp_ledger"]
+    if ledger:
+        for entry in ledger["entries"]:
+            _fields(state_dir, "dp_ledger.entries", DpBudgetEntry, entry)
+        ledger = DpLedger.from_json_dict(ledger)
     return EupgState(
         spec=PrivacySpec(**{**spec, "mechanisms": mechanisms}),
-        schema=schema_from_dicts(manifest["schema"]),
+        schema=_schema(state_dir, manifest["schema"]),
         base_model=mlp.load_model(out / "base.model"),
         deployed_model=mlp.load_model(out / "deployed.model"),
         finetune_epochs=manifest["finetune_epochs"],
@@ -504,7 +605,7 @@ def load_eupg_state(state_dir) -> EupgState:
             ForgetEvent(**_fields(state_dir, "audit_log", ForgetEvent, e))
             for e in manifest["audit_log"]
         ),
-        dp_ledger=DpLedger.from_json_dict(ledger) if ledger else None,
+        dp_ledger=ledger or None,
     )
 
 
@@ -523,11 +624,12 @@ def _deal_checksum(slice_rows) -> str:
 
 
 def save_shard_store(store: ShardStore, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for s in range(store.n_shards):
-        for r in range(store.n_slices):
-            mlp.save_model(store.checkpoints[s][r], out / f"shard{s}_slice{r}.model")
+    """Write manifest.json and one shard{s}_slice{r}.model per checkpoint."""
+    models = {
+        f"shard{s}_slice{r}.model": store.checkpoints[s][r]
+        for s in range(store.n_shards)
+        for r in range(store.n_slices)
+    }
     manifest = {
         "format_version": SHARD_FORMAT_VERSION,
         "kind": "shard_store",
@@ -536,38 +638,38 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
         "cfg": dataclasses.asdict(store.cfg),
         "hidden_units": store.hidden_units,
         "layer_dims": list(store.layer_dims),
+        "schema": schema_to_dicts(store.schema),
+        "n_rows": len(store.alive),
         "deal_sha256": _deal_checksum(store.slice_rows),
         "removed_rows": sorted(int(i) for i in np.flatnonzero(~store.alive)),
         "removed_log": list(store.removed_log),
-        "data_sha256": _data_checksum(store.data),
+        "data_sha256": store.data_sha256,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    _write_state(out_dir, models, manifest)
 
 
-def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
-    """Reload a shard store; ds must be the dataset it was trained on."""
+def load_shard_store(state_dir) -> ShardStore:
+    """Reload a shard store from its directory alone; sisa_forget checks the
+    table it is given against the manifest's data_sha256."""
     out = Path(state_dir)
     manifest = _read_manifest(
         state_dir, "shard_store", "shard store", SHARD_FORMAT_VERSION, "n_shards", "n_slices",
-        "cfg", "hidden_units", "layer_dims", "deal_sha256", "removed_rows", "removed_log",
-        "data_sha256",
+        "cfg", "hidden_units", "layer_dims", "schema", "n_rows", "deal_sha256", "removed_rows",
+        "removed_log", "data_sha256",
     )
-    data = encode(ds)
-    if _data_checksum(data) != manifest["data_sha256"]:
-        raise DataError(
-            f"{state_dir}: supplied dataset does not match the one this store "
-            "was trained on"
-        )
+    n_rows = manifest["n_rows"]
+    if type(n_rows) is not int or n_rows < 1:
+        raise DataError(f"{state_dir}: manifest key 'n_rows' must be a positive integer, got {n_rows!r}")
     removed = manifest["removed_rows"]
-    ok = isinstance(removed, list) and all(type(i) is int and 0 <= i < ds.n_rows for i in removed)
+    ok = isinstance(removed, list) and all(type(i) is int and 0 <= i < n_rows for i in removed)
     if not ok or len(set(removed)) != len(removed):
         raise DataError(
             f"{state_dir}: manifest key 'removed_rows' must list distinct integer "
-            f"row indices in [0, {ds.n_rows})"
+            f"row indices in [0, {n_rows})"
         )
     n_shards, n_slices = manifest["n_shards"], manifest["n_slices"]
     cfg = TrainConfig(**_fields(state_dir, "cfg", TrainConfig, manifest["cfg"]))
-    if _deal_checksum(_deal(ds.n_rows, n_shards, n_slices, cfg.seed)) != manifest["deal_sha256"]:
+    if _deal_checksum(_deal(n_rows, n_shards, n_slices, cfg.seed)) != manifest["deal_sha256"]:
         raise DataError(
             f"{state_dir}: the rows dealt to shards and slices do not match the "
             "manifest's deal_sha256; re-run `privforget run` to rebuild the store"
@@ -576,7 +678,7 @@ def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
         tuple(mlp.load_model(out / f"shard{s}_slice{r}.model") for r in range(n_slices))
         for s in range(n_shards)
     )
-    alive = np.ones(ds.n_rows, dtype=bool)
+    alive = np.ones(n_rows, dtype=bool)
     alive[removed] = False
     return ShardStore(
         n_shards=n_shards,
@@ -584,8 +686,9 @@ def load_shard_store(state_dir, ds: TabularDataset) -> ShardStore:
         cfg=cfg,
         hidden_units=manifest["hidden_units"],
         layer_dims=tuple(manifest["layer_dims"]),
+        schema=_schema(state_dir, manifest["schema"]),
         alive=alive,
-        data=data,
+        data_sha256=manifest["data_sha256"],
         checkpoints=checkpoints,
         removed_log=tuple(manifest["removed_log"]),
     )

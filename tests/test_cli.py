@@ -11,7 +11,15 @@ import pytest
 
 from privforget import unlearn
 from privforget.cli import DEFAULTS, _report, _sweep_points, load_config, load_train_test, main
-from privforget.data import ForgetRequest, TabularDataset, encode, split_forget, write_csv
+from privforget.data import (
+    ForgetRequest,
+    TabularDataset,
+    encode,
+    load_csv,
+    parse_schema_file,
+    split_forget,
+    write_csv,
+)
 from privforget.mlp import TrainConfig
 from privforget.unlearn import load_eupg_state
 
@@ -79,6 +87,7 @@ def test_run_original(tmp_path):
         ("eupg_k", {"k": 3}),
         ("eupg_dp", {"epsilon": 2.0}),
         ("sisa", {}),
+        ("original", {}),
     ],
 )
 def test_run_then_forget(tmp_path, method, extra):
@@ -91,11 +100,12 @@ def test_run_then_forget(tmp_path, method, extra):
         (tmp_path / "out" / "rep0" / "run_report.json").read_text()
     )
     validate_report(tmp_path / "out" / "rep0" / "run_report.json")
-    assert run_report["params"] == (
-        {"k": 3}
-        if method == "eupg_k"
-        else {"epsilon": 2.0} if method == "eupg_dp" else {"n_shards": 2, "n_slices": 2}
-    )
+    assert run_report["params"] == {
+        "eupg_k": {"k": 3},
+        "eupg_dp": {"epsilon": 2.0},
+        "sisa": {"n_shards": 2, "n_slices": 2},
+        "original": {},
+    }[method]
     if method == "eupg_dp":
         assert run_report["budget_ledger"]["epsilon_total"] == 2.0
     if method == "eupg_k":
@@ -117,6 +127,8 @@ def test_run_then_forget(tmp_path, method, extra):
     # a state holds the manifest and the models forgetting reads, nothing else
     if method == "sisa":
         expected = {"manifest.json"} | {f"shard{s}_slice{r}.model" for s in range(2) for r in range(2)}
+    elif method == "original":
+        expected = {"manifest.json", "original.model"}
     else:
         expected = {"manifest.json", "base.model", "deployed.model"}
         after = load_eupg_state(after_dir)
@@ -199,8 +211,11 @@ def assert_forget_refuses_state(tmp_path, capsys, run_conf, edit, message):
         ("removed_rows", [3, 3], "'removed_rows'"),
         ("removed_rows", [2.0], "'removed_rows'"),
         ("deal_sha256", "0" * 64, "deal_sha256"),
+        ("n_rows", 0, "'n_rows' must be a positive integer"),
+        ("schema", None, "lacks key 'schema'"),
     ],
-    ids=["missing_key", "out_of_range", "negative", "duplicated", "not_integer", "deal_mismatch"],
+    ids=["missing_key", "out_of_range", "negative", "duplicated", "not_integer", "deal_mismatch",
+         "no_rows", "schema_missing"],
 )
 def test_malformed_shard_manifest_exits_one(tmp_path, capsys, sisa_run, key, value, message):
     """forget refuses a damaged shard manifest, naming the state directory
@@ -242,15 +257,48 @@ def test_shard_manifest_cfg_fields_checked(tmp_path, capsys, sisa_run, edit, mes
          "key 'audit_log' has unknown key 'rows'"),
         ("audit_log", lambda log: log.append({}), "key 'audit_log' lacks key 'n_forgotten'"),
         ("audit_log", lambda log: log.append(7), "key 'audit_log': expected a JSON object"),
+        ("dp_ledger", lambda ledger: ledger["entries"][0].update(extra=1),
+         "key 'dp_ledger.entries' has unknown key 'extra'"),
+        ("spec", lambda spec: spec.update(mechanisms={"categorical": {}}),
+         "key 'spec.mechanisms' lacks key 'numeric_sensitivity'"),
+        ("spec", lambda spec: spec.update(mechanisms={
+            "categorical": {"cat0": {"utility": [[1.0]]}}, "numeric_sensitivity": {}}),
+         "key 'spec.mechanisms.categorical' lacks key 'delta_u'"),
+        ("schema", lambda schema: schema[1].pop("kind"), "key 'schema' lacks key 'kind'"),
+        ("schema", lambda schema: schema.clear() or schema.append([]),
+         "key 'schema': expected a JSON object"),
     ],
     ids=["cfg_unknown", "spec_missing", "spec_unknown", "event_unknown", "event_missing",
-         "event_not_object"],
+         "event_not_object", "ledger_entry_unknown", "mechanisms_missing", "mechanism_missing",
+         "schema_entry_missing", "schema_entry_not_object"],
 )
 def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, edit, message):
     """forget refuses an EUPG manifest whose settings, privacy spec or
     forget events name a field their dataclass lacks, or lack one of its
     fields."""
     assert_forget_refuses_state(tmp_path, capsys, eupg_run, lambda m: edit(m[key]), message)
+
+
+def test_forget_refuses_another_table_or_method(tmp_path, capsys, sisa_run):
+    """forget against a saved SISA state exits 1 naming the state directory,
+    and writes no state after forgetting, when the training CSV holds other
+    rows than the store was trained on, or when the config names another
+    method."""
+    shutil.copytree(Path(sisa_run["out"]), tmp_path / "out")
+    state_dir = tmp_path / "out" / "rep0" / "state"
+    lines = Path(sisa_run["train_csv"]).read_text().splitlines()
+    lines[60], lines[61] = lines[61], lines[60]
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    conf = {**sisa_run, "out": str(tmp_path / "out")}
+    for edit, message in [
+        ({"train_csv": str(tmp_path / "train.csv")}, "does not match the one this store was trained on"),
+        ({"method": "eupg_k", "k": 3}, "not the saved state of a 'eupg_k' run"),
+    ]:
+        capsys.readouterr()
+        assert main(["forget", "--config", write_config(tmp_path, {**conf, **edit})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {state_dir}:") and message in err, err
+        assert not (state_dir.parent / "state_after_forget").exists()
 
 
 def test_repetitions_and_summary(tmp_path):
@@ -331,13 +379,13 @@ def test_forget_ratio_selecting_no_or_all_rows_refused(tmp_path, capsys, ratio):
     conf = write_inputs(tmp_path)
     cfg_path = write_config(tmp_path, conf)
     assert main(["run", "--config", cfg_path]) == 0
-    model = (tmp_path / "out" / "rep0" / "original.model").read_bytes()
+    model = (tmp_path / "out" / "rep0" / "state" / "original.model").read_bytes()
     capsys.readouterr()
     assert main(["forget", "--config", cfg_path, "--set", f"forget_ratio={ratio}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "forget_ratio" in err and "120" in err
     assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
-    assert (tmp_path / "out" / "rep0" / "original.model").read_bytes() == model
+    assert (tmp_path / "out" / "rep0" / "state" / "original.model").read_bytes() == model
 
 
 @pytest.mark.parametrize("ratio,seed", [(0.1, 0), (0.5, 3), (0.99, 1)])
@@ -358,17 +406,18 @@ def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
 
 def test_forget_report_copies_no_population(tmp_path):
     """A SISA forget report takes only the sampled rows of each population
-    from the store's encoded matrix: it never allocates as much as the
-    2,970 retained rows."""
+    from the encoded training matrix it is given: it never allocates as much
+    as the 2,970 retained rows."""
     train = make_dataset(3000, seed=0, n_categorical=10)
     test = TabularDataset(train.schema, make_dataset(100, seed=1, n_categorical=10).rows, train.provenance)
     store = unlearn.sisa_train(train, 2, 2, TrainConfig(batch_size=256, epochs=1), hidden_units=8)
     conf = load_config(None, {"method": "sisa", "n_shards": 2, "n_slices": 2})
     forgotten = ForgetRequest.from_ratio(train.n_rows, 0.01, 0).mask(train.n_rows)
-    retain_bytes = int((~forgotten).sum()) * store.data.width * 8
+    train_em = encode(train)
+    retain_bytes = int((~forgotten).sum()) * train_em.width * 8
     tracemalloc.start()
     try:
-        report = _report(conf, "forget", 0, tmp_path, store, train, test, forgotten)
+        report = _report(conf, "forget", 0, tmp_path, store, train_em, test, forgotten)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,34 +536,19 @@ def test_attack_subcommand(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     cfg_path = write_config(tmp_path, conf)
     assert main(["run", "--config", cfg_path]) == 0
-    model_path = tmp_path / "out" / "rep0" / "original.model"
+    base = ["attack", "--state", str(tmp_path / "out" / "rep0" / "state")]
     out_json = tmp_path / "attack.json"
-    code = main(
-        [
-            "attack",
-            "--model",
-            str(model_path),
-            "--schema",
-            conf["schema"],
-            "--members",
-            conf["train_csv"],
-            "--nonmembers",
-            conf["test_csv"],
-            "--out",
-            str(out_json),
-        ]
-    )
-    assert code == 0
+    populations = ["--members", conf["train_csv"], "--nonmembers", conf["test_csv"]]
+    assert main(base + populations + ["--out", str(out_json)]) == 0
     results = json.loads(out_json.read_text())["results"]
     assert {r["attack"] for r in results} == {"loss_based", "entropy_based"}
     assert all(0.0 <= r["auc"] <= 1.0 for r in results)
 
-    base = ["attack", "--model", str(model_path), "--schema", conf["schema"]]
-    populations = ["--members", conf["test_csv"], "--nonmembers", conf["train_csv"]]
     # an attack named twice is refused, as in a config's attacks list
     assert main(base + populations + ["--attacks", "loss_based", "loss_based"]) == 1
     assert "names 'loss_based' twice" in capsys.readouterr().err
-    # a member labelled with a class the model lacks is a data error, not a traceback
+    # a member labelled with a class the model lacks is refused where the
+    # CSV is read under the state's schema, not with a traceback
     lines = Path(conf["test_csv"]).read_text().splitlines()
     lines[-1] = lines[-1].rsplit(",", 1)[0] + ",c2"
     (tmp_path / "three_classes.csv").write_text("\n".join(lines) + "\n")
@@ -522,7 +556,65 @@ def test_attack_subcommand(tmp_path, capsys):
     for attacks in (["loss_based"], ["entropy_based"]):
         assert main(base + populations + ["--attacks", *attacks]) == 1, attacks
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "label 2 outside the 2 columns" in err, err
+        assert err.startswith("error:") and "three_classes.csv" in err, err
+        assert f"row {len(lines) - 1}" in err and "'label'" in err and "unknown category 'c2'" in err
+    # the state is the one input path: a model file and a schema file are not
+    assert main(["attack", "--model", "m", "--schema", "s"] + populations) == 1
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [("original", {}), ("eupg_k", {"k": 3}), ("eupg_dp", {"epsilon": 2.0}), ("sisa", {})],
+)
+def test_attack_scores_what_run_scored(tmp_path, method, extra):
+    """attack --state rep{i}/state on the training and test CSVs, with seed
+    seed + i, reproduces the train_vs_test entries of run_report.json bit
+    for bit."""
+    conf = {**write_inputs(tmp_path), "method": method, "seed": 5, "repetitions": 2, **extra}
+    assert main(["run", "--config", write_config(tmp_path, conf)]) == 0
+    for rep in (0, 1):
+        rep_dir = tmp_path / "out" / f"rep{rep}"
+        out_json = tmp_path / f"attack{rep}.json"
+        assert main([
+            "attack", "--state", str(rep_dir / "state"), "--members", conf["train_csv"],
+            "--nonmembers", conf["test_csv"], "--seed", str(5 + rep), "--out", str(out_json),
+        ]) == 0
+        run_mia = json.loads((rep_dir / "run_report.json").read_text())["mia"]
+        expected = [{k: v for k, v in e.items() if k != "population"} for e in run_mia]
+        assert json.loads(out_json.read_text())["results"] == expected, (method, rep)
+
+
+def test_attack_encodes_members_under_the_state_schema(tmp_path, capsys, monkeypatch):
+    """A members CSV other than the training CSV is encoded under the state's
+    schema (the training table's category order and observed ranges), not
+    under one learned from that CSV; a category unseen in training exits 1
+    naming the file, row and column."""
+    import privforget.cli as cli
+
+    conf = write_inputs(tmp_path)
+    assert main(["run", "--config", write_config(tmp_path, conf)]) == 0
+    train = load_csv(conf["train_csv"], parse_schema_file(conf["schema"]))
+    # test.csv lists cat0's categories in the reverse of train.csv's order
+    order = train.schema[3].categories
+    header, *rows = Path(conf["test_csv"]).read_text().splitlines()
+    rows.sort(key=lambda row: -order.index(row.split(",")[3]))
+    (tmp_path / "members.csv").write_text("\n".join([header, *rows]) + "\n")
+    alone = load_csv(tmp_path / "members.csv", parse_schema_file(conf["schema"]))
+    assert alone.schema[3].categories == order[::-1]
+
+    encoded = []
+    monkeypatch.setattr(cli, "encode", lambda ds: encoded.append(ds) or encode(ds))
+    state = ["attack", "--state", str(tmp_path / "out" / "rep0" / "state")]
+    members = ["--members", str(tmp_path / "members.csv"), "--nonmembers", conf["train_csv"]]
+    assert main(state + members + ["--out", str(tmp_path / "attack.json")]) == 0
+    assert [ds.schema for ds in encoded] == [train.schema, train.schema]
+
+    rows[2] = rows[2].replace(",v", ",unseen", 1)
+    (tmp_path / "members.csv").write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert main(state + members) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'members.csv'}: row 3, column 'cat0': unknown category"), err
 
 
 def test_report_subcommand(tmp_path, capsys):

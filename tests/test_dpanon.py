@@ -10,9 +10,6 @@ from privforget.dpanon import (
     CategoricalMechanism,
     DpError,
     MechanismSpec,
-    PixelImage,
-    dp_pix,
-    dp_pix_scale,
     dp_protect_table,
     exponential_probabilities,
     laplace_icdf,
@@ -21,9 +18,6 @@ from privforget.dpanon import (
     make_rng,
     perturb_categorical,
     perturb_numeric,
-    pixelize,
-    read_image,
-    write_image,
 )
 
 
@@ -273,101 +267,3 @@ def test_load_utility_file(tmp_path):
 def test_make_rng_rejects_negative_seed():
     with pytest.raises(DpError, match="non-negative"):
         make_rng(-1)
-
-
-# ---------------------------------------------------------------------------
-# image protection
-
-def untie_blocks(pixels: np.ndarray, b: int) -> np.ndarray:
-    """Nudge one pixel in any block whose mean sits exactly on a .5 boundary.
-
-    Rounding half-to-even makes such blocks ambiguous under vanishing noise,
-    so deterministic comparisons bump them off the tie first.
-    """
-    px = pixels.copy()
-    h, w, c = px.shape
-    half = (b * b) // 2
-    for ch in range(c):
-        sums = px[:, :, ch].reshape(h // b, b, w // b, b).sum(axis=(1, 3))
-        for i, j in zip(*np.nonzero(sums % (b * b) == half)):
-            y, x = i * b, j * b
-            px[y, x, ch] += 1 if px[y, x, ch] < 255 else -1
-    return px
-
-
-def test_pixel_image_shapes_and_validation():
-    img = PixelImage(np.zeros((4, 6), dtype=np.uint8))
-    assert (img.height, img.width, img.channels) == (4, 6, 1)
-    with pytest.raises(DpError, match="0, 255"):
-        PixelImage(np.array([[300.0]]))
-    with pytest.raises(DpError, match="2-d or 3-d"):
-        PixelImage(np.zeros((2, 2, 2, 2), dtype=np.uint8))
-
-
-def test_image_file_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    img = PixelImage(rng.integers(0, 256, size=(8, 12, 3)).astype(np.uint8))
-    path = tmp_path / "img.pfimg"
-    write_image(img, path)
-    back = read_image(path)
-    assert np.array_equal(back.pixels, img.pixels)
-
-    (tmp_path / "junk.pfimg").write_bytes(b"HELLO\n1 1 1\nx")
-    with pytest.raises(DpError, match="image file"):
-        read_image(tmp_path / "junk.pfimg")
-
-    write_image(img, tmp_path / "trunc.pfimg")
-    data = (tmp_path / "trunc.pfimg").read_bytes()
-    (tmp_path / "trunc.pfimg").write_bytes(data[:-5])
-    with pytest.raises(DpError, match="pixel bytes"):
-        read_image(tmp_path / "trunc.pfimg")
-
-
-def test_pixelize_hand_example():
-    # 4x4, b=2: block means 1.25, 240, 10, 128.5 -> rint gives 1, 240, 10, 128
-    px = np.array(
-        [
-            [0, 1, 240, 240],
-            [2, 2, 240, 240],
-            [10, 10, 128, 129],
-            [10, 10, 128, 129],
-        ],
-        dtype=np.uint8,
-    )
-    out = pixelize(PixelImage(px), 2)
-    flat = out.pixels[:, :, 0]
-    assert flat[0, 0] == 1 and flat[0, 2] == 240
-    assert flat[2, 0] == 10
-    # mean 128.5 rounds half-to-even down to 128
-    assert flat[2, 2] == 128
-    # every block is constant
-    assert (flat[0:2, 0:2] == 1).all() and (flat[2:4, 2:4] == 128).all()
-
-
-def test_pixelize_rejects_indivisible():
-    with pytest.raises(DpError, match="divisible"):
-        pixelize(PixelImage(np.zeros((5, 4), dtype=np.uint8)), 2)
-
-
-def test_dp_pix_scale_values():
-    assert dp_pix_scale(4, 16, 1.0) == 255.0
-    assert dp_pix_scale(2, 1, 0.5) == pytest.approx(127.5)
-    with pytest.raises(DpError, match="epsilon"):
-        dp_pix_scale(4, 16, 0.0)
-
-
-def test_dp_pix_huge_epsilon_equals_pixelization():
-    rng = np.random.default_rng(2)
-    px = untie_blocks(rng.integers(0, 256, size=(16, 16, 1)).astype(np.uint8), 4)
-    img = PixelImage(px)
-    noisy = dp_pix(img, 4, 16, 1e6, make_rng(0))
-    assert np.array_equal(noisy.pixels, pixelize(img, 4).pixels)
-
-
-def test_dp_pix_output_range_and_determinism():
-    rng = np.random.default_rng(3)
-    img = PixelImage(rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8))
-    a = dp_pix(img, 2, 4, 0.1, make_rng(9))
-    b = dp_pix(img, 2, 4, 0.1, make_rng(9))
-    assert np.array_equal(a.pixels, b.pixels)
-    assert a.pixels.min() >= 0 and a.pixels.max() <= 255

@@ -80,7 +80,7 @@ def pipeline():
     k_after = eupg_forget(k_state, train_ds, request)
     t_forget = time.perf_counter() - t0
     dp_after = eupg_forget(dp_state, train_ds, request)
-    store_after = sisa_forget(store, request)
+    store_after = sisa_forget(store, train_ds, request)
     retain_raw = TabularDataset(full.schema, retain.rows, Provenance.raw())
     t0 = time.perf_counter()
     retrained = retrain_scratch(retain_raw, CFG, HIDDEN)

@@ -29,10 +29,13 @@ from privforget.unlearn import (
     eupg_prepare,
     load_eupg_state,
     load_shard_store,
+    load_state,
+    predict,
     protect,
     retrain_scratch,
     save_eupg_state,
     save_shard_store,
+    save_state,
     sisa_forget,
     sisa_predict,
     sisa_train,
@@ -238,7 +241,7 @@ def test_sisa_forget_matches_from_scratch_oracle():
     # one row from the middle slice of shard 0 and one from slice 0 of shard 1,
     # exercising both the checkpoint-rollback and the fresh-init paths
     targets = [int(store.slice_rows[0][1][0]), int(store.slice_rows[1][0][0])]
-    after = sisa_forget(store, ForgetRequest(tuple(targets)))
+    after = sisa_forget(store, ds, ForgetRequest(tuple(targets)))
     assert not after.alive[targets].any()
     for s in range(2):
         for r, model in enumerate(sisa_oracle(ds, store, s, after.alive)):
@@ -255,7 +258,7 @@ def test_sisa_forget_rolls_back_to_earliest_hit_slice():
         int(store.slice_rows[0][1][1]),
         int(store.slice_rows[1][3][0]),
     )
-    after = sisa_forget(store, ForgetRequest(targets))
+    after = sisa_forget(store, ds, ForgetRequest(targets))
 
     assert after.checkpoints[2] is store.checkpoints[2]
     for s, first in ((0, 1), (1, 3)):
@@ -320,7 +323,7 @@ def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
     store = sisa_train(ds, n_shards=3, n_slices=3, cfg=cfg, hidden_units=8)
     # rows in shards 0 and 2, from different slices
     targets = (int(store.slice_rows[0][2][0]), int(store.slice_rows[2][0][1]))
-    after = sisa_forget(store, ForgetRequest(targets))
+    after = sisa_forget(store, ds, ForgetRequest(targets))
 
     for trained, alive in ((store, store.alive), (after, after.alive)):
         oracle = [sisa_oracle(ds, store, s, alive) for s in range(3)]
@@ -350,7 +353,7 @@ def test_sisa_forget_divergence_propagates(monkeypatch, cpus):
     # every shard is hit in slice 0, so all three replay and shard 1 fails
     targets = tuple(int(store.slice_rows[s][0][0]) for s in range(3))
     with pytest.raises(TrainingDiverged, match="non-finite"):
-        sisa_forget(store, ForgetRequest(targets))
+        sisa_forget(store, ds, ForgetRequest(targets))
     assert store.checkpoints is checkpoints
     assert store_bytes(store) == before
     assert np.array_equal(store.alive, alive) and store.removed_log == ()
@@ -361,7 +364,7 @@ def test_sisa_forget_leaves_other_shards_untouched():
     cfg = TrainConfig(batch_size=16, epochs=2, seed=0)
     store = sisa_train(ds, n_shards=4, n_slices=2, cfg=cfg, hidden_units=8)
     target = int(store.slice_rows[2][1][0])
-    after = sisa_forget(store, ForgetRequest((target,)))
+    after = sisa_forget(store, ds, ForgetRequest((target,)))
     for s in range(4):
         if s == 2:
             continue
@@ -373,12 +376,12 @@ def test_sisa_double_forget_rejected():
     ds = make_dataset(60, seed=1)
     cfg = TrainConfig(batch_size=16, epochs=2, seed=0)
     store = sisa_train(ds, 2, 2, cfg, hidden_units=8)
-    once = sisa_forget(store, ForgetRequest((5,)))
+    once = sisa_forget(store, ds, ForgetRequest((5,)))
     assert once.removed_log == (5,)
     with pytest.raises(DataError, match="already forgotten"):
-        sisa_forget(once, ForgetRequest((5,)))
+        sisa_forget(once, ds, ForgetRequest((5,)))
     with pytest.raises(DataError, match="out of range"):
-        sisa_forget(store, ForgetRequest((1000,)))
+        sisa_forget(store, ds, ForgetRequest((1000,)))
 
 
 def test_shard_of_row():
@@ -502,13 +505,16 @@ def test_shard_store_round_trip(tmp_path):
     ds = make_dataset(60, seed=8)
     cfg = TrainConfig(batch_size=16, epochs=2, seed=3)
     store = sisa_forget(
-        sisa_train(ds, 2, 2, cfg, hidden_units=8), ForgetRequest((4, 17))
+        sisa_train(ds, 2, 2, cfg, hidden_units=8), ds, ForgetRequest((4, 17))
     )
     save_shard_store(store, tmp_path / "sisa")
-    back = load_shard_store(tmp_path / "sisa", ds)
+    back = load_shard_store(tmp_path / "sisa")
 
     assert np.array_equal(back.alive, store.alive)
     assert back.removed_log == (4, 17)
+    assert back.schema == ds.schema and back.data_sha256 == store.data_sha256
+    # the store holds models and checksums, not the encoded training table
+    assert not any(isinstance(value, EncodedMatrix) for value in vars(back).values())
     for s in range(2):
         for r in range(2):
             assert models_equal(back.checkpoints[s][r], store.checkpoints[s][r])
@@ -516,8 +522,8 @@ def test_shard_store_round_trip(tmp_path):
 
     # forgetting after reload equals forgetting before saving
     target = int(store.slice_rows[0][1][1])
-    a = sisa_forget(store, ForgetRequest((target,)))
-    b = sisa_forget(back, ForgetRequest((target,)))
+    a = sisa_forget(store, ds, ForgetRequest((target,)))
+    b = sisa_forget(back, ds, ForgetRequest((target,)))
     for m1, m2 in zip(a.final_models(), b.final_models()):
         assert models_equal(m1, m2)
 
@@ -534,7 +540,7 @@ def test_shard_store_v1_directory_refused(tmp_path):
     (tmp_path / "sisa" / "manifest.json").write_text(json.dumps(manifest))
 
     with pytest.raises(DataError) as err:
-        load_shard_store(tmp_path / "sisa", ds)
+        load_shard_store(tmp_path / "sisa")
     message = str(err.value)
     assert str(tmp_path / "sisa") in message
     assert "version 1" in message and "privforget run" in message
@@ -557,12 +563,12 @@ def test_shard_store_deal_mismatch_refused(tmp_path, monkeypatch, damage):
         monkeypatch.setattr(unlearn, "_deal", lambda n, *args: deal(n, *args)[::-1])
 
     with pytest.raises(DataError) as err:
-        load_shard_store(tmp_path / "sisa", ds)
+        load_shard_store(tmp_path / "sisa")
     message = str(err.value)
     assert str(tmp_path / "sisa") in message and "deal_sha256" in message
 
 
-def test_shard_store_rejects_wrong_dataset(tmp_path):
+def test_shard_store_rejects_wrong_dataset(tmp_path, monkeypatch):
     ds = make_dataset(60, seed=8)
     store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
     save_shard_store(store, tmp_path / "sisa")
@@ -570,8 +576,56 @@ def test_shard_store_rejects_wrong_dataset(tmp_path):
     rows = np.array(ds.rows)
     rows[0, 0] += 1.0
     tampered = ds.replace_rows(rows, Provenance.raw())
+    back = load_shard_store(tmp_path / "sisa")
+    # refused before any shard replays
+    monkeypatch.setattr(unlearn, "_replay_shards", lambda *args: pytest.fail("replayed"))
     with pytest.raises(DataError, match="does not match"):
-        load_shard_store(tmp_path / "sisa", tampered)
+        sisa_forget(back, tampered, ForgetRequest((1,)))
+    with pytest.raises(DataError, match="does not match"):
+        sisa_forget(back, split_forget(ds, ForgetRequest((1,)))[0], ForgetRequest((1,)))
+
+
+def test_shard_store_v2_directory_refused(tmp_path):
+    """A version-2 store, whose manifest holds no schema and no row count,
+    is refused."""
+    ds = make_dataset(40, seed=0)
+    save_shard_store(sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["format_version"] = 2
+    del manifest["schema"], manifest["n_rows"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for load in (load_shard_store, load_state):
+        with pytest.raises(DataError, match="version 2 is not supported.*privforget run"):
+            load(tmp_path)
+
+
+def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset):
+    """save_state then load_state gives back each method's fitted object and
+    the training schema, and predict scores what each serves."""
+    ds = small_dataset
+    em = encode(ds)
+    fitted = {
+        "original": retrain_scratch(ds, CFG, hidden_units=8),
+        "eupg": prepared(ds),
+        "sisa": sisa_train(ds, 2, 2, CFG, hidden_units=8),
+    }
+    for name, obj in fitted.items():
+        save_state(obj, ds.schema, tmp_path / name)
+        back, schema = load_state(tmp_path / name)
+        assert type(back) is type(obj) and schema == ds.schema, name
+        assert predict(back, em.features).tobytes() == predict(obj, em.features).tobytes(), name
+    assert {f.name for f in (tmp_path / "original").iterdir()} == {"manifest.json", "original.model"}
+    assert predict(fitted["eupg"], em.features).tobytes() == (
+        mlp.forward(fitted["eupg"].deployed_model, em.features).tobytes()
+    )
+    assert predict(fitted["sisa"], em.features).tobytes() == (
+        sisa_predict(fitted["sisa"], em.features).tobytes()
+    )
+
+    (tmp_path / "original" / "manifest.json").write_text(json.dumps({"kind": "notes"}))
+    with pytest.raises(DataError, match="not a saved state"):
+        load_state(tmp_path / "original")
+
 
 
 def test_data_checksum_hashes_in_place():
@@ -594,7 +648,7 @@ def test_persistence_kind_checks(tmp_path, small_dataset):
     state = prepared(small_dataset)
     save_eupg_state(state, tmp_path / "state")
     with pytest.raises(DataError, match="not a saved shard store"):
-        load_shard_store(tmp_path / "state", small_dataset)
+        load_shard_store(tmp_path / "state")
 
     ds = make_dataset(40, seed=0)
     store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
@@ -605,4 +659,4 @@ def test_persistence_kind_checks(tmp_path, small_dataset):
     # a manifest that is valid JSON but not an object is refused the same way
     (tmp_path / "sisa" / "manifest.json").write_text("[]")
     with pytest.raises(DataError, match="not a saved shard store"):
-        load_shard_store(tmp_path / "sisa", ds)
+        load_shard_store(tmp_path / "sisa")
