@@ -54,17 +54,6 @@ def roc_auc(positive_scores, negative_scores) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def roc_auc_pairwise(positive_scores, negative_scores) -> float:
-    """Reference AUC by direct comparison of every (pos, neg) pair."""
-    pos = np.asarray(positive_scores, dtype=np.float64).ravel()
-    neg = np.asarray(negative_scores, dtype=np.float64).ravel()
-    if len(pos) == 0 or len(neg) == 0:
-        raise DataError("AUC needs at least one score on each side")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
-
-
 @dataclass(frozen=True)
 class MiaResult:
     attack: str

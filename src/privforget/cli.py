@@ -90,6 +90,8 @@ INTEGER_KEYS = ("k", "n_shards", "n_slices", "hidden_units", "batch_size", "epoc
 REAL_KEYS = ("epsilon", "learning_rate", "forget_ratio")
 NULLABLE = ("k", "epsilon", "privacy_seed", "forget_seed", "forget_ratio")
 BOOLEAN_KEYS = ("shuffle", "clamp_out_of_range")
+# file path config keys, null when unset; the output directory `out` is never null
+PATH_KEYS = ("train_csv", "test_csv", "schema", "utility_file")
 
 DEFAULT_SWEEP = {
     "method": ["eupg_k", "eupg_dp"],
@@ -146,16 +148,18 @@ def load_config(config_path, overrides: dict | None = None) -> dict:
 
 
 def _number(key: str, value):
-    """value as an int or float, per key; DataError naming key when it is not one."""
+    """value as a non-negative int or a float, per key; DataError naming key
+    when it is not one."""
     kind = int if key in INTEGER_KEYS else float
     try:
         if isinstance(value, bool):
             raise TypeError
         number = kind(value)
-        if number != float(value):  # 2.5 for an integer key, or NaN
+        # 2.5 or -3 for an integer key (each is a count or a seed), or NaN
+        if number != float(value) or (kind is int and number < 0):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
+        expected = "a non-negative integer" if kind is int else "a number"
         raise DataError(f"config key {key!r} must be {expected}, got {value!r}") from None
     return number
 
@@ -173,6 +177,10 @@ def _check_attacks(attacks, source: str) -> None:
 
 def _validated(conf: dict) -> dict:
     """Check a complete config and type its numeric keys, in place."""
+    for key in PATH_KEYS + ("out",):
+        if not isinstance(conf[key], str) and (conf[key] is not None or key == "out"):
+            nullable = "" if key == "out" else " or null"
+            raise DataError(f"config key {key!r} must be a JSON string{nullable}, got {conf[key]!r}")
     for key in INTEGER_KEYS + REAL_KEYS:
         if conf[key] is not None or key not in NULLABLE:
             conf[key] = _number(key, conf[key])
@@ -452,7 +460,8 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     else:
         shards, slices = conf["n_shards"], conf["n_slices"]
         fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
-    _timed(timings, "artifact_io", unlearn.save_state, fitted, train.schema, state_dir)
+    _timed(timings, "artifact_io", unlearn.save_state, fitted, train.schema, state_dir,
+           conf["clamp_out_of_range"])
 
     return _report(conf, "run", rep, rep_dir, fitted, encode(train), test, None, **fields)
 
@@ -492,7 +501,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         )
     timings: dict[str, float] = {}
     state_dir, after_dir = rep_dir / "state", rep_dir / "state_after_forget"
-    fitted, _ = unlearn.load_state(state_dir)
+    fitted, _, _ = unlearn.load_state(state_dir)
     if not isinstance(fitted, METHOD_STATE[method]):
         raise DataError(f"{state_dir}: not the saved state of a {method!r} run")
 
@@ -507,7 +516,8 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
             after = _timed(timings, "forget", unlearn.sisa_forget, fitted, train, request)
     except DataError as exc:
         raise DataError(f"{state_dir}: {exc}") from None
-    _timed(timings, "artifact_io", unlearn.save_state, after, train.schema, after_dir)
+    _timed(timings, "artifact_io", unlearn.save_state, after, train.schema, after_dir,
+           conf["clamp_out_of_range"])
 
     return _report(
         conf,
@@ -558,11 +568,13 @@ def cmd_attack(args) -> int:
     """Membership inference against what a saved state serves.
 
     Both CSVs are loaded and encoded under the state's schema, the
-    training table's, so a member scores as it did in `run`.
+    training table's, and clamped to its declared ranges when the training
+    table was, so a member scores as it did in `run`.
     """
     _check_attacks(args.attacks, "--attacks")
-    fitted, schema = unlearn.load_state(args.state)
-    members, nonmembers = (encode(load_csv(path, schema)) for path in (args.members, args.nonmembers))
+    fitted, schema, clamp = unlearn.load_state(args.state)
+    tables = (load_csv(path, schema) for path in (args.members, args.nonmembers))
+    members, nonmembers = (encode(_clamp_declared(t) if clamp else t) for t in tables)
     m, nm = attack_mod.balanced_pair(members, nonmembers, args.seed)
     results = _mia_entries(lambda X: unlearn.predict(fitted, X), m, nm, args.attacks)
     payload = json.dumps({"seed": args.seed, "results": results}, indent=2)

@@ -184,9 +184,6 @@ class TabularDataset:
     def qi_indices(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.schema) if a.role == QUASI_IDENTIFIER)
 
-    def replace_rows(self, rows: np.ndarray, provenance: Provenance) -> "TabularDataset":
-        return TabularDataset(self.schema, rows, provenance)
-
 
 @dataclass(frozen=True)
 class ColumnSpan:
@@ -335,39 +332,6 @@ def parse_schema_file(path) -> list[AttributeSchema]:
         attrs.append(AttributeSchema(name, kind, role, declared_range=declared))
     validate_schema(attrs)
     return attrs
-
-
-def schema_to_dicts(schema) -> list[dict]:
-    """JSON-friendly schema dump carrying ranges and category order."""
-    out = []
-    for a in schema:
-        out.append(
-            {
-                "name": a.name,
-                "kind": a.kind,
-                "role": a.role,
-                "declared_range": list(a.declared_range) if a.declared_range else None,
-                "observed_range": list(a.observed_range) if a.observed_range else None,
-                "categories": list(a.categories),
-            }
-        )
-    return out
-
-
-def schema_from_dicts(dicts) -> tuple[AttributeSchema, ...]:
-    attrs = []
-    for d in dicts:
-        attrs.append(
-            AttributeSchema(
-                d["name"],
-                d["kind"],
-                d["role"],
-                declared_range=tuple(d["declared_range"]) if d.get("declared_range") else None,
-                categories=tuple(d.get("categories") or ()),
-                observed_range=tuple(d["observed_range"]) if d.get("observed_range") else None,
-            )
-        )
-    return validate_schema(attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -163,26 +163,6 @@ class MechanismSpec:
     categorical: dict[str, CategoricalMechanism] = field(default_factory=dict)
     numeric_sensitivity: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        """Matrices in the utility-file layout; floats round-trip exactly."""
-        return {
-            "categorical": {
-                name: {"delta_u": m.delta_u, "utility": m.utility.tolist()}
-                for name, m in self.categorical.items()
-            },
-            "numeric_sensitivity": dict(self.numeric_sensitivity),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MechanismSpec":
-        return cls(
-            categorical={
-                name: CategoricalMechanism(np.array(m["utility"], dtype=np.float64), m["delta_u"])
-                for name, m in d["categorical"].items()
-            },
-            numeric_sensitivity=dict(d["numeric_sensitivity"]),
-        )
-
 
 @dataclass(frozen=True)
 class DpBudgetEntry:
@@ -215,9 +195,6 @@ class DpLedger:
     def per_attribute_epsilon(self) -> float:
         return self.epsilon_total / self.n_attributes
 
-    def total_from_shares(self) -> Fraction:
-        return self.share_exact * len(self.entries)
-
     def to_json_dict(self) -> dict:
         share = self.share_exact
         return {
@@ -231,16 +208,6 @@ class DpLedger:
             },
             "entries": [asdict(e) for e in self.entries],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DpLedger":
-        """Inverse of to_json_dict; the derived per-attribute fields are not read."""
-        return cls(
-            d["epsilon_total"],
-            d["n_attributes"],
-            d["seed"],
-            tuple(DpBudgetEntry(**e) for e in d["entries"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ import json
 import math
 import os
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,11 +39,10 @@ from .data import (
     TabularDataset,
     encode,
     encoded_width,
-    schema_from_dicts,
-    schema_to_dicts,
     split_forget,
+    validate_schema,
 )
-from .dpanon import CategoricalMechanism, DpBudgetEntry, DpLedger, MechanismSpec
+from .dpanon import DpLedger, MechanismSpec
 from .mlp import MlpModel, TrainConfig
 
 K_ANONYMITY = "k_anonymity"
@@ -263,12 +264,6 @@ class ShardStore:
     def final_models(self) -> tuple[MlpModel, ...]:
         return tuple(cp[-1] for cp in self.checkpoints)
 
-    def shard_of_row(self, row: int) -> tuple[int, int]:
-        if not 0 <= row < len(self.alive):
-            raise DataError(f"row {row} is not assigned to any shard")
-        s, r = self.row_slices[row]
-        return int(s), int(r)
-
 
 def _deal(n: int, n_shards: int, n_slices: int, seed: int):
     """Round-robin assignment of a seeded permutation to shards, then slices:
@@ -435,9 +430,9 @@ def predict(fitted, features: np.ndarray) -> np.ndarray:
 # Every method saves what it fitted as a state directory: manifest.json plus
 # binary model files, and nothing that forgetting does not read.  The
 # manifest names its kind and holds the training table's fitted encoding
-# schema (category order and observed ranges), so load_state(dir) needs no
-# other input and a table loaded under that schema is encoded as the
-# training table was.
+# schema (category order and observed ranges) and whether that table was
+# clamped to its declared ranges, so load_state(dir) needs no other input and
+# a table loaded under that schema is encoded as the training table was.
 #   - eupg_state: both models, the privacy spec, the training settings, the
 #     DP ledger and the audit log.  The protected rows are not stored:
 #     protect(ds, spec) re-derives them, and `privforget anonymize` is their
@@ -447,165 +442,237 @@ def predict(fitted, features: np.ndarray) -> np.ndarray:
 #     re-deals the rows and checks the deal; sisa_forget takes the table
 #     from its caller and checks it.
 #   - original_model: the model trained from scratch.
-# Each kind carries its own format version; a directory of another version
-# is refused, not converted.
+# Each kind's manifest is a record dataclass below, written by asdict and
+# read back by _from_json against its type hints: the dataclasses are the
+# format.  A directory of another format version is refused, not converted.
 
-EUPG_FORMAT_VERSION = 3
-SHARD_FORMAT_VERSION = 3
-ORIGINAL_FORMAT_VERSION = 1
+EUPG_FORMAT_VERSION = 4
+SHARD_FORMAT_VERSION = 4
+ORIGINAL_FORMAT_VERSION = 2
+MANIFEST = "manifest.json"
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """What every kind's manifest holds: the training table's encoding
+    schema, and whether its numeric values were clamped to their declared
+    ranges before encoding."""
+
+    schema: tuple[AttributeSchema, ...]
+    clamp_out_of_range: bool
+
+    def __post_init__(self):
+        validate_schema(self.schema)
+
+
+@dataclass(frozen=True)
+class _OriginalManifest(_Manifest):
+    format_version: int = ORIGINAL_FORMAT_VERSION
+    kind: str = "original_model"
+
+
+@dataclass(frozen=True)
+class _EupgManifest(_Manifest):
+    spec: PrivacySpec
+    finetune_epochs: int
+    hidden_units: int
+    cfg: TrainConfig
+    timings: dict[str, float]
+    audit_log: tuple[ForgetEvent, ...]
+    dp_ledger: DpLedger | None
+    format_version: int = EUPG_FORMAT_VERSION
+    kind: str = "eupg_state"
+
+
+@dataclass(frozen=True)
+class _ShardManifest(_Manifest):
+    n_shards: int
+    n_slices: int
+    cfg: TrainConfig
+    hidden_units: int
+    layer_dims: tuple[int, ...]
+    n_rows: int
+    deal_sha256: str
+    removed_rows: tuple[int, ...]
+    removed_log: tuple[int, ...]
+    data_sha256: str
+    format_version: int = SHARD_FORMAT_VERSION
+    kind: str = "shard_store"
+
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _from_json(state_dir, value, hint, key: str):
+    """value, read from state_dir's manifest at key path key, as a hint.
+
+    A dataclass is read from an object holding exactly its fields, and its
+    own checks' errors are re-raised naming key; X | None also takes null, a
+    tuple is read from a list, dict[str, T] from an object, and np.ndarray
+    from a list of equal-length rows of numbers.  An int must be
+    non-negative, since every manifest int is a count, an index or a seed,
+    and a float must be finite.  A field is named parent.name, and a list
+    item or map value by its container's key.  Anything else is a DataError
+    naming state_dir and key.
+    """
+    where = MANIFEST if key == MANIFEST else f"manifest key {key!r}"
+
+    def refused(problem: str) -> DataError:
+        return DataError(f"{state_dir}: {where}{problem}")
+
+    def expected(what: str) -> DataError:
+        return refused(f": expected {what}, got {value!r}")
+
+    args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise expected("a JSON object")
+        names = [f.name for f in dataclasses.fields(hint)]
+        unknown = [name for name in value if name not in names]
+        missing = [name for name in names if name not in value]
+        if unknown or missing:
+            raise refused(f" has unknown key {unknown[0]!r}" if unknown else f" lacks key {missing[0]!r}")
+        hints, prefix = _hints(hint), "" if key == MANIFEST else f"{key}."
+        fields = {name: _from_json(state_dir, value[name], hints[name], prefix + name) for name in names}
+        try:
+            return hint(**fields)
+        except ValueError as exc:
+            raise refused(f": {exc}") from None
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _from_json(state_dir, value, inner, key)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise expected("a list")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise expected(f"a list of {len(args)}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_from_json(state_dir, v, h, key) for v, h in zip(value, items))
+    if typing.get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise expected("a JSON object")
+        return {name: _from_json(state_dir, v, args[1], key) for name, v in value.items()}
+    if hint is np.ndarray:
+        rows = _from_json(state_dir, value, tuple[tuple[float, ...], ...], key)
+        if len({len(row) for row in rows}) > 1:
+            raise expected("rows of equal length")
+        return np.array(rows, dtype=np.float64)
+    if hint is int:
+        if type(value) is not int or value < 0:
+            raise expected("a non-negative integer")
+    elif hint is float:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise expected("a finite number")
+        return float(value)
+    elif type(value) is not hint:  # str or bool
+        raise expected(f"a JSON {'string' if hint is str else 'boolean'}")
+    return value
 
 
 def _manifest(state_dir) -> dict:
     """manifest.json of state_dir; {} when it does not hold a JSON object."""
-    manifest = json.loads((Path(state_dir) / "manifest.json").read_text())
+    manifest = json.loads((Path(state_dir) / MANIFEST).read_text())
     return manifest if isinstance(manifest, dict) else {}
 
 
-def _read_manifest(state_dir, kind: str, what: str, version: int, *keys: str) -> dict:
-    """The manifest of a saved `kind`, holding every key its caller reads."""
+def _read_manifest(state_dir, cls, what: str):
+    """The manifest of a saved `what`, read as a cls once its kind and
+    format version are the ones cls records."""
     manifest = _manifest(state_dir)
-    if manifest.get("kind") != kind:
+    if manifest.get("kind") != cls.kind:
         raise DataError(f"{state_dir}: not a saved {what}")
     found = manifest.get("format_version")
-    if found != version:
+    if found != cls.format_version:
         raise DataError(
             f"{state_dir}: {what} format version {found} is not supported "
-            f"(expected {version}); re-run `privforget run` to rebuild it"
+            f"(expected {cls.format_version}); re-run `privforget run` to rebuild it"
         )
-    missing = [key for key in keys if key not in manifest]
-    if missing:
-        raise DataError(f"{state_dir}: manifest.json lacks key {', '.join(map(repr, missing))}")
-    return manifest
+    return _from_json(state_dir, manifest, cls, MANIFEST)
 
 
-def _fields(state_dir, key: str, cls, record) -> dict:
-    """record, the manifest's entry under key, which was saved from a cls:
-    DataError naming state_dir and key unless it holds exactly cls's fields."""
-    if not isinstance(record, dict):
-        raise DataError(f"{state_dir}: manifest key {key!r}: expected a JSON object, got {record!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
-    unknown = [name for name in record if name not in names]
-    if unknown:
-        raise DataError(f"{state_dir}: manifest key {key!r} has unknown key {unknown[0]!r}")
-    missing = [name for name in names if name not in record]
-    if missing:
-        raise DataError(f"{state_dir}: manifest key {key!r} lacks key {missing[0]!r}")
-    return record
-
-
-def _schema(state_dir, records) -> tuple[AttributeSchema, ...]:
-    """The manifest's schema, one record of AttributeSchema's fields per attribute."""
-    if not isinstance(records, list):
-        raise DataError(f"{state_dir}: manifest key 'schema': expected a list, got {records!r}")
-    return schema_from_dicts(_fields(state_dir, "schema", AttributeSchema, r) for r in records)
-
-
-def _write_state(out_dir, models: dict[str, MlpModel], manifest: dict) -> None:
-    """Write each model under its file name, then manifest.json, to out_dir."""
+def _write_state(out_dir, models: dict[str, MlpModel], manifest: _Manifest) -> None:
+    """Write each model under its file name, then the manifest record as
+    manifest.json (matrices as lists of rows)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, model in models.items():
         mlp.save_model(model, out / name)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    record = dataclasses.asdict(manifest)
+    (out / MANIFEST).write_text(json.dumps(record, indent=2, default=np.ndarray.tolist))
 
 
-def save_state(fitted, schema, out_dir) -> None:
-    """Write fitted, trained on a table of this schema, for load_state.
+def save_state(fitted, schema, out_dir, clamp_out_of_range: bool = False) -> None:
+    """Write fitted, trained on a table of this schema, for load_state;
+    clamp_out_of_range records whether that table was clamped to its
+    declared ranges.
 
     An EupgState or a ShardStore is written with the schema it holds; a
     bare model, which holds none, with schema.
     """
     if isinstance(fitted, EupgState):
-        save_eupg_state(fitted, out_dir)
+        save_eupg_state(fitted, out_dir, clamp_out_of_range)
     elif isinstance(fitted, ShardStore):
-        save_shard_store(fitted, out_dir)
+        save_shard_store(fitted, out_dir, clamp_out_of_range)
     else:
-        _write_state(
-            out_dir,
-            {"original.model": fitted},
-            {
-                "format_version": ORIGINAL_FORMAT_VERSION,
-                "kind": "original_model",
-                "schema": schema_to_dicts(schema),
-            },
-        )
+        manifest = _OriginalManifest(schema=tuple(schema), clamp_out_of_range=clamp_out_of_range)
+        _write_state(out_dir, {"original.model": fitted}, manifest)
 
 
 def load_state(state_dir) -> tuple:
-    """(fitted, schema) of the state saved in state_dir, whatever its kind:
-    an EupgState, a ShardStore or a bare model, and the training table's
-    encoding schema."""
-    kind = _manifest(state_dir).get("kind")
+    """(fitted, schema, clamp_out_of_range) of the state saved in state_dir,
+    whatever its kind: an EupgState, a ShardStore or a bare model, the
+    training table's encoding schema, and whether that table was clamped to
+    its declared ranges."""
+    manifest = _manifest(state_dir)
+    kind = manifest.get("kind")
     if kind == "eupg_state":
         fitted = load_eupg_state(state_dir)
     elif kind == "shard_store":
         fitted = load_shard_store(state_dir)
     elif kind == "original_model":
-        manifest = _read_manifest(
-            state_dir, kind, "original model", ORIGINAL_FORMAT_VERSION, "schema"
-        )
+        original = _read_manifest(state_dir, _OriginalManifest, "original model")
         model = mlp.load_model(Path(state_dir) / "original.model")
-        return model, _schema(state_dir, manifest["schema"])
+        return model, original.schema, original.clamp_out_of_range
     else:
         raise DataError(f"{state_dir}: not a saved state (manifest kind {kind!r})")
-    return fitted, fitted.schema
+    # the kind's loader has read this manifest and typed its clamp flag
+    return fitted, fitted.schema, manifest["clamp_out_of_range"]
 
 
-def save_eupg_state(state: EupgState, out_dir) -> None:
+def save_eupg_state(state: EupgState, out_dir, clamp_out_of_range: bool = False) -> None:
     """Write manifest.json, base.model and deployed.model."""
-    mechanisms = state.spec.mechanisms
-    manifest = {
-        "format_version": EUPG_FORMAT_VERSION,
-        "kind": "eupg_state",
-        "spec": {
-            **vars(state.spec),
-            "mechanisms": None if mechanisms is None else mechanisms.to_json_dict(),
-        },
-        "finetune_epochs": state.finetune_epochs,
-        "hidden_units": state.hidden_units,
-        "cfg": dataclasses.asdict(state.cfg),
-        "timings": state.timings,
-        "audit_log": [dataclasses.asdict(e) for e in state.audit_log],
-        "schema": schema_to_dicts(state.schema),
-        "dp_ledger": state.dp_ledger.to_json_dict() if state.dp_ledger else None,
-    }
+    manifest = _EupgManifest(
+        schema=state.schema,
+        clamp_out_of_range=clamp_out_of_range,
+        spec=state.spec,
+        finetune_epochs=state.finetune_epochs,
+        hidden_units=state.hidden_units,
+        cfg=state.cfg,
+        timings=state.timings,
+        audit_log=state.audit_log,
+        dp_ledger=state.dp_ledger,
+    )
     models = {"base.model": state.base_model, "deployed.model": state.deployed_model}
     _write_state(out_dir, models, manifest)
 
 
 def load_eupg_state(state_dir) -> EupgState:
-    """Reload a format-version-3 state; its protected_data is None."""
+    """Reload a format-version-4 state; its protected_data is None."""
     out = Path(state_dir)
-    manifest = _read_manifest(
-        state_dir, "eupg_state", "unlearning state", EUPG_FORMAT_VERSION, "spec", "finetune_epochs",
-        "hidden_units", "cfg", "timings", "audit_log", "schema", "dp_ledger",
-    )
-    spec = _fields(state_dir, "spec", PrivacySpec, manifest["spec"])
-    mechanisms = spec["mechanisms"]
-    if mechanisms is not None:
-        _fields(state_dir, "spec.mechanisms", MechanismSpec, mechanisms)
-        for mechanism in mechanisms["categorical"].values():
-            _fields(state_dir, "spec.mechanisms.categorical", CategoricalMechanism, mechanism)
-        mechanisms = MechanismSpec.from_json_dict(mechanisms)
-    ledger = manifest["dp_ledger"]
-    if ledger:
-        for entry in ledger["entries"]:
-            _fields(state_dir, "dp_ledger.entries", DpBudgetEntry, entry)
-        ledger = DpLedger.from_json_dict(ledger)
+    manifest = _read_manifest(state_dir, _EupgManifest, "unlearning state")
     return EupgState(
-        spec=PrivacySpec(**{**spec, "mechanisms": mechanisms}),
-        schema=_schema(state_dir, manifest["schema"]),
+        spec=manifest.spec,
+        schema=manifest.schema,
         base_model=mlp.load_model(out / "base.model"),
         deployed_model=mlp.load_model(out / "deployed.model"),
-        finetune_epochs=manifest["finetune_epochs"],
-        cfg=TrainConfig(**_fields(state_dir, "cfg", TrainConfig, manifest["cfg"])),
-        hidden_units=manifest["hidden_units"],
-        timings=manifest["timings"],
-        audit_log=tuple(
-            ForgetEvent(**_fields(state_dir, "audit_log", ForgetEvent, e))
-            for e in manifest["audit_log"]
-        ),
-        dp_ledger=ledger or None,
+        finetune_epochs=manifest.finetune_epochs,
+        cfg=manifest.cfg,
+        hidden_units=manifest.hidden_units,
+        timings=manifest.timings,
+        audit_log=manifest.audit_log,
+        dp_ledger=manifest.dp_ledger,
     )
 
 
@@ -623,28 +690,27 @@ def _deal_checksum(slice_rows) -> str:
     return hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
 
 
-def save_shard_store(store: ShardStore, out_dir) -> None:
+def save_shard_store(store: ShardStore, out_dir, clamp_out_of_range: bool = False) -> None:
     """Write manifest.json and one shard{s}_slice{r}.model per checkpoint."""
     models = {
         f"shard{s}_slice{r}.model": store.checkpoints[s][r]
         for s in range(store.n_shards)
         for r in range(store.n_slices)
     }
-    manifest = {
-        "format_version": SHARD_FORMAT_VERSION,
-        "kind": "shard_store",
-        "n_shards": store.n_shards,
-        "n_slices": store.n_slices,
-        "cfg": dataclasses.asdict(store.cfg),
-        "hidden_units": store.hidden_units,
-        "layer_dims": list(store.layer_dims),
-        "schema": schema_to_dicts(store.schema),
-        "n_rows": len(store.alive),
-        "deal_sha256": _deal_checksum(store.slice_rows),
-        "removed_rows": sorted(int(i) for i in np.flatnonzero(~store.alive)),
-        "removed_log": list(store.removed_log),
-        "data_sha256": store.data_sha256,
-    }
+    manifest = _ShardManifest(
+        schema=store.schema,
+        clamp_out_of_range=clamp_out_of_range,
+        n_shards=store.n_shards,
+        n_slices=store.n_slices,
+        cfg=store.cfg,
+        hidden_units=store.hidden_units,
+        layer_dims=store.layer_dims,
+        n_rows=len(store.alive),
+        deal_sha256=_deal_checksum(store.slice_rows),
+        removed_rows=tuple(np.flatnonzero(~store.alive).tolist()),
+        removed_log=store.removed_log,
+        data_sha256=store.data_sha256,
+    )
     _write_state(out_dir, models, manifest)
 
 
@@ -652,24 +718,18 @@ def load_shard_store(state_dir) -> ShardStore:
     """Reload a shard store from its directory alone; sisa_forget checks the
     table it is given against the manifest's data_sha256."""
     out = Path(state_dir)
-    manifest = _read_manifest(
-        state_dir, "shard_store", "shard store", SHARD_FORMAT_VERSION, "n_shards", "n_slices",
-        "cfg", "hidden_units", "layer_dims", "schema", "n_rows", "deal_sha256", "removed_rows",
-        "removed_log", "data_sha256",
-    )
-    n_rows = manifest["n_rows"]
-    if type(n_rows) is not int or n_rows < 1:
-        raise DataError(f"{state_dir}: manifest key 'n_rows' must be a positive integer, got {n_rows!r}")
-    removed = manifest["removed_rows"]
-    ok = isinstance(removed, list) and all(type(i) is int and 0 <= i < n_rows for i in removed)
-    if not ok or len(set(removed)) != len(removed):
+    manifest = _read_manifest(state_dir, _ShardManifest, "shard store")
+    n_rows, n_shards, n_slices = manifest.n_rows, manifest.n_shards, manifest.n_slices
+    for key, count in (("n_rows", n_rows), ("n_shards", n_shards), ("n_slices", n_slices)):
+        if count < 1:
+            raise DataError(f"{state_dir}: manifest key {key!r} must be a positive integer, got {count}")
+    removed = list(manifest.removed_rows)
+    if len(set(removed)) != len(removed) or any(i >= n_rows for i in removed):
         raise DataError(
-            f"{state_dir}: manifest key 'removed_rows' must list distinct integer "
+            f"{state_dir}: manifest key 'removed_rows' must list distinct "
             f"row indices in [0, {n_rows})"
         )
-    n_shards, n_slices = manifest["n_shards"], manifest["n_slices"]
-    cfg = TrainConfig(**_fields(state_dir, "cfg", TrainConfig, manifest["cfg"]))
-    if _deal_checksum(_deal(n_rows, n_shards, n_slices, cfg.seed)) != manifest["deal_sha256"]:
+    if _deal_checksum(_deal(n_rows, n_shards, n_slices, manifest.cfg.seed)) != manifest.deal_sha256:
         raise DataError(
             f"{state_dir}: the rows dealt to shards and slices do not match the "
             "manifest's deal_sha256; re-run `privforget run` to rebuild the store"
@@ -683,12 +743,12 @@ def load_shard_store(state_dir) -> ShardStore:
     return ShardStore(
         n_shards=n_shards,
         n_slices=n_slices,
-        cfg=cfg,
-        hidden_units=manifest["hidden_units"],
-        layer_dims=tuple(manifest["layer_dims"]),
-        schema=_schema(state_dir, manifest["schema"]),
+        cfg=manifest.cfg,
+        hidden_units=manifest.hidden_units,
+        layer_dims=manifest.layer_dims,
+        schema=manifest.schema,
         alive=alive,
-        data_sha256=manifest["data_sha256"],
+        data_sha256=manifest.data_sha256,
         checkpoints=checkpoints,
-        removed_log=tuple(manifest["removed_log"]),
+        removed_log=manifest.removed_log,
     )

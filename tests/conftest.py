@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic tabular datasets, a SISA oracle and acceptance reporting."""
+"""Shared fixtures: synthetic tabular datasets, the SISA and AUC oracles and acceptance reporting."""
 from __future__ import annotations
 
 import math
@@ -93,6 +93,15 @@ def sisa_oracle(ds: TabularDataset, store, s: int, alive: np.ndarray) -> list:
         model = mlp.train(model, data.take(rows[alive[rows]]), slice_cfg)
         checkpoints.append(model)
     return checkpoints
+
+
+def roc_auc_pairwise(positive_scores, negative_scores) -> float:
+    """Reference AUC by direct comparison of every (pos, neg) pair."""
+    pos = np.asarray(positive_scores, dtype=np.float64).ravel()
+    neg = np.asarray(negative_scores, dtype=np.float64).ravel()
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from privforget.attack import (
     balanced_pair,
     mia_from_probs,
     roc_auc,
-    roc_auc_pairwise,
     utility_from_probs,
 )
 from privforget.data import (
@@ -51,7 +50,7 @@ from privforget.unlearn import (
     sisa_train,
 )
 
-from conftest import make_dataset, sisa_oracle
+from conftest import make_dataset, roc_auc_pairwise, sisa_oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ADULT_DIR = Path(os.environ.get("PRIVFORGET_DATA_DIR", REPO_ROOT / "data" / "adult"))
@@ -200,7 +199,7 @@ def test_criterion_4_forget_independence(tmp_path):
             rows[idx, j] = rows[idx, j] * -3.0 + 1234.5
         else:
             rows[idx, j] = (rows[idx, j] + 1) % len(attr.categories)
-    mutated = ds.replace_rows(rows, Provenance.raw())
+    mutated = TabularDataset(ds.schema, rows, Provenance.raw())
     assert not np.array_equal(mutated.rows[idx], ds.rows[idx])
 
     for spec in (PrivacySpec.k_anonymity(10), PrivacySpec.dp(1.0, seed=5)):
@@ -234,7 +233,7 @@ def test_criterion_5_sisa_exactness(tmp_path):
     rng = np.random.default_rng(2024)
     for row in rng.choice(500, size=20, replace=False):
         after = sisa_forget(store, ds, ForgetRequest((int(row),)))
-        s_hit, _ = store.shard_of_row(int(row))
+        s_hit = int(store.row_slices[row][0])
         for s in range(5):
             got = tmp_path / f"got_shard{s}.model"
             save_model(after.final_models()[s], got)

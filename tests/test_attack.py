@@ -12,13 +12,12 @@ from privforget.attack import (
     balanced_pair,
     mia_from_probs,
     roc_auc,
-    roc_auc_pairwise,
     scores_from_probs,
 )
 from privforget.data import DataError, EncodedMatrix, encode, split_forget, ForgetRequest
 from privforget.mlp import MlpModel, TrainConfig, forward, init, train
 
-from conftest import make_dataset
+from conftest import make_dataset, roc_auc_pairwise
 
 
 def mia(model, members, nonmembers, attack):

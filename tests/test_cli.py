@@ -279,6 +279,46 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
     assert_forget_refuses_state(tmp_path, capsys, eupg_run, lambda m: edit(m[key]), message)
 
 
+@pytest.mark.parametrize(
+    "run, edit, message",
+    [
+        ("eupg", lambda m: m["schema"][3].update(categories=5),
+         "manifest key 'schema.categories': expected a list, got 5"),
+        ("eupg", lambda m: m["dp_ledger"].pop("entries"), "key 'dp_ledger' lacks key 'entries'"),
+        ("eupg", lambda m: m["cfg"].update(learning_rate="x"),
+         "manifest key 'cfg.learning_rate': expected a finite number, got 'x'"),
+        ("eupg", lambda m: m.update(finetune_epochs="5"),
+         "manifest key 'finetune_epochs': expected a non-negative integer, got '5'"),
+        ("eupg", lambda m: m.update(hidden_units=-3),
+         "manifest key 'hidden_units': expected a non-negative integer, got -3"),
+        ("eupg", lambda m: m["cfg"].update(shuffle="no"),
+         "manifest key 'cfg.shuffle': expected a JSON boolean, got 'no'"),
+        ("eupg", lambda m: m.update(audit_log={}), "manifest key 'audit_log': expected a list"),
+        ("eupg", lambda m: m["spec"].update(epsilon=-1.0), "manifest key 'spec': dp requires epsilon > 0"),
+        ("eupg", lambda m: m.update(notes="x"), "manifest.json has unknown key 'notes'"),
+        ("eupg", lambda m: m["spec"].update(mechanisms={"numeric_sensitivity": {}, "categorical": {
+            "cat0": {"delta_u": 1.0, "utility": [[1.0], [0.0, 1.0]]}}}),
+         "manifest key 'spec.mechanisms.categorical.utility': expected rows of equal length"),
+        ("sisa", lambda m: m["cfg"].update(beta1=float("nan")),
+         "manifest key 'cfg.beta1': expected a finite number, got nan"),
+        ("sisa", lambda m: m.update(layer_dims=5), "manifest key 'layer_dims': expected a list, got 5"),
+        ("sisa", lambda m: m.update(n_shards="2"), "manifest key 'n_shards': expected a non-negative"),
+        ("sisa", lambda m: m.update(n_slices=0), "manifest key 'n_slices' must be a positive integer"),
+        ("sisa", lambda m: m.update(clamp_out_of_range=None), "manifest key 'clamp_out_of_range'"),
+    ],
+    ids=["categories_not_list", "ledger_no_entries", "learning_rate_string", "epochs_string",
+         "hidden_negative", "shuffle_string", "audit_log_object", "spec_check", "unknown_top_level",
+         "ragged_matrix", "beta1_nan",
+         "layer_dims_number", "n_shards_string", "no_slices", "clamp_null"],
+)
+def test_manifest_values_typed(tmp_path, capsys, sisa_run, eupg_run, run, edit, message):
+    """forget refuses a manifest value of the wrong type, a negative count or
+    a value its record's own checks refuse, with exit 1 naming the state
+    directory and the key path, where it used to exit 2 or load the value."""
+    run_conf = eupg_run if run == "eupg" else sisa_run
+    assert_forget_refuses_state(tmp_path, capsys, run_conf, edit, message)
+
+
 def test_forget_refuses_another_table_or_method(tmp_path, capsys, sisa_run):
     """forget against a saved SISA state exits 1 naming the state directory,
     and writes no state after forgetting, when the training CSV holds other
@@ -365,6 +405,18 @@ def test_config_validation_errors(tmp_path, capsys):
         # a sweep grid is an object: a string or list used to fail on its characters or items
         ("sweep=abc", "sweep"),
         ("sweep=[1,2]", "sweep"),
+        # path keys are JSON strings: 0 used to read the training CSV from stdin
+        ("train_csv=0", "train_csv"),
+        ("test_csv=[1]", "test_csv"),
+        ("schema={}", "schema"),
+        ("utility_file=7", "utility_file"),
+        ("out=5", "out"),
+        ("out=2024", "out"),
+        ("out=null", "out"),
+        # integer keys are counts or seeds
+        ("hidden_units=-3", "hidden_units"),
+        ("n_shards=-1", "n_shards"),
+        ("privacy_seed=-2", "privacy_seed"),
     ]:
         assert main(["run", "--config", cfg_path, "--set", pair]) == 1, pair
         err = capsys.readouterr().err
@@ -582,6 +634,31 @@ def test_attack_scores_what_run_scored(tmp_path, method, extra):
         run_mia = json.loads((rep_dir / "run_report.json").read_text())["mia"]
         expected = [{k: v for k, v in e.items() if k != "population"} for e in run_mia]
         assert json.loads(out_json.read_text())["results"] == expected, (method, rep)
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [("original", {}), ("eupg_k", {"k": 3}), ("eupg_dp", {"epsilon": 2.0}), ("sisa", {})],
+)
+def test_attack_clamps_as_run_did(tmp_path, method, extra):
+    """A run that clamped its table to a declared range records so in its
+    state, and attack --state on the training and test CSVs clamps them too:
+    it exits 0 and reproduces the run's train_vs_test entries."""
+    conf = {**write_inputs(tmp_path), "method": method, "clamp_out_of_range": True, **extra}
+    schema = Path(conf["schema"])
+    declared = "num0,numeric,quasi_identifier"
+    schema.write_text(schema.read_text().replace(declared, declared + ",-1,1"))
+    assert main(["run", "--config", write_config(tmp_path, conf)]) == 0
+    state = tmp_path / "out" / "rep0" / "state"
+    assert json.loads((state / "manifest.json").read_text())["clamp_out_of_range"] is True
+    out_json = tmp_path / "attack.json"
+    assert main([
+        "attack", "--state", str(state), "--members", conf["train_csv"],
+        "--nonmembers", conf["test_csv"], "--out", str(out_json),
+    ]) == 0
+    run_mia = json.loads((state.parent / "run_report.json").read_text())["mia"]
+    expected = [{k: v for k, v in e.items() if k != "population"} for e in run_mia]
+    assert json.loads(out_json.read_text())["results"] == expected
 
 
 def test_attack_encodes_members_under_the_state_schema(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privforget import mlp
 from privforget.data import (
     AttributeSchema,
     CsvFormatError,
@@ -20,11 +21,10 @@ from privforget.data import (
     encode,
     load_csv,
     parse_schema_file,
-    schema_from_dicts,
-    schema_to_dicts,
     split_forget,
     write_csv,
 )
+from privforget.unlearn import load_state, save_state
 
 SCHEMA = (
     AttributeSchema("age", "numeric", "quasi_identifier", declared_range=(0.0, 100.0)),
@@ -86,9 +86,18 @@ def test_schema_file_bad_line(tmp_path):
         parse_schema_file(p)
 
 
-def test_schema_dict_round_trip():
-    back = schema_from_dicts(schema_to_dicts(SCHEMA))
-    assert back == SCHEMA
+def test_schema_dict_round_trip(tmp_path):
+    """A saved state's manifest gives back its schema: category order and
+    declared and observed ranges."""
+    schema = (
+        AttributeSchema("age", "numeric", "quasi_identifier", declared_range=(0.0, 100.0)),
+        AttributeSchema("hours", "numeric", "quasi_identifier", observed_range=(-1.5, 0.1)),
+        AttributeSchema("color", "categorical", "quasi_identifier", categories=("c", "a", "b")),
+        AttributeSchema("label", "categorical", "class", categories=("yes", "no")),
+    )
+    save_state(mlp.init((4, 2, 2), 0), schema, tmp_path)
+    _, back, _ = load_state(tmp_path)
+    assert back == schema
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privforget import mlp, seeds, unlearn
 from privforget.attack import utility_from_probs
@@ -14,6 +16,7 @@ from privforget.data import (
     EncodedMatrix,
     ForgetRequest,
     Provenance,
+    TabularDataset,
     encode,
     split_forget,
     write_csv,
@@ -137,7 +140,7 @@ def test_eupg_forget_is_independent_of_forgotten_contents(small_dataset):
             rows[idx, j] = -999.0
         else:
             rows[idx, j] = (rows[idx, j] + 1) % len(attr.categories)
-    mutated = small_dataset.replace_rows(rows, Provenance.raw())
+    mutated = TabularDataset(small_dataset.schema, rows, Provenance.raw())
 
     other = eupg_forget(state, mutated, request)
     assert models_equal(baseline.deployed_model, other.deployed_model)
@@ -385,16 +388,15 @@ def test_sisa_double_forget_rejected():
 
 
 def test_shard_of_row():
+    """row_slices names the (shard, slice) that slice_rows deals each row to."""
     ds = make_dataset(40, seed=3)
     store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
-    s, r = store.shard_of_row(int(store.slice_rows[1][0][2]))
-    assert (s, r) == (1, 0)
+    assert store.row_slices.shape == (40, 2)
+    assert tuple(store.row_slices[store.slice_rows[1][0][2]]) == (1, 0)
     for s, shard in enumerate(store.slice_rows):
         for r, rows in enumerate(shard):
-            assert all(store.shard_of_row(int(row)) == (s, r) for row in rows)
-    for row in (40, 10**6, -1):
-        with pytest.raises(DataError, match="not assigned"):
-            store.shard_of_row(row)
+            assert (store.row_slices[rows] == (s, r)).all()
+    assert sorted(np.concatenate([np.concatenate(shard) for shard in store.slice_rows])) == list(range(40))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +577,7 @@ def test_shard_store_rejects_wrong_dataset(tmp_path, monkeypatch):
 
     rows = np.array(ds.rows)
     rows[0, 0] += 1.0
-    tampered = ds.replace_rows(rows, Provenance.raw())
+    tampered = TabularDataset(ds.schema, rows, Provenance.raw())
     back = load_shard_store(tmp_path / "sisa")
     # refused before any shard replays
     monkeypatch.setattr(unlearn, "_replay_shards", lambda *args: pytest.fail("replayed"))
@@ -599,6 +601,122 @@ def test_shard_store_v2_directory_refused(tmp_path):
             load(tmp_path)
 
 
+@pytest.mark.parametrize("kind, version", [("eupg", 3), ("sisa", 3), ("original", 1)])
+def test_previous_format_version_refused(tmp_path, small_dataset, kind, version):
+    """A state written before every manifest recorded its clamp flag (and,
+    for EUPG, while its ledger carried two derived fields) is refused, naming
+    the directory and the version."""
+    fitted = {
+        "eupg": lambda: prepared(small_dataset, PrivacySpec.dp(1.0, seed=2)),
+        "sisa": lambda: sisa_train(small_dataset, 2, 2, CFG, hidden_units=8),
+        "original": lambda: retrain_scratch(small_dataset, CFG, hidden_units=8),
+    }[kind]()
+    save_state(fitted, small_dataset.schema, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["format_version"] = version
+    del manifest["clamp_out_of_range"]
+    if kind == "eupg":
+        manifest["dp_ledger"] = fitted.dp_ledger.to_json_dict()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=f"version {version} is not supported.*privforget run") as err:
+        load_state(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: ")
+
+
+# the manifest maps whose keys are data (an attribute or a timing), not fields
+MANIFEST_MAPS = {"timings", "categorical", "numeric_sensitivity"}
+
+
+def manifest_nodes(value, path=()):
+    """(path, value) of every value in a manifest, the manifest itself first;
+    a path holds object keys and list indices."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from manifest_nodes(item, path + (key,))
+
+
+def key_path(path) -> str:
+    """How a load error names the value at path: its record field names
+    joined by dots, without list indices or map keys."""
+    names = [k for i, k in enumerate(path) if isinstance(k, str) and not (i and path[i - 1] in MANIFEST_MAPS)]
+    return ".".join(names)
+
+
+@pytest.fixture(scope="module")
+def saved_states(tmp_path_factory):
+    """kind -> (directory, manifest) of one saved state of each kind, each
+    holding every kind of record: an eupg_dp state with utility matrices and a
+    forget event, a SISA store with forgotten rows, and an original model."""
+    ds = make_dataset(60, seed=4)
+    mechanisms = MechanismSpec(
+        categorical={"cat1": CategoricalMechanism(np.eye(3) + 0.25, delta_u=0.5)},
+        numeric_sensitivity={"num0": 2.5},
+    )
+    eupg = prepared(ds, PrivacySpec.dp(2.0, seed=1, mechanisms=mechanisms))
+    fitted = {
+        "eupg": eupg_forget(eupg, ds, ForgetRequest.from_ratio(ds.n_rows, 0.1, seed=3)),
+        "sisa": sisa_forget(sisa_train(ds, 2, 2, CFG, hidden_units=8), ds, ForgetRequest((4, 17))),
+        "original": retrain_scratch(ds, CFG, hidden_units=8),
+    }
+    states = {}
+    for kind, obj in fitted.items():
+        state_dir = tmp_path_factory.mktemp(kind)
+        save_state(obj, ds.schema, state_dir, clamp_out_of_range=True)
+        states[kind] = state_dir, json.loads((state_dir / "manifest.json").read_text())
+    return states
+
+
+def manifest_edit(data, manifest):
+    """One edit of a manifest drawn from data: (edited manifest, key path of
+    what the edit changed, what the error must say there).  kind and
+    format_version, whose check comes first, are left alone."""
+    edited = json.loads(json.dumps(manifest))
+    nodes = [(path, value) for path, value in manifest_nodes(edited)
+             if path[:1] not in (("kind",), ("format_version",))]
+    records = [(path, value) for path, value in nodes
+               if isinstance(value, dict) and not (path and path[-1] in MANIFEST_MAPS)]
+    ints = [(path, value) for path, value in nodes if type(value) is int]
+    edit = data.draw(st.sampled_from(["delete", "unknown", "wrong_type"] + ["negative"] * bool(ints)))
+    if edit in ("delete", "unknown"):
+        path, record = data.draw(st.sampled_from([r for r in records if r[1]]))
+        names = [name for name in record if path or name not in ("kind", "format_version")]
+        name = data.draw(st.sampled_from(names))
+        if edit == "delete":
+            del record[name]
+            return edited, path, f"lacks key {name!r}"
+        record["zz_" + name] = record[name]
+        return edited, path, f"has unknown key 'zz_{name}'"
+    if edit == "negative":
+        path, value = data.draw(st.sampled_from(ints))
+        wrong = -1 - value
+    else:
+        path, value = data.draw(st.sampled_from(nodes[1:]))
+        # a string for a number or a boolean, a number for a string, an object for a list or null
+        wrong = {dict: [], list: {}, str: 7, type(None): {}}.get(type(value), "7")
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = wrong
+    return edited, path, ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["eupg", "sisa", "original"]), data=st.data())
+def test_every_manifest_edit_refused_naming_its_key(saved_states, kind, data):
+    """Deleting a record's key, adding an unknown one, a JSON value of the
+    wrong type in any one place, or a negative integer: load_state raises
+    DataError naming the state directory and the key path."""
+    state_dir, manifest = saved_states[kind]
+    edited, path, problem = manifest_edit(data, manifest)
+    (state_dir / "manifest.json").write_text(json.dumps(edited))
+    with pytest.raises(DataError) as err:
+        load_state(state_dir)
+    where = f"manifest key {key_path(path)!r}" if key_path(path) else "manifest.json"
+    assert str(err.value).startswith(f"{state_dir}: {where}{' ' if problem else ''}{problem}"), (
+        path, str(err.value))
+
+
 def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset):
     """save_state then load_state gives back each method's fitted object and
     the training schema, and predict scores what each serves."""
@@ -610,9 +728,10 @@ def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset)
         "sisa": sisa_train(ds, 2, 2, CFG, hidden_units=8),
     }
     for name, obj in fitted.items():
-        save_state(obj, ds.schema, tmp_path / name)
-        back, schema = load_state(tmp_path / name)
+        save_state(obj, ds.schema, tmp_path / name, clamp_out_of_range=name == "sisa")
+        back, schema, clamp = load_state(tmp_path / name)
         assert type(back) is type(obj) and schema == ds.schema, name
+        assert clamp is (name == "sisa"), name
         assert predict(back, em.features).tobytes() == predict(obj, em.features).tobytes(), name
     assert {f.name for f in (tmp_path / "original").iterdir()} == {"manifest.json", "original.model"}
     assert predict(fitted["eupg"], em.features).tobytes() == (
