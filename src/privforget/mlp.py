@@ -1,9 +1,12 @@
 """A small feed-forward classifier trained from scratch in numpy.
 
 Architecture: dense layers sized by layer_dims, ReLU on hidden layers,
-softmax output, mean cross-entropy loss, Adam updates.  Everything runs in
-float64 and every source of randomness is derived from explicit integer
-seeds, so training twice with the same inputs produces bit-identical
+softmax output, mean cross-entropy loss, Adam updates.  Parameters are
+float32, and training runs in float32: each batch is cast as it is gathered
+from the float64 encoded matrix, which is never copied whole.  Prediction
+casts its input to float64, so probabilities are float64 computed from the
+float32 parameters.  Every source of randomness is derived from explicit
+integer seeds, so training twice with the same inputs produces bit-identical
 parameters.  Models serialize to a binary format that round-trips exactly.
 """
 from __future__ import annotations
@@ -52,7 +55,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Immutable parameter set plus a provenance tag and the training seed."""
+    """Immutable float32 parameter set plus a provenance tag and the training seed."""
 
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
@@ -64,8 +67,8 @@ class MlpModel:
         dims = tuple(int(d) for d in self.layer_dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ModelError(f"layer_dims must be >= 2 positive sizes, got {dims}")
-        ws = tuple(np.array(w, dtype=np.float64, copy=True) for w in self.weights)
-        bs = tuple(np.array(b, dtype=np.float64, copy=True) for b in self.biases)
+        ws = tuple(np.array(w, dtype=np.float32, copy=True) for w in self.weights)
+        bs = tuple(np.array(b, dtype=np.float32, copy=True) for b in self.biases)
         if len(ws) != len(dims) - 1 or len(bs) != len(dims) - 1:
             raise ModelError("need one weight matrix and bias vector per layer")
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -212,7 +215,9 @@ def train(
             order = rows
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = _batch_gradients((weights, biases), x[idx], y[idx])
+            loss, grads_w, grads_b = _batch_gradients(
+                (weights, biases), x[idx].astype(np.float32), y[idx]
+            )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size} "
@@ -253,11 +258,12 @@ def finetune(model: MlpModel, data: EncodedMatrix, epochs: int, cfg: TrainConfig
 # Layout (little-endian): 8-byte magic, uint32 format version, uint32 number
 # of layer dims, uint32 dims, int64 train_seed, uint32 provenance byte
 # length, utf-8 provenance, then per layer the weight matrix (row-major
-# float64) followed by the bias vector.  float64 bytes are written raw, so
-# save/load round-trips are bit-exact.
+# float32) followed by the bias vector.  float32 bytes are written raw, so
+# save/load round-trips are bit-exact.  Version 1 held float64 parameters;
+# such files are refused, not converted.
 
 _MODEL_MAGIC = b"PFMLP\x00\x00\x01"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -270,8 +276,8 @@ def save_model(model: MlpModel, path) -> None:
         fh.write(struct.pack("<I", len(tag)))
         fh.write(tag)
         for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
 
 
 def load_model(path) -> MlpModel:
@@ -281,19 +287,22 @@ def load_model(path) -> MlpModel:
             raise ModelError(f"{path}: not a model file")
         version, n_dims = struct.unpack("<II", fh.read(8))
         if version != _MODEL_VERSION:
-            raise ModelError(f"{path}: unsupported model format version {version}")
+            raise ModelError(
+                f"{path}: model format version {version} is not supported (expected "
+                f"{_MODEL_VERSION}); re-run `privforget run` to rebuild it"
+            )
         dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
         (train_seed,) = struct.unpack("<q", fh.read(8))
         (tag_len,) = struct.unpack("<I", fh.read(4))
         provenance = fh.read(tag_len).decode("utf-8")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            wbuf = fh.read(8 * fan_in * fan_out)
-            bbuf = fh.read(8 * fan_out)
-            if len(wbuf) != 8 * fan_in * fan_out or len(bbuf) != 8 * fan_out:
+            wbuf = fh.read(4 * fan_in * fan_out)
+            bbuf = fh.read(4 * fan_out)
+            if len(wbuf) != 4 * fan_in * fan_out or len(bbuf) != 4 * fan_out:
                 raise ModelError(f"{path}: truncated parameter block")
-            weights.append(np.frombuffer(wbuf, dtype="<f8").reshape(fan_in, fan_out))
-            biases.append(np.frombuffer(bbuf, dtype="<f8"))
+            weights.append(np.frombuffer(wbuf, dtype="<f4").reshape(fan_in, fan_out))
+            biases.append(np.frombuffer(bbuf, dtype="<f4"))
         if fh.read(1):
             raise ModelError(f"{path}: trailing bytes after parameters")
     return MlpModel(dims, tuple(weights), tuple(biases), provenance, train_seed)

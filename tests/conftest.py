@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -102,6 +103,24 @@ def roc_auc_pairwise(positive_scores, negative_scores) -> float:
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
+
+
+def write_version1_model(model: mlp.MlpModel, path) -> None:
+    """Write model in model format version 1, which held float64 parameters:
+    the layout save_model writes, with version 1 and "<f8" parameter bytes."""
+    dims = model.layer_dims
+    tag = model.provenance.encode("utf-8")
+    parts = [
+        b"PFMLP\x00\x00\x01",
+        struct.pack("<II", 1, len(dims)),
+        struct.pack(f"<{len(dims)}I", *dims),
+        struct.pack("<qI", model.train_seed, len(tag)),
+        tag,
+    ]
+    for w, b in zip(model.weights, model.biases):
+        parts += [np.asarray(w, dtype="<f8").tobytes(), np.asarray(b, dtype="<f8").tobytes()]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 @pytest.fixture

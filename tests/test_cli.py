@@ -20,10 +20,10 @@ from privforget.data import (
     split_forget,
     write_csv,
 )
-from privforget.mlp import TrainConfig
+from privforget.mlp import TrainConfig, load_model
 from privforget.unlearn import load_eupg_state
 
-from conftest import make_dataset
+from conftest import make_dataset, write_version1_model
 
 REPORT_SCHEMA = json.loads(
     (files("privforget") / "schemas" / "report.schema.json").read_text()
@@ -339,6 +339,23 @@ def test_forget_refuses_another_table_or_method(tmp_path, capsys, sisa_run):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {state_dir}:") and message in err, err
         assert not (state_dir.parent / "state_after_forget").exists()
+
+
+def test_forget_refuses_a_version_1_model_file(tmp_path, capsys, eupg_run):
+    """forget against a saved EUPG state whose deployed model is a format
+    version 1 (float64) file exits 1, naming the file, and writes no state
+    after forgetting."""
+    shutil.copytree(Path(eupg_run["out"]), tmp_path / "out")
+    state_dir = tmp_path / "out" / "rep0" / "state"
+    deployed = state_dir / "deployed.model"
+    write_version1_model(load_model(deployed), deployed)
+    conf = {**eupg_run, "out": str(tmp_path / "out")}
+    capsys.readouterr()
+    assert main(["forget", "--config", write_config(tmp_path, conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deployed}: model format version 1"), err
+    assert "re-run `privforget run` to rebuild it" in err, err
+    assert not (state_dir.parent / "state_after_forget").exists()
 
 
 def test_repetitions_and_summary(tmp_path):

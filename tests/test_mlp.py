@@ -29,7 +29,7 @@ from privforget.mlp import (
     train,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, write_version1_model
 
 
 def matrix(features, labels):
@@ -210,6 +210,22 @@ def test_forward_holds_one_hidden_activation():
     assert peak < 1.5 * (hidden_bytes + probs.nbytes)
 
 
+def test_train_casts_each_batch_not_the_matrix():
+    """train on 15,000 x 104 float64 rows casts each gathered batch to
+    float32: its peak traced memory stays under a quarter of the matrix,
+    where one whole float32 copy of it would take half."""
+    rng = np.random.default_rng(0)
+    data = matrix(rng.random((15000, 104)), rng.integers(0, 2, 15000))
+    model = init((104, 128, 2), seed=0)
+    tracemalloc.start()
+    try:
+        train(model, data, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.features.nbytes / 4
+
+
 @pytest.mark.parametrize("shuffle", [True, False])
 def test_train_on_rows_equals_train_on_take(small_dataset, shuffle):
     """Training on rows of a matrix gives the bits of training on their copy."""
@@ -314,13 +330,14 @@ def test_empty_metrics_raise():
 
 
 def test_save_load_round_trip(tmp_path):
+    """Parameters are float32 after init, train, finetune and a save/load
+    round trip, which is bit-exact; the file holds 4 bytes per parameter
+    after its header, and forward still computes float64 probabilities."""
     ds = make_dataset(80, seed=1)
     em = encode(ds)
-    model = train(
-        init((em.width, 6, 2), seed=7, provenance="protected(eps=0.5)"),
-        em,
-        TrainConfig(batch_size=20, epochs=2, seed=7),
-    )
+    base = init((em.width, 6, 2), seed=7, provenance="protected(eps=0.5)")
+    trained = train(base, em, TrainConfig(batch_size=20, epochs=2, seed=7))
+    model = finetune(trained, em, 1, TrainConfig(batch_size=20, seed=8))
     path = tmp_path / "m.model"
     save_model(model, path)
     back = load_model(path)
@@ -328,6 +345,15 @@ def test_save_load_round_trip(tmp_path):
     assert back.provenance == model.provenance
     assert back.train_seed == model.train_seed
     assert back.layer_dims == model.layer_dims
+    for m in (base, trained, model, back):
+        assert {a.dtype for a in m.weights + m.biases} == {np.dtype(np.float32)}
+    # magic, version and dim count, dims, train_seed, provenance length and bytes
+    header = 8 + 8 + 4 * len(back.layer_dims) + 8 + 4 + len(back.provenance.encode())
+    n_params = sum(a.size for a in back.weights + back.biases)
+    assert path.stat().st_size == header + 4 * n_params
+    probs = forward(back, em.features)
+    assert probs.dtype == np.float64
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_load_model_rejects_corruption(tmp_path):
@@ -347,3 +373,11 @@ def test_load_model_rejects_corruption(tmp_path):
     (tmp_path / "long.model").write_bytes(raw + b"\x00")
     with pytest.raises(ModelError, match="trailing"):
         load_model(tmp_path / "long.model")
+
+    old = tmp_path / "version1.model"
+    write_version1_model(model, old)
+    with pytest.raises(ModelError) as refused:
+        load_model(old)
+    message = str(refused.value)
+    assert message.startswith(f"{old}: model format version 1 is not supported"), message
+    assert "re-run `privforget run` to rebuild it" in message
