@@ -4,8 +4,8 @@ Protect a training set (k-anonymity via microaggregation, or differential
 privacy via Laplace/exponential mechanisms), pre-train a classifier on the
 protected view, fine-tune on the raw data for deployment, and serve
 forgetting requests by re-fine-tuning the protected base on the retain set.
-Ships retrain-from-scratch and sharded (SISA) baselines plus
-membership-inference evaluation.
+Ships a sharded (SISA) baseline, whose one-shard, one-slice case is
+retraining from scratch, plus membership-inference evaluation.
 """
 
 from .data import (
@@ -46,7 +46,6 @@ from .unlearn import (
     ShardStore,
     eupg_forget,
     eupg_prepare,
-    retrain_scratch,
     sisa_forget,
     sisa_predict,
     sisa_train,

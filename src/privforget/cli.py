@@ -35,10 +35,9 @@ from .data import (
     encode,
     load_csv,
     parse_schema_file,
-    split_forget,
     write_csv,
 )
-from .mlp import MlpModel, ModelError, TrainConfig, TrainingDiverged
+from .mlp import ModelError, TrainConfig, TrainingDiverged
 
 # each method's own config keys: its reports' params block and its sweep axes
 METHOD_PARAMS = {
@@ -48,13 +47,6 @@ METHOD_PARAMS = {
     "sisa": ("n_shards", "n_slices"),
 }
 METHODS = tuple(METHOD_PARAMS)
-# the class of the state each method's run saves and its forget reads
-METHOD_STATE = {
-    "original": MlpModel,
-    "eupg_k": unlearn.EupgState,
-    "eupg_dp": unlearn.EupgState,
-    "sisa": unlearn.ShardStore,
-}
 
 DEFAULTS: dict = {
     "train_csv": None,
@@ -293,6 +285,36 @@ def _params_block(conf: dict) -> dict:
     return {key: conf[key] for key in METHOD_PARAMS[conf["method"]]}
 
 
+def _state_params(conf: dict) -> dict:
+    """The method and method parameters that a run of conf records in its
+    state.  original is SISA with one shard and one slice, so its store and
+    a one-by-one sisa store are the same, both recorded as original."""
+    method = conf["method"]
+    if method not in ("original", "sisa"):
+        return {"method": method, **_params_block(conf)}
+    shards, slices = (1, 1) if method == "original" else (conf["n_shards"], conf["n_slices"])
+    method = "original" if (shards, slices) == (1, 1) else "sisa"
+    return {"method": method, "n_shards": shards, "n_slices": slices}
+
+
+def _check_state_params(state_dir: Path, fitted, conf: dict) -> None:
+    """DataError naming state_dir, a key and both values unless fitted is
+    what a run of conf's method and method parameters saves."""
+    if isinstance(fitted, unlearn.ShardStore):
+        saved = {"method": "sisa", "n_shards": fitted.n_shards, "n_slices": fitted.n_slices}
+    else:
+        spec = fitted.spec
+        method = "eupg_k" if spec.method == unlearn.K_ANONYMITY else "eupg_dp"
+        saved = {"method": method, "k": spec.k, "epsilon": spec.epsilon}
+    found = _state_params(saved)
+    for key, wanted in _state_params(conf).items():
+        if found.get(key) != wanted:
+            raise DataError(
+                f"{state_dir}: not the saved state of a {conf['method']!r} run: "
+                f"its {key} is {found.get(key)!r}, the config's is {wanted!r}"
+            )
+
+
 def _timed(timings: dict, key: str, fn, *args):
     """fn(*args), with its wall time recorded as timings[key]."""
     t0 = time.perf_counter()
@@ -446,9 +468,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     timings: dict[str, float] = {}
     fields: dict = {"timings_s": timings, "artifacts": {"state_dir": str(state_dir)}}
 
-    if method == "original":
-        fitted = _timed(timings, "train", unlearn.retrain_scratch, train, cfg, hidden)
-    elif method in ("eupg_k", "eupg_dp"):
+    if method in ("eupg_k", "eupg_dp"):
         spec = _privacy_spec(conf, privacy_seed, train.schema)
         fitted = unlearn.eupg_prepare(train, spec, cfg, conf["finetune_epochs"], hidden)
         if method == "eupg_k":
@@ -458,10 +478,10 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         if fitted.dp_ledger:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
     else:
-        shards, slices = conf["n_shards"], conf["n_slices"]
+        params = _state_params(conf)
+        shards, slices = params["n_shards"], params["n_slices"]
         fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
-    _timed(timings, "artifact_io", unlearn.save_state, fitted, train.schema, state_dir,
-           conf["clamp_out_of_range"])
+    _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir, conf["clamp_out_of_range"])
 
     return _report(conf, "run", rep, rep_dir, fitted, encode(train), test, None, **fields)
 
@@ -490,8 +510,6 @@ def cmd_run(conf: dict) -> int:
 def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     method = conf["method"]
     base_seed = conf["seed"] + rep
-    cfg = _train_config(conf, base_seed)
-    hidden = conf["hidden_units"]
     forget_base = conf["forget_seed"] if conf["forget_seed"] is not None else base_seed
     request = ForgetRequest.from_ratio(train.n_rows, conf["forget_ratio"], forget_base + rep)
     if not 0 < len(request.forget_indices) < train.n_rows:
@@ -502,22 +520,19 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     timings: dict[str, float] = {}
     state_dir, after_dir = rep_dir / "state", rep_dir / "state_after_forget"
     fitted, _, _ = unlearn.load_state(state_dir)
-    if not isinstance(fitted, METHOD_STATE[method]):
-        raise DataError(f"{state_dir}: not the saved state of a {method!r} run")
+    _check_state_params(state_dir, fitted, conf)
 
+    # the state's own settings drive the forget: its training config and
+    # layer dims, and for EUPG its privacy spec
     try:
-        if method == "original":
-            retain, _ = split_forget(train, request)
-            after = _timed(timings, "forget", unlearn.retrain_scratch, retain, cfg, hidden)
-        elif method in ("eupg_k", "eupg_dp"):
-            after = unlearn.eupg_forget(fitted, train, request, epochs=conf["finetune_epochs"])
-            timings["forget"] = after.timings["forget"]
+        if isinstance(fitted, unlearn.EupgState):
+            epochs = conf["finetune_epochs"]
+            after = _timed(timings, "forget", unlearn.eupg_forget, fitted, train, request, epochs)
         else:
             after = _timed(timings, "forget", unlearn.sisa_forget, fitted, train, request)
     except DataError as exc:
         raise DataError(f"{state_dir}: {exc}") from None
-    _timed(timings, "artifact_io", unlearn.save_state, after, train.schema, after_dir,
-           conf["clamp_out_of_range"])
+    _timed(timings, "artifact_io", unlearn.save_state, after, after_dir, conf["clamp_out_of_range"])
 
     return _report(
         conf,

@@ -156,12 +156,11 @@ class MechanismSpec:
     """Optional per-attribute overrides for the table mechanisms.
 
     categorical maps attribute name to a CategoricalMechanism (default:
-    identity utility).  numeric_sensitivity overrides the default numeric
-    sensitivity, which is the width of the attribute's effective range.
+    identity utility).  A numeric attribute's sensitivity is always the
+    width of its effective range, so its noise matches the ledger's epsilon.
     """
 
     categorical: dict[str, CategoricalMechanism] = field(default_factory=dict)
-    numeric_sensitivity: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ def dp_protect_table(
     for j, attr in protected:
         if attr.kind == NUMERIC:
             lo, hi = attr.effective_range
-            sens = spec.numeric_sensitivity.get(attr.name, hi - lo)
+            sens = hi - lo
             rows[:, j], n_clamped = perturb_numeric(
                 rows[:, j], sens, eps_attr, rng, bounds=(lo, hi)
             )

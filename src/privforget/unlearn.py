@@ -8,10 +8,11 @@ model and fine-tunes the base on the retain set alone; the forgotten rows
 never influence the result, because the base saw only the protected view
 and the fine-tune sees only the retain rows.
 
-Baselines: retraining from scratch on the retain set, and sharded
-incremental training (SISA) where a forget rolls the affected shard back
-to the last checkpoint untouched by the forgotten row and replays the
-remaining slices with their original seeds.
+Baseline: sharded incremental training (SISA), where a forget rolls the
+affected shard back to the last checkpoint untouched by the forgotten row
+and replays the remaining slices with their original seeds.  Retraining
+from scratch is SISA with one shard and one slice: every forget replays
+the one model on the retain rows.
 """
 from __future__ import annotations
 
@@ -89,7 +90,6 @@ class PrivacySpec:
 class ForgetEvent:
     n_forgotten: int
     epochs: int
-    seconds: float
     ratio: float | None = None
     request_seed: int | None = None
 
@@ -102,7 +102,9 @@ class EupgState:
     which is not stored here, this serves any forgetting request.
     protected_data is the protected view the base model was trained on; a
     prepared state holds it, a loaded one holds None, since forgetting never
-    reads it and protect(ds, spec) re-derives it.
+    reads it and protect(ds, spec) re-derives it.  timings holds the
+    seconds prepare spent protecting, training and fine-tuning; a loaded
+    state holds none.
     """
 
     spec: PrivacySpec
@@ -111,7 +113,6 @@ class EupgState:
     deployed_model: MlpModel
     finetune_epochs: int
     cfg: TrainConfig
-    hidden_units: int
     timings: dict[str, float] = field(default_factory=dict)
     audit_log: tuple[ForgetEvent, ...] = ()
     dp_ledger: DpLedger | None = None
@@ -162,7 +163,6 @@ def eupg_prepare(
         deployed_model=deployed,
         finetune_epochs=finetune_epochs,
         cfg=cfg,
-        hidden_units=hidden_units,
         timings={"anonymize": t1 - t0, "train": t2 - t1, "finetune": t3 - t2},
         dp_ledger=ledger,
         protected_data=protected,
@@ -187,31 +187,14 @@ def eupg_forget(
         raise DataError(f"forget expects the raw training dataset, got {ds.provenance.tag()!r}")
     epochs = state.finetune_epochs if epochs is None else epochs
     retain, _ = split_forget(ds, request)
-    t0 = time.perf_counter()
     deployed = mlp.finetune(state.base_model, encode(retain), epochs, state.cfg)
-    seconds = time.perf_counter() - t0
     event = ForgetEvent(
         n_forgotten=len(request.forget_indices),
         epochs=epochs,
-        seconds=seconds,
         ratio=request.ratio,
         request_seed=request.seed,
     )
-    return dataclasses.replace(
-        state,
-        deployed_model=deployed,
-        audit_log=state.audit_log + (event,),
-        timings={**state.timings, "forget": seconds},
-    )
-
-
-def retrain_scratch(
-    ds: TabularDataset, cfg: TrainConfig, hidden_units: int = 128
-) -> MlpModel:
-    """Baseline: a fresh model trained only on the given (retain) dataset."""
-    dims = _model_dims(ds, hidden_units)
-    model = mlp.init(dims, cfg.seed, provenance="original")
-    return mlp.train(model, encode(ds), cfg)
+    return dataclasses.replace(state, deployed_model=deployed, audit_log=state.audit_log + (event,))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +219,6 @@ class ShardStore:
     n_shards: int
     n_slices: int
     cfg: TrainConfig
-    hidden_units: int
     layer_dims: tuple[int, ...]
     schema: tuple[AttributeSchema, ...]
     alive: np.ndarray
@@ -351,7 +333,8 @@ def sisa_train(
     hidden_units: int = 128,
 ) -> ShardStore:
     """Train the sharded ensemble.  Total epochs split as ceil(epochs/slices)
-    per incremental stage, so each shard sees roughly cfg.epochs of work."""
+    per incremental stage, so each shard sees roughly cfg.epochs of work.
+    One shard of one slice is a single model trained from scratch."""
     if n_shards < 1 or n_slices < 1:
         raise DataError("need at least one shard and one slice")
     if ds.n_rows < n_shards * n_slices:
@@ -363,7 +346,6 @@ def sisa_train(
         n_shards=n_shards,
         n_slices=n_slices,
         cfg=cfg,
-        hidden_units=hidden_units,
         layer_dims=_model_dims(ds, hidden_units),
         schema=ds.schema,
         alive=np.ones(ds.n_rows, dtype=bool),
@@ -415,24 +397,25 @@ def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
     return np.mean(probs, axis=0)
 
 
-def predict(fitted, features: np.ndarray) -> np.ndarray:
+def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:
     """Class probabilities from what a fitted method serves: a shard store's
-    ensemble, an EUPG state's deployed model, or a bare model."""
+    ensemble or an EUPG state's deployed model."""
     if isinstance(fitted, ShardStore):
         return sisa_predict(fitted, features)
-    model = fitted.deployed_model if isinstance(fitted, EupgState) else fitted
-    return mlp.forward(model, features)
+    return mlp.forward(fitted.deployed_model, features)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 #
-# Every method saves what it fitted as a state directory: manifest.json plus
-# binary model files, and nothing that forgetting does not read.  The
-# manifest names its kind and holds the training table's fitted encoding
-# schema (category order and observed ranges) and whether that table was
-# clamped to its declared ranges, so load_state(dir) needs no other input and
-# a table loaded under that schema is encoded as the training table was.
+# Every method saves what it fitted as a state directory of one of two
+# kinds: manifest.json plus binary model files, and nothing that forgetting
+# does not read, nor any wall-clock time, so one config saves the same bytes
+# on every run.  The manifest names its kind and holds the training table's
+# fitted encoding schema (category order and observed ranges) and whether
+# that table was clamped to its declared ranges, so load_state(dir) needs no
+# other input and a table loaded under that schema is encoded as the
+# training table was.
 #   - eupg_state: both models, the privacy spec, the training settings, the
 #     DP ledger and the audit log.  The protected rows are not stored:
 #     protect(ds, spec) re-derives them, and `privforget anonymize` is their
@@ -440,15 +423,14 @@ def predict(fitted, features: np.ndarray) -> np.ndarray:
 #   - shard_store: every checkpoint, the row count and sha256s of the encoded
 #     training table and of its deal to shards and slices.  load_shard_store
 #     re-deals the rows and checks the deal; sisa_forget takes the table
-#     from its caller and checks it.
-#   - original_model: the model trained from scratch.
+#     from its caller and checks it.  The from-scratch baseline is a store
+#     of one shard and one slice.
 # Each kind's manifest is a record dataclass below, written by asdict and
 # read back by _from_json against its type hints: the dataclasses are the
 # format.  A directory of another format version is refused, not converted.
 
-EUPG_FORMAT_VERSION = 4
-SHARD_FORMAT_VERSION = 4
-ORIGINAL_FORMAT_VERSION = 2
+EUPG_FORMAT_VERSION = 5
+SHARD_FORMAT_VERSION = 5
 MANIFEST = "manifest.json"
 
 
@@ -466,18 +448,10 @@ class _Manifest:
 
 
 @dataclass(frozen=True)
-class _OriginalManifest(_Manifest):
-    format_version: int = ORIGINAL_FORMAT_VERSION
-    kind: str = "original_model"
-
-
-@dataclass(frozen=True)
 class _EupgManifest(_Manifest):
     spec: PrivacySpec
     finetune_epochs: int
-    hidden_units: int
     cfg: TrainConfig
-    timings: dict[str, float]
     audit_log: tuple[ForgetEvent, ...]
     dp_ledger: DpLedger | None
     format_version: int = EUPG_FORMAT_VERSION
@@ -489,7 +463,6 @@ class _ShardManifest(_Manifest):
     n_shards: int
     n_slices: int
     cfg: TrainConfig
-    hidden_units: int
     layer_dims: tuple[int, ...]
     n_rows: int
     deal_sha256: str
@@ -603,42 +576,30 @@ def _write_state(out_dir, models: dict[str, MlpModel], manifest: _Manifest) -> N
     (out / MANIFEST).write_text(json.dumps(record, indent=2, default=np.ndarray.tolist))
 
 
-def save_state(fitted, schema, out_dir, clamp_out_of_range: bool = False) -> None:
-    """Write fitted, trained on a table of this schema, for load_state;
-    clamp_out_of_range records whether that table was clamped to its
-    declared ranges.
-
-    An EupgState or a ShardStore is written with the schema it holds; a
-    bare model, which holds none, with schema.
-    """
-    if isinstance(fitted, EupgState):
-        save_eupg_state(fitted, out_dir, clamp_out_of_range)
-    elif isinstance(fitted, ShardStore):
-        save_shard_store(fitted, out_dir, clamp_out_of_range)
-    else:
-        manifest = _OriginalManifest(schema=tuple(schema), clamp_out_of_range=clamp_out_of_range)
-        _write_state(out_dir, {"original.model": fitted}, manifest)
+def save_state(fitted: EupgState | ShardStore, out_dir, clamp_out_of_range: bool = False) -> None:
+    """Write fitted, with the schema it holds, for load_state;
+    clamp_out_of_range records whether its training table was clamped to
+    its declared ranges."""
+    save = save_eupg_state if isinstance(fitted, EupgState) else save_shard_store
+    save(fitted, out_dir, clamp_out_of_range)
 
 
 def load_state(state_dir) -> tuple:
     """(fitted, schema, clamp_out_of_range) of the state saved in state_dir,
-    whatever its kind: an EupgState, a ShardStore or a bare model, the
-    training table's encoding schema, and whether that table was clamped to
-    its declared ranges."""
+    whatever its kind: an EupgState or a ShardStore, the training table's
+    encoding schema, and whether that table was clamped to its declared
+    ranges."""
     manifest = _manifest(state_dir)
-    kind = manifest.get("kind")
-    if kind == "eupg_state":
-        fitted = load_eupg_state(state_dir)
-    elif kind == "shard_store":
-        fitted = load_shard_store(state_dir)
-    elif kind == "original_model":
-        original = _read_manifest(state_dir, _OriginalManifest, "original model")
-        model = mlp.load_model(Path(state_dir) / "original.model")
-        return model, original.schema, original.clamp_out_of_range
-    else:
-        raise DataError(f"{state_dir}: not a saved state (manifest kind {kind!r})")
-    # the kind's loader has read this manifest and typed its clamp flag
-    return fitted, fitted.schema, manifest["clamp_out_of_range"]
+    kind, found = manifest.get("kind"), manifest.get("format_version")
+    load = {_EupgManifest.kind: load_eupg_state, _ShardManifest.kind: load_shard_store}.get(kind)
+    if load is None:
+        raise DataError(
+            f"{state_dir}: not a saved state: manifest kind {kind!r} format version {found} "
+            "is not supported; re-run `privforget run` to rebuild it"
+        )
+    fitted = load(state_dir)
+    clamp = _from_json(state_dir, manifest["clamp_out_of_range"], bool, "clamp_out_of_range")
+    return fitted, fitted.schema, clamp
 
 
 def save_eupg_state(state: EupgState, out_dir, clamp_out_of_range: bool = False) -> None:
@@ -648,9 +609,7 @@ def save_eupg_state(state: EupgState, out_dir, clamp_out_of_range: bool = False)
         clamp_out_of_range=clamp_out_of_range,
         spec=state.spec,
         finetune_epochs=state.finetune_epochs,
-        hidden_units=state.hidden_units,
         cfg=state.cfg,
-        timings=state.timings,
         audit_log=state.audit_log,
         dp_ledger=state.dp_ledger,
     )
@@ -659,7 +618,7 @@ def save_eupg_state(state: EupgState, out_dir, clamp_out_of_range: bool = False)
 
 
 def load_eupg_state(state_dir) -> EupgState:
-    """Reload a format-version-4 state; its protected_data is None."""
+    """Reload a saved state; its protected_data is None and its timings empty."""
     out = Path(state_dir)
     manifest = _read_manifest(state_dir, _EupgManifest, "unlearning state")
     return EupgState(
@@ -669,8 +628,6 @@ def load_eupg_state(state_dir) -> EupgState:
         deployed_model=mlp.load_model(out / "deployed.model"),
         finetune_epochs=manifest.finetune_epochs,
         cfg=manifest.cfg,
-        hidden_units=manifest.hidden_units,
-        timings=manifest.timings,
         audit_log=manifest.audit_log,
         dp_ledger=manifest.dp_ledger,
     )
@@ -703,7 +660,6 @@ def save_shard_store(store: ShardStore, out_dir, clamp_out_of_range: bool = Fals
         n_shards=store.n_shards,
         n_slices=store.n_slices,
         cfg=store.cfg,
-        hidden_units=store.hidden_units,
         layer_dims=store.layer_dims,
         n_rows=len(store.alive),
         deal_sha256=_deal_checksum(store.slice_rows),
@@ -744,7 +700,6 @@ def load_shard_store(state_dir) -> ShardStore:
         n_shards=n_shards,
         n_slices=n_slices,
         cfg=manifest.cfg,
-        hidden_units=manifest.hidden_units,
         layer_dims=manifest.layer_dims,
         schema=manifest.schema,
         alive=alive,

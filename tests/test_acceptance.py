@@ -44,7 +44,6 @@ from privforget.unlearn import (
     PrivacySpec,
     eupg_forget,
     eupg_prepare,
-    retrain_scratch,
     sisa_forget,
     sisa_predict,
     sisa_train,
@@ -218,33 +217,37 @@ def test_criterion_4_forget_independence(tmp_path):
 # criterion 5: sharded unlearning equals retraining the affected shard
 
 def test_criterion_5_sisa_exactness(tmp_path):
+    """Checked at 5 shards x 10 slices and at one shard and one slice, the
+    from-scratch baseline, where every forget retrains the one model on the
+    retain rows."""
     start = time.perf_counter()
     ds = make_dataset(500, seed=1)
     cfg = TrainConfig(batch_size=512, learning_rate=1e-2, epochs=10, seed=3)
-    store = sisa_train(ds, n_shards=5, n_slices=10, cfg=cfg, hidden_units=128)
-    assert store.per_slice_epochs == 1
+    for n_shards, n_slices in ((5, 10), (1, 1)):
+        store = sisa_train(ds, n_shards=n_shards, n_slices=n_slices, cfg=cfg, hidden_units=128)
+        assert store.per_slice_epochs == 10 // n_slices
 
-    original_files = {}
-    for s, model in enumerate(store.final_models()):
-        path = tmp_path / f"orig_shard{s}.model"
-        save_model(model, path)
-        original_files[s] = file_bytes(path)
+        original_files = {}
+        for s, model in enumerate(store.final_models()):
+            path = tmp_path / f"orig_shard{s}.model"
+            save_model(model, path)
+            original_files[s] = file_bytes(path)
 
-    rng = np.random.default_rng(2024)
-    for row in rng.choice(500, size=20, replace=False):
-        after = sisa_forget(store, ds, ForgetRequest((int(row),)))
-        s_hit = int(store.row_slices[row][0])
-        for s in range(5):
-            got = tmp_path / f"got_shard{s}.model"
-            save_model(after.final_models()[s], got)
-            if s != s_hit:
-                # untouched shards keep byte-identical parameters
-                assert file_bytes(got) == original_files[s], (int(row), s)
-                continue
-            oracle = sisa_oracle(ds, store, s, after.alive)
-            want = tmp_path / "oracle.model"
-            save_model(oracle[-1], want)
-            assert file_bytes(got) == file_bytes(want), int(row)
+        rng = np.random.default_rng(2024)
+        for row in rng.choice(500, size=20, replace=False):
+            after = sisa_forget(store, ds, ForgetRequest((int(row),)))
+            s_hit = int(store.row_slices[row][0])
+            for s in range(n_shards):
+                got = tmp_path / f"got_shard{s}.model"
+                save_model(after.final_models()[s], got)
+                if s != s_hit:
+                    # untouched shards keep byte-identical parameters
+                    assert file_bytes(got) == original_files[s], (n_shards, int(row), s)
+                    continue
+                oracle = sisa_oracle(ds, store, s, after.alive)
+                want = tmp_path / "oracle.model"
+                save_model(oracle[-1], want)
+                assert file_bytes(got) == file_bytes(want), (n_shards, int(row))
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"sisa exactness took {elapsed:.1f}s"
 
@@ -288,7 +291,9 @@ def test_criterion_6_adult_reproduction():
     em_train, em_test = encode(train_ds), encode(test_ds)
 
     t0 = time.perf_counter()
-    m_o = retrain_scratch(train_ds, ADULT_CFG, ADULT_HIDDEN)
+    # the original model: retraining from scratch is SISA with one shard and one slice
+    scratch = sisa_train(train_ds, 1, 1, ADULT_CFG, ADULT_HIDDEN)
+    (m_o,) = scratch.final_models()
     acc_o = accuracy(m_o, em_test)
     assert acc_o >= 0.82, f"original model test accuracy {acc_o:.4f}"
 
@@ -304,7 +309,7 @@ def test_criterion_6_adult_reproduction():
 
     # forget 5 percent with every method; leakage must drop to near-random
     request = ForgetRequest.from_ratio(train_ds.n_rows, 0.05, seed=0)
-    retain, forget_part = split_forget(train_ds, request)
+    _, forget_part = split_forget(train_ds, request)
     em_f = encode(forget_part)
 
     t0 = time.perf_counter()
@@ -318,7 +323,7 @@ def test_criterion_6_adult_reproduction():
     store_after = sisa_forget(store, train_ds, request)
 
     t0 = time.perf_counter()
-    m_retrain = retrain_scratch(retain, ADULT_CFG, ADULT_HIDDEN)
+    (m_retrain,) = sisa_forget(scratch, train_ds, request).final_models()
     t_retrain = time.perf_counter() - t0
 
     probs_fns = {

@@ -128,7 +128,8 @@ def test_run_then_forget(tmp_path, method, extra):
     if method == "sisa":
         expected = {"manifest.json"} | {f"shard{s}_slice{r}.model" for s in range(2) for r in range(2)}
     elif method == "original":
-        expected = {"manifest.json", "original.model"}
+        # retraining from scratch is a store of one shard and one slice
+        expected = {"manifest.json", "shard0_slice0.model"}
     else:
         expected = {"manifest.json", "base.model", "deployed.model"}
         after = load_eupg_state(after_dir)
@@ -230,7 +231,7 @@ def test_malformed_shard_manifest_exits_one(tmp_path, capsys, sisa_run, key, val
     assert_forget_refuses_state(tmp_path, capsys, sisa_run, edit, message)
 
 
-EVENT = {"n_forgotten": 1, "epochs": 2, "seconds": 0.5, "ratio": None, "request_seed": None}
+EVENT = {"n_forgotten": 1, "epochs": 2, "ratio": None, "request_seed": None}
 
 
 @pytest.mark.parametrize(
@@ -259,10 +260,9 @@ def test_shard_manifest_cfg_fields_checked(tmp_path, capsys, sisa_run, edit, mes
         ("audit_log", lambda log: log.append(7), "key 'audit_log': expected a JSON object"),
         ("dp_ledger", lambda ledger: ledger["entries"][0].update(extra=1),
          "key 'dp_ledger.entries' has unknown key 'extra'"),
-        ("spec", lambda spec: spec.update(mechanisms={"categorical": {}}),
-         "key 'spec.mechanisms' lacks key 'numeric_sensitivity'"),
-        ("spec", lambda spec: spec.update(mechanisms={
-            "categorical": {"cat0": {"utility": [[1.0]]}}, "numeric_sensitivity": {}}),
+        ("spec", lambda spec: spec.update(mechanisms={}),
+         "key 'spec.mechanisms' lacks key 'categorical'"),
+        ("spec", lambda spec: spec.update(mechanisms={"categorical": {"cat0": {"utility": [[1.0]]}}}),
          "key 'spec.mechanisms.categorical' lacks key 'delta_u'"),
         ("schema", lambda schema: schema[1].pop("kind"), "key 'schema' lacks key 'kind'"),
         ("schema", lambda schema: schema.clear() or schema.append([]),
@@ -289,14 +289,14 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
          "manifest key 'cfg.learning_rate': expected a finite number, got 'x'"),
         ("eupg", lambda m: m.update(finetune_epochs="5"),
          "manifest key 'finetune_epochs': expected a non-negative integer, got '5'"),
-        ("eupg", lambda m: m.update(hidden_units=-3),
-         "manifest key 'hidden_units': expected a non-negative integer, got -3"),
+        ("eupg", lambda m: m["cfg"].update(batch_size=-3),
+         "manifest key 'cfg.batch_size': expected a non-negative integer, got -3"),
         ("eupg", lambda m: m["cfg"].update(shuffle="no"),
          "manifest key 'cfg.shuffle': expected a JSON boolean, got 'no'"),
         ("eupg", lambda m: m.update(audit_log={}), "manifest key 'audit_log': expected a list"),
         ("eupg", lambda m: m["spec"].update(epsilon=-1.0), "manifest key 'spec': dp requires epsilon > 0"),
         ("eupg", lambda m: m.update(notes="x"), "manifest.json has unknown key 'notes'"),
-        ("eupg", lambda m: m["spec"].update(mechanisms={"numeric_sensitivity": {}, "categorical": {
+        ("eupg", lambda m: m["spec"].update(mechanisms={"categorical": {
             "cat0": {"delta_u": 1.0, "utility": [[1.0], [0.0, 1.0]]}}}),
          "manifest key 'spec.mechanisms.categorical.utility': expected rows of equal length"),
         ("sisa", lambda m: m["cfg"].update(beta1=float("nan")),
@@ -307,7 +307,7 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
         ("sisa", lambda m: m.update(clamp_out_of_range=None), "manifest key 'clamp_out_of_range'"),
     ],
     ids=["categories_not_list", "ledger_no_entries", "learning_rate_string", "epochs_string",
-         "hidden_negative", "shuffle_string", "audit_log_object", "spec_check", "unknown_top_level",
+         "batch_size_negative", "shuffle_string", "audit_log_object", "spec_check", "unknown_top_level",
          "ragged_matrix", "beta1_nan",
          "layer_dims_number", "n_shards_string", "no_slices", "clamp_null"],
 )
@@ -339,6 +339,80 @@ def test_forget_refuses_another_table_or_method(tmp_path, capsys, sisa_run):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {state_dir}:") and message in err, err
         assert not (state_dir.parent / "state_after_forget").exists()
+
+
+@pytest.fixture(scope="module")
+def original_run(tmp_path_factory):
+    """An original `run` output directory and its config."""
+    return saved_run(tmp_path_factory, "original")
+
+
+@pytest.mark.parametrize(
+    "run, edit, key, found, wanted",
+    [
+        ("eupg", {"method": "eupg_k", "k": 3}, "method", "'eupg_dp'", "'eupg_k'"),
+        ("eupg", {"epsilon": 50.0}, "epsilon", "2.0", "50.0"),
+        ("sisa", {"n_shards": 3}, "n_shards", "2", "3"),
+        ("original", {"method": "sisa"}, "method", "'original'", "'sisa'"),
+        ("sisa", {"method": "original"}, "method", "'sisa'", "'original'"),
+    ],
+    ids=["eupg_k_on_eupg_dp", "other_epsilon", "other_shard_count", "sisa_on_original",
+         "original_on_sisa"],
+)
+def test_forget_refuses_other_method_parameters(tmp_path, capsys, request, run, edit, key, found, wanted):
+    """forget exits 1 when the config names another method or other method
+    parameters than the saved state records, naming the state directory,
+    the key and both values, and writes no state after forgetting."""
+    run_conf = request.getfixturevalue(f"{run}_run")
+    shutil.copytree(Path(run_conf["out"]), tmp_path / "out")
+    state_dir = tmp_path / "out" / "rep0" / "state"
+    conf = {**run_conf, "out": str(tmp_path / "out"), **edit}
+    capsys.readouterr()
+    assert main(["forget", "--config", write_config(tmp_path, conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {state_dir}: not the saved state of a {conf['method']!r} run"), err
+    assert f"its {key} is {found}, the config's is {wanted}" in err, err
+    assert not (state_dir.parent / "state_after_forget").exists()
+
+
+def test_original_forget_reads_its_state(tmp_path, original_run):
+    """An original run's forget replays its one-shard, one-slice store with
+    the state's training settings and layer dims: a forget config with
+    other hidden units and epochs, or naming sisa with one shard and one
+    slice, writes the bytes a forget under the run's own config writes."""
+    after = {}
+    for name, edit in [
+        ("own", {}),
+        ("overridden", {"hidden_units": 16, "epochs": 1}),
+        ("one_by_one_sisa", {"method": "sisa", "n_shards": 1, "n_slices": 1}),
+    ]:
+        shutil.copytree(Path(original_run["out"]), tmp_path / name)
+        conf = {**original_run, "out": str(tmp_path / name), **edit}
+        assert main(["forget", "--config", write_config(tmp_path, conf, f"{name}.json")]) == 0
+        after[name] = (tmp_path / name / "rep0" / "state_after_forget" / "shard0_slice0.model").read_bytes()
+    model = load_model(tmp_path / "overridden" / "rep0" / "state_after_forget" / "shard0_slice0.model")
+    assert model.layer_dims[1] == original_run["hidden_units"] == 8
+    assert after["overridden"] == after["own"] == after["one_by_one_sisa"]
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [("original", {}), ("eupg_k", {"k": 3}), ("eupg_dp", {"epsilon": 2.0}), ("sisa", {})],
+)
+def test_saved_states_repeat_byte_for_byte(tmp_path, method, extra):
+    """Two runs and forgets of one config into two output directories write
+    the same bytes into both states: a state holds no wall-clock time."""
+    conf = {**write_inputs(tmp_path), "method": method, **extra}
+    for out in ("a", "b"):
+        cfg_path = write_config(tmp_path, {**conf, "out": str(tmp_path / out)}, f"{out}.json")
+        assert main(["run", "--config", cfg_path]) == 0
+        assert main(["forget", "--config", cfg_path]) == 0
+    for state in ("state", "state_after_forget"):
+        a, b = tmp_path / "a" / "rep0" / state, tmp_path / "b" / "rep0" / state
+        files = sorted(f.name for f in a.iterdir())
+        assert files == sorted(f.name for f in b.iterdir()), state
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (state, name)
 
 
 def test_forget_refuses_a_version_1_model_file(tmp_path, capsys, eupg_run):
@@ -448,13 +522,13 @@ def test_forget_ratio_selecting_no_or_all_rows_refused(tmp_path, capsys, ratio):
     conf = write_inputs(tmp_path)
     cfg_path = write_config(tmp_path, conf)
     assert main(["run", "--config", cfg_path]) == 0
-    model = (tmp_path / "out" / "rep0" / "state" / "original.model").read_bytes()
+    model = (tmp_path / "out" / "rep0" / "state" / "shard0_slice0.model").read_bytes()
     capsys.readouterr()
     assert main(["forget", "--config", cfg_path, "--set", f"forget_ratio={ratio}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "forget_ratio" in err and "120" in err
     assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
-    assert (tmp_path / "out" / "rep0" / "state" / "original.model").read_bytes() == model
+    assert (tmp_path / "out" / "rep0" / "state" / "shard0_slice0.model").read_bytes() == model
 
 
 @pytest.mark.parametrize("ratio,seed", [(0.1, 0), (0.5, 3), (0.99, 1)])

@@ -24,7 +24,7 @@ from privforget.data import (
     split_forget,
     write_csv,
 )
-from privforget.unlearn import load_state, save_state
+from privforget.unlearn import load_state, save_state, sisa_train
 
 SCHEMA = (
     AttributeSchema("age", "numeric", "quasi_identifier", declared_range=(0.0, 100.0)),
@@ -95,7 +95,9 @@ def test_schema_dict_round_trip(tmp_path):
         AttributeSchema("color", "categorical", "quasi_identifier", categories=("c", "a", "b")),
         AttributeSchema("label", "categorical", "class", categories=("yes", "no")),
     )
-    save_state(mlp.init((4, 2, 2), 0), schema, tmp_path)
+    rows = np.array([[30.0, -1.5, 2.0, 0.0], [60.0, 0.1, 0.0, 1.0]])
+    ds = TabularDataset(schema, rows, Provenance.raw())
+    save_state(sisa_train(ds, 1, 1, mlp.TrainConfig(epochs=1), hidden_units=2), tmp_path)
     _, back, _ = load_state(tmp_path)
     assert back == schema
 

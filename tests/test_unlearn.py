@@ -35,7 +35,6 @@ from privforget.unlearn import (
     load_state,
     predict,
     protect,
-    retrain_scratch,
     save_eupg_state,
     save_shard_store,
     save_state,
@@ -118,7 +117,8 @@ def test_eupg_forget_basics(small_dataset):
     assert event.n_forgotten == len(request.forget_indices)
     assert event.epochs == 2
     assert event.ratio == 0.1 and event.request_seed == 7
-    assert "forget" in after.timings
+    # forgetting times nothing itself: its caller times it
+    assert after.timings == state.timings
     # serving the same request twice is deterministic
     again = eupg_forget(state, small_dataset, request)
     assert models_equal(after.deployed_model, again.deployed_model)
@@ -167,13 +167,21 @@ def test_eupg_forget_refuses_subset_and_out_of_range(small_dataset):
 
 
 def test_retrain_scratch(small_dataset):
+    """Retraining from scratch is a store of one shard and one slice: its
+    forget trains one fresh model on the retain rows alone, for all of
+    cfg's epochs, deterministically, and its ensemble is that model."""
     request = ForgetRequest.from_ratio(small_dataset.n_rows, 0.1, seed=0)
-    retain, _ = split_forget(small_dataset, request)
-    model = retrain_scratch(retain, CFG, hidden_units=8)
-    assert model.provenance == "original"
-    assert model.n_inputs == encode(retain).width
-    again = retrain_scratch(retain, CFG, hidden_units=8)
-    assert models_equal(model, again)
+    store = sisa_train(small_dataset, 1, 1, CFG, hidden_units=8)
+    after = sisa_forget(store, small_dataset, request)
+    (model,) = after.final_models()
+    assert model.layer_dims == (encode(small_dataset).width, 8, 2)
+    assert after.per_slice_epochs == CFG.epochs
+    oracle = sisa_oracle(small_dataset, store, 0, after.alive)
+    assert models_equal(model, oracle[-1])
+    again = sisa_forget(store, small_dataset, request)
+    assert models_equal(model, again.final_models()[0])
+    features = encode(small_dataset).features
+    assert sisa_predict(after, features).tobytes() == mlp.forward(model, features).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +453,12 @@ def test_eupg_state_keeps_mechanisms(tmp_path, small_dataset):
     utility = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
     mechanisms = MechanismSpec(
         categorical={"cat1": CategoricalMechanism(utility, delta_u=0.75)},
-        numeric_sensitivity={"num0": 2.5},
     )
     state = prepared(small_dataset, PrivacySpec.dp(2.0, seed=3, mechanisms=mechanisms))
     save_eupg_state(state, tmp_path / "state")
     back = load_eupg_state(tmp_path / "state").spec
 
     assert (back.method, back.epsilon, back.seed) == ("dp", 2.0, 3)
-    assert back.mechanisms.numeric_sensitivity == {"num0": 2.5}
     assert back.mechanisms.categorical.keys() == {"cat1"}
     mech = back.mechanisms.categorical["cat1"]
     assert mech.delta_u == 0.75
@@ -604,27 +610,30 @@ def test_shard_store_v2_directory_refused(tmp_path):
 @pytest.mark.parametrize("kind, version", [("eupg", 3), ("sisa", 3), ("original", 1)])
 def test_previous_format_version_refused(tmp_path, small_dataset, kind, version):
     """A state written before every manifest recorded its clamp flag (and,
-    for EUPG, while its ledger carried two derived fields) is refused, naming
-    the directory and the version."""
+    for EUPG, while its ledger carried two derived fields), or an original
+    model of the retired kind original_model, is refused, naming the
+    directory and the version."""
     fitted = {
         "eupg": lambda: prepared(small_dataset, PrivacySpec.dp(1.0, seed=2)),
         "sisa": lambda: sisa_train(small_dataset, 2, 2, CFG, hidden_units=8),
-        "original": lambda: retrain_scratch(small_dataset, CFG, hidden_units=8),
+        "original": lambda: sisa_train(small_dataset, 1, 1, CFG, hidden_units=8),
     }[kind]()
-    save_state(fitted, small_dataset.schema, tmp_path)
+    save_state(fitted, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["format_version"] = version
     del manifest["clamp_out_of_range"]
     if kind == "eupg":
         manifest["dp_ledger"] = fitted.dp_ledger.to_json_dict()
+    if kind == "original":
+        manifest = {"schema": manifest["schema"], "format_version": version, "kind": "original_model"}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match=f"version {version} is not supported.*privforget run") as err:
         load_state(tmp_path)
     assert str(err.value).startswith(f"{tmp_path}: ")
 
 
-# the manifest maps whose keys are data (an attribute or a timing), not fields
-MANIFEST_MAPS = {"timings", "categorical", "numeric_sensitivity"}
+# the manifest maps whose keys are data (an attribute name), not fields
+MANIFEST_MAPS = {"categorical"}
 
 
 def manifest_nodes(value, path=()):
@@ -647,22 +656,20 @@ def key_path(path) -> str:
 def saved_states(tmp_path_factory):
     """kind -> (directory, manifest) of one saved state of each kind, each
     holding every kind of record: an eupg_dp state with utility matrices and a
-    forget event, a SISA store with forgotten rows, and an original model."""
+    forget event, and a SISA store with forgotten rows."""
     ds = make_dataset(60, seed=4)
     mechanisms = MechanismSpec(
         categorical={"cat1": CategoricalMechanism(np.eye(3) + 0.25, delta_u=0.5)},
-        numeric_sensitivity={"num0": 2.5},
     )
     eupg = prepared(ds, PrivacySpec.dp(2.0, seed=1, mechanisms=mechanisms))
     fitted = {
         "eupg": eupg_forget(eupg, ds, ForgetRequest.from_ratio(ds.n_rows, 0.1, seed=3)),
         "sisa": sisa_forget(sisa_train(ds, 2, 2, CFG, hidden_units=8), ds, ForgetRequest((4, 17))),
-        "original": retrain_scratch(ds, CFG, hidden_units=8),
     }
     states = {}
     for kind, obj in fitted.items():
         state_dir = tmp_path_factory.mktemp(kind)
-        save_state(obj, ds.schema, state_dir, clamp_out_of_range=True)
+        save_state(obj, state_dir, clamp_out_of_range=True)
         states[kind] = state_dir, json.loads((state_dir / "manifest.json").read_text())
     return states
 
@@ -702,7 +709,7 @@ def manifest_edit(data, manifest):
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["eupg", "sisa", "original"]), data=st.data())
+@given(kind=st.sampled_from(["eupg", "sisa"]), data=st.data())
 def test_every_manifest_edit_refused_naming_its_key(saved_states, kind, data):
     """Deleting a record's key, adding an unknown one, a JSON value of the
     wrong type in any one place, or a negative integer: load_state raises
@@ -719,21 +726,22 @@ def test_every_manifest_edit_refused_naming_its_key(saved_states, kind, data):
 
 def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset):
     """save_state then load_state gives back each method's fitted object and
-    the training schema, and predict scores what each serves."""
+    the training schema, and predict scores what each serves; the original
+    baseline is a store of one shard and one slice."""
     ds = small_dataset
     em = encode(ds)
     fitted = {
-        "original": retrain_scratch(ds, CFG, hidden_units=8),
+        "original": sisa_train(ds, 1, 1, CFG, hidden_units=8),
         "eupg": prepared(ds),
         "sisa": sisa_train(ds, 2, 2, CFG, hidden_units=8),
     }
     for name, obj in fitted.items():
-        save_state(obj, ds.schema, tmp_path / name, clamp_out_of_range=name == "sisa")
+        save_state(obj, tmp_path / name, clamp_out_of_range=name == "sisa")
         back, schema, clamp = load_state(tmp_path / name)
         assert type(back) is type(obj) and schema == ds.schema, name
         assert clamp is (name == "sisa"), name
         assert predict(back, em.features).tobytes() == predict(obj, em.features).tobytes(), name
-    assert {f.name for f in (tmp_path / "original").iterdir()} == {"manifest.json", "original.model"}
+    assert {f.name for f in (tmp_path / "original").iterdir()} == {"manifest.json", "shard0_slice0.model"}
     assert predict(fitted["eupg"], em.features).tobytes() == (
         mlp.forward(fitted["eupg"].deployed_model, em.features).tobytes()
     )
