@@ -15,7 +15,6 @@ from .data import (
     Provenance,
     TabularDataset,
     encode,
-    decode,
     load_csv,
     parse_schema_file,
     split_forget,

@@ -35,6 +35,7 @@ from .data import (
     encode,
     load_csv,
     parse_schema_file,
+    read_json,
     write_csv,
 )
 from .mlp import ModelError, TrainConfig, TrainingDiverged
@@ -123,7 +124,7 @@ def load_config(config_path, overrides: dict | None = None) -> dict:
     conf = dict(DEFAULTS)
     if config_path is not None:
         try:
-            file_conf = json.loads(Path(config_path).read_text())
+            file_conf = read_json(config_path)
         except FileNotFoundError:
             raise DataError(f"config file not found: {config_path}") from None
         if not isinstance(file_conf, dict):
@@ -681,7 +682,7 @@ def cmd_report(args) -> int:
     rows = []
     extra_cols: set[str] = set()
     for path in sorted(root.rglob("*report.json")):
-        rep = json.loads(path.read_text())
+        rep = read_json(path)
         if "command" not in rep:
             continue
         forget = rep.get("forget") or {}
@@ -780,7 +781,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ModelError, TrainingDiverged, OSError, json.JSONDecodeError) as exc:
+    except (DataError, ModelError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,22 +187,11 @@ class TabularDataset:
 
 
 @dataclass(frozen=True)
-class ColumnSpan:
-    """Half-open slice [start, stop) of encoded columns owned by one attribute."""
-
-    name: str
-    start: int
-    stop: int
-
-
-@dataclass(frozen=True)
 class EncodedMatrix:
     """Model-ready matrix: scaled numerics, one-hot categoricals, int labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    column_map: tuple[ColumnSpan, ...]
-    normalization: dict[str, tuple[float, float]]
 
     def __post_init__(self):
         self._own(
@@ -210,12 +200,10 @@ class EncodedMatrix:
         )
 
     @classmethod
-    def _holding(cls, feats, labels, column_map, normalization) -> "EncodedMatrix":
+    def _holding(cls, feats, labels) -> "EncodedMatrix":
         """An EncodedMatrix of feats and labels themselves, without the
         constructor's defensive copy: for arrays that no caller holds."""
         em = object.__new__(cls)
-        object.__setattr__(em, "column_map", column_map)
-        object.__setattr__(em, "normalization", normalization)
         em._own(feats, labels)
         return em
 
@@ -236,18 +224,10 @@ class EncodedMatrix:
     def width(self) -> int:
         return self.features.shape[1]
 
-    def span(self, name: str) -> ColumnSpan:
-        for s in self.column_map:
-            if s.name == name:
-                return s
-        raise SchemaError(f"no encoded columns for attribute {name!r}")
-
     def take(self, idx) -> "EncodedMatrix":
         """The rows idx, as numpy indexes them: an index array gives a copy,
         made once, and a slice a view (both read-only)."""
-        return EncodedMatrix._holding(
-            self.features[idx], self.labels[idx], self.column_map, self.normalization
-        )
+        return EncodedMatrix._holding(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -296,6 +276,18 @@ class ForgetRequest:
         mask = np.zeros(n_rows, dtype=bool)
         mask[list(self.forget_indices)] = True
         return mask
+
+
+# ---------------------------------------------------------------------------
+# JSON files
+
+def read_json(path):
+    """The JSON value in the file at path; a file that does not parse is a
+    DataError naming path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -351,50 +343,54 @@ def load_csv(path, schema) -> TabularDataset:
     messages are 1-based over data rows (the header is row 0).
     """
     schema = validate_schema(schema)
+    rownum = -1  # the last row read
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, expected a header row") from None
-        expected = [a.name for a in schema]
-        if [h.strip() for h in header] != expected:
-            raise CsvFormatError(
-                f"{path}: header {header!r} does not match schema attributes {expected!r}"
-            )
-        categories: list[list[str]] = [list(a.categories) for a in schema]
-        closed = [a.kind == CATEGORICAL and len(a.categories) > 0 for a in schema]
-        cells = array("d")  # row-major, one float64 per cell
-        for rownum, record in enumerate(reader, start=1):
-            if len(record) != len(schema):
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, expected a header row")
+            rownum = 0
+            expected = [a.name for a in schema]
+            if [h.strip() for h in header] != expected:
                 raise CsvFormatError(
-                    f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}"
+                    f"{path}: header {header!r} does not match schema attributes {expected!r}"
                 )
-            for attr, cat_list, is_closed, field in zip(schema, categories, closed, record):
-                value = field.strip()
-                if value == "":
+            categories: list[list[str]] = [list(a.categories) for a in schema]
+            closed = [a.kind == CATEGORICAL and len(a.categories) > 0 for a in schema]
+            cells = array("d")  # row-major, one float64 per cell
+            for rownum, record in enumerate(reader, start=1):
+                if len(record) != len(schema):
                     raise CsvFormatError(
-                        f"{path}: row {rownum}, column {attr.name!r}: missing value"
+                        f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}"
                     )
-                if attr.kind == NUMERIC:
-                    try:
-                        cells.append(float(value))
-                    except ValueError:
+                for attr, cat_list, is_closed, field in zip(schema, categories, closed, record):
+                    value = field.strip()
+                    if value == "":
                         raise CsvFormatError(
-                            f"{path}: row {rownum}, column {attr.name!r}: "
-                            f"cannot parse {value!r} as a number"
-                        ) from None
-                else:
-                    if value in cat_list:
-                        cells.append(float(cat_list.index(value)))
-                    elif is_closed:
-                        raise CsvFormatError(
-                            f"{path}: row {rownum}, column {attr.name!r}: "
-                            f"unknown category {value!r}"
+                            f"{path}: row {rownum}, column {attr.name!r}: missing value"
                         )
+                    if attr.kind == NUMERIC:
+                        try:
+                            cells.append(float(value))
+                        except ValueError:
+                            raise CsvFormatError(
+                                f"{path}: row {rownum}, column {attr.name!r}: "
+                                f"cannot parse {value!r} as a number"
+                            ) from None
                     else:
-                        cat_list.append(value)
-                        cells.append(float(len(cat_list) - 1))
+                        if value in cat_list:
+                            cells.append(float(cat_list.index(value)))
+                        elif is_closed:
+                            raise CsvFormatError(
+                                f"{path}: row {rownum}, column {attr.name!r}: "
+                                f"unknown category {value!r}"
+                            )
+                        else:
+                            cat_list.append(value)
+                            cells.append(float(len(cat_list) - 1))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise CsvFormatError(f"{path}: row {rownum + 1}: {exc}") from None
 
     rows = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(schema))
     final_schema = []
@@ -428,13 +424,21 @@ def write_csv(ds: TabularDataset, path) -> None:
 # ---------------------------------------------------------------------------
 # encoding
 
+def attribute_columns(schema) -> dict[int, slice]:
+    """The encoded columns of each non-class attribute, keyed by its index
+    in schema: one column for a numeric attribute, one per category for a
+    categorical one, laid out in schema order."""
+    columns, start = {}, 0
+    for j, attr in enumerate(schema):
+        if attr.role != CLASS:
+            width = 1 if attr.kind == NUMERIC else len(attr.categories)
+            columns[j] = slice(start, start + width)
+            start += width
+    return columns
+
+
 def encoded_width(schema) -> int:
-    width = 0
-    for a in schema:
-        if a.role == CLASS:
-            continue
-        width += 1 if a.kind == NUMERIC else len(a.categories)
-    return width
+    return sum(cols.stop - cols.start for cols in attribute_columns(schema).values())
 
 
 def encode(ds: TabularDataset) -> EncodedMatrix:
@@ -453,13 +457,8 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
     n = ds.n_rows
     features = np.zeros((n, encoded_width(ds.schema)))
     row_ids = np.arange(n)
-    column_map = []
-    normalization = {}
-    start = 0
-    for j, attr in enumerate(ds.schema):
-        if attr.role == CLASS:
-            continue
-        col = ds.rows[:, j]
+    for j, cols in attribute_columns(ds.schema).items():
+        attr, col = ds.schema[j], ds.rows[:, j]
         if attr.kind == NUMERIC:
             lo, hi = attr.effective_range
             if attr.declared_range is not None:
@@ -473,42 +472,13 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
                     )
             width = hi - lo
             if width > 0:
-                scaled = features[:, start]
+                scaled = features[:, cols.start]
                 np.subtract(col, lo, out=scaled)
                 scaled /= width
-            normalization[attr.name] = (float(lo), float(hi))
-            column_map.append(ColumnSpan(attr.name, start, start + 1))
-            start += 1
         else:
-            c = len(attr.categories)
-            features[row_ids, start + col.astype(np.int64)] = 1.0
-            column_map.append(ColumnSpan(attr.name, start, start + c))
-            start += c
+            features[row_ids, cols.start + col.astype(np.int64)] = 1.0
     labels = ds.rows[:, ds.class_index].astype(np.int64)
-    return EncodedMatrix._holding(features, labels, tuple(column_map), normalization)
-
-
-def decode(em: EncodedMatrix, schema) -> TabularDataset:
-    """Invert encode: un-scale numerics, argmax one-hot blocks.
-
-    Exact for one-hot blocks; numeric inversion reproduces the original
-    value up to floating-point rounding of the scale arithmetic.
-    """
-    schema = validate_schema(schema)
-    n = em.n_rows
-    rows = np.zeros((n, len(schema)))
-    for j, attr in enumerate(schema):
-        if attr.role == CLASS:
-            rows[:, j] = em.labels.astype(np.float64)
-            continue
-        span = em.span(attr.name)
-        block = em.features[:, span.start : span.stop]
-        if attr.kind == NUMERIC:
-            lo, hi = em.normalization[attr.name]
-            rows[:, j] = block[:, 0] * (hi - lo) + lo
-        else:
-            rows[:, j] = np.argmax(block, axis=1).astype(np.float64)
-    return TabularDataset(schema, rows, Provenance.raw())
+    return EncodedMatrix._holding(features, labels)
 
 
 # ---------------------------------------------------------------------------

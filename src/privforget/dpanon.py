@@ -8,10 +8,8 @@ composition.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +21,7 @@ from .data import (
     DataError,
     Provenance,
     TabularDataset,
+    read_json,
 )
 
 
@@ -276,7 +275,7 @@ def load_utility_file(path, schema) -> MechanismSpec:
     Format: ``{"attr": {"delta_u": 1.0, "utility": [[...], ...]}}``.  Each
     matrix must be square with one row per category of the attribute.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise DpError(f"{path}: expected a JSON object keyed by attribute name")
     by_name = {a.name: a for a in schema}

@@ -28,6 +28,7 @@ from .data import (
     EncodedMatrix,
     Provenance,
     TabularDataset,
+    attribute_columns,
     encode,
 )
 
@@ -228,7 +229,8 @@ def mdav(features: np.ndarray, k: int) -> Clustering:
 
 def qi_feature_matrix(em: EncodedMatrix, ds: TabularDataset) -> np.ndarray:
     """Encoded columns of the quasi-identifier attributes, in schema order."""
-    spans = [em.span(ds.schema[i].name) for i in ds.qi_indices]
+    columns = attribute_columns(ds.schema)
+    spans = [columns[j] for j in ds.qi_indices]
     if not spans:
         raise DataError("dataset declares no quasi-identifier attributes")
     cols = np.concatenate([np.arange(s.start, s.stop) for s in spans])

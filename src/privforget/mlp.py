@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -35,9 +36,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     shuffle: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -55,13 +53,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Immutable float32 parameter set plus a provenance tag and the training seed."""
+    """Immutable float32 parameter set."""
 
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    provenance: str = "original"
-    train_seed: int = 0
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -94,7 +90,7 @@ class MlpModel:
         return self.layer_dims[-1]
 
 
-def init(layer_dims, seed: int, provenance: str = "original") -> MlpModel:
+def init(layer_dims, seed: int) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic under seed."""
     dims = tuple(int(d) for d in layer_dims)
     rng = seeds.stream(seed, seeds.GLOROT_INIT)
@@ -103,11 +99,11 @@ def init(layer_dims, seed: int, provenance: str = "original") -> MlpModel:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(dims, tuple(weights), tuple(biases), provenance, seed)
+    return MlpModel(dims, tuple(weights), tuple(biases))
 
 
 def models_equal(a: MlpModel, b: MlpModel) -> bool:
-    """Bitwise parameter equality (provenance tags not compared)."""
+    """Bitwise parameter equality."""
     if a.layer_dims != b.layer_dims:
         return False
     return all(
@@ -155,6 +151,12 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # training
+
+# Adam's moment decay rates and denominator offset
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 def _batch_gradients(model_params, x, y):
     """Mean cross-entropy loss and its gradients for one batch."""
@@ -224,85 +226,82 @@ def train(
                     f"(learning_rate={cfg.learning_rate})"
                 )
             t += 1
-            bc1 = 1.0 - cfg.beta1**t
-            bc2 = 1.0 - cfg.beta2**t
+            bc1 = 1.0 - _BETA1**t
+            bc2 = 1.0 - _BETA2**t
             for params, grads, ms, vs in (
                 (weights, grads_w, m_w, v_w),
                 (biases, grads_b, m_b, v_b),
             ):
                 for i in range(len(params)):
-                    ms[i] = cfg.beta1 * ms[i] + (1.0 - cfg.beta1) * grads[i]
-                    vs[i] = cfg.beta2 * vs[i] + (1.0 - cfg.beta2) * grads[i] ** 2
-                    step = cfg.learning_rate * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + cfg.adam_eps)
+                    ms[i] = _BETA1 * ms[i] + (1.0 - _BETA1) * grads[i]
+                    vs[i] = _BETA2 * vs[i] + (1.0 - _BETA2) * grads[i] ** 2
+                    step = cfg.learning_rate * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + _ADAM_EPS)
                     params[i] = params[i] - step
 
-    return MlpModel(
-        model.layer_dims, tuple(weights), tuple(biases), model.provenance, cfg.seed
-    )
+    return MlpModel(model.layer_dims, tuple(weights), tuple(biases))
 
 
 def finetune(model: MlpModel, data: EncodedMatrix, epochs: int, cfg: TrainConfig) -> MlpModel:
-    """Continue training an existing model; provenance records the lineage."""
-    if epochs < 0:
-        raise ModelError(f"epochs must be non-negative, got {epochs}")
-    tuned = train(model, data, cfg.with_(epochs=epochs))
-    provenance = f"finetuned({model.provenance},epochs={epochs})"
-    return MlpModel(
-        tuned.layer_dims, tuned.weights, tuned.biases, provenance, cfg.seed
-    )
+    """Continue training an existing model for epochs under cfg's other settings."""
+    return train(model, data, cfg.with_(epochs=epochs))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 #
 # Layout (little-endian): 8-byte magic, uint32 format version, uint32 number
-# of layer dims, uint32 dims, int64 train_seed, uint32 provenance byte
-# length, utf-8 provenance, then per layer the weight matrix (row-major
+# of layer dims, uint32 dims, then per layer the weight matrix (row-major
 # float32) followed by the bias vector.  float32 bytes are written raw, so
-# save/load round-trips are bit-exact.  Version 1 held float64 parameters;
+# save/load round-trips are bit-exact.  Version 1 held float64 parameters
+# and version 2 a training seed and a lineage tag after the dims;
 # such files are refused, not converted.
 
 _MODEL_MAGIC = b"PFMLP\x00\x00\x01"
-_MODEL_VERSION = 2
+_MODEL_VERSION = 3
+_HEADER = 16  # magic, version and the number of dims
 
 
 def save_model(model: MlpModel, path) -> None:
+    dims = model.layer_dims
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<II", _MODEL_VERSION, len(model.layer_dims)))
-        fh.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        fh.write(struct.pack("<q", model.train_seed))
-        tag = model.provenance.encode("utf-8")
-        fh.write(struct.pack("<I", len(tag)))
-        fh.write(tag)
+        fh.write(struct.pack(f"<II{len(dims)}I", _MODEL_VERSION, len(dims), *dims))
         for w, b in zip(model.weights, model.biases):
             fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MODEL_MAGIC:
-            raise ModelError(f"{path}: not a model file")
-        version, n_dims = struct.unpack("<II", fh.read(8))
-        if version != _MODEL_VERSION:
-            raise ModelError(
-                f"{path}: model format version {version} is not supported (expected "
-                f"{_MODEL_VERSION}); re-run `privforget run` to rebuild it"
-            )
-        dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
-        (train_seed,) = struct.unpack("<q", fh.read(8))
-        (tag_len,) = struct.unpack("<I", fh.read(4))
-        provenance = fh.read(tag_len).decode("utf-8")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            wbuf = fh.read(4 * fan_in * fan_out)
-            bbuf = fh.read(4 * fan_out)
-            if len(wbuf) != 4 * fan_in * fan_out or len(bbuf) != 4 * fan_out:
-                raise ModelError(f"{path}: truncated parameter block")
-            weights.append(np.frombuffer(wbuf, dtype="<f4").reshape(fan_in, fan_out))
-            biases.append(np.frombuffer(bbuf, dtype="<f4"))
-        if fh.read(1):
-            raise ModelError(f"{path}: trailing bytes after parameters")
-    return MlpModel(dims, tuple(weights), tuple(biases), provenance, train_seed)
+    """The model saved at path.  Every length is checked against the file's
+    size before it is read, so a damaged file raises ModelError naming path."""
+    raw = Path(path).read_bytes()
+    if raw[:8] != _MODEL_MAGIC:
+        raise ModelError(f"{path}: not a model file")
+    if len(raw) < _HEADER:
+        raise ModelError(f"{path}: truncated header")
+    version, n_dims = struct.unpack_from("<II", raw, 8)
+    if version != _MODEL_VERSION:
+        raise ModelError(
+            f"{path}: model format version {version} is not supported (expected "
+            f"{_MODEL_VERSION}); re-run `privforget run` to rebuild it"
+        )
+    start = _HEADER + 4 * n_dims
+    if start > len(raw):
+        raise ModelError(f"{path}: truncated header: {n_dims} layer dims run past the end of the file")
+    dims = struct.unpack_from(f"<{n_dims}I", raw, _HEADER)
+    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if start + 4 * n_params > len(raw):
+        raise ModelError(f"{path}: truncated parameter block")
+    if start + 4 * n_params < len(raw):
+        raise ModelError(f"{path}: trailing bytes after parameters")
+    params = np.frombuffer(raw, dtype="<f4", offset=start)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w_end = fan_in * fan_out
+        weights.append(params[:w_end].reshape(fan_in, fan_out))
+        biases.append(params[w_end : w_end + fan_out])
+        params = params[w_end + fan_out :]
+    try:
+        return MlpModel(dims, tuple(weights), tuple(biases))
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None

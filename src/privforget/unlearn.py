@@ -40,6 +40,7 @@ from .data import (
     TabularDataset,
     encode,
     encoded_width,
+    read_json,
     split_forget,
     validate_schema,
 )
@@ -79,11 +80,6 @@ class PrivacySpec:
     @classmethod
     def dp(cls, epsilon: float, seed: int = 0, mechanisms=None) -> "PrivacySpec":
         return cls(DP, epsilon=epsilon, seed=seed, mechanisms=mechanisms)
-
-    def tag(self) -> str:
-        if self.method == K_ANONYMITY:
-            return f"k={self.k}"
-        return f"eps={self.epsilon:g}"
 
 
 @dataclass(frozen=True)
@@ -148,11 +144,7 @@ def eupg_prepare(
     protected, ledger = protect(ds, spec)
     t1 = time.perf_counter()
     dims = _model_dims(ds, hidden_units)
-    base = mlp.train(
-        mlp.init(dims, cfg.seed, provenance=f"protected({spec.tag()})"),
-        encode(protected),
-        cfg,
-    )
+    base = mlp.train(mlp.init(dims, cfg.seed), encode(protected), cfg)
     t2 = time.perf_counter()
     deployed = mlp.finetune(base, encode(ds), finetune_epochs, cfg)
     t3 = time.perf_counter()
@@ -268,7 +260,7 @@ def _replay_shard(store: ShardStore, data: EncodedMatrix, s: int, first: int, al
     kept = store.checkpoints[s][:first]
     if first == 0:
         init_seed = seeds.derive(store.cfg.seed, seeds.SISA_SHARD_INIT, s)
-        model = mlp.init(store.layer_dims, init_seed, provenance=f"sisa_shard_{s}")
+        model = mlp.init(store.layer_dims, init_seed)
     else:
         model = kept[-1]
     replayed = []
@@ -429,8 +421,8 @@ def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:
 # read back by _from_json against its type hints: the dataclasses are the
 # format.  A directory of another format version is refused, not converted.
 
-EUPG_FORMAT_VERSION = 5
-SHARD_FORMAT_VERSION = 5
+EUPG_FORMAT_VERSION = 6
+SHARD_FORMAT_VERSION = 6
 MANIFEST = "manifest.json"
 
 
@@ -546,7 +538,7 @@ def _from_json(state_dir, value, hint, key: str):
 
 def _manifest(state_dir) -> dict:
     """manifest.json of state_dir; {} when it does not hold a JSON object."""
-    manifest = json.loads((Path(state_dir) / MANIFEST).read_text())
+    manifest = read_json(Path(state_dir) / MANIFEST)
     return manifest if isinstance(manifest, dict) else {}
 
 

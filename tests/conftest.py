@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic tabular datasets, the SISA and AUC oracles and acceptance reporting."""
+"""Shared fixtures: synthetic tabular datasets, the SISA, AUC and decoding oracles and acceptance reporting."""
 from __future__ import annotations
 
 import math
@@ -79,11 +79,7 @@ def sisa_oracle(ds: TabularDataset, store, s: int, alive: np.ndarray) -> list:
     """
     cfg = store.cfg
     data = encode(ds)
-    model = mlp.init(
-        store.layer_dims,
-        seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s),
-        provenance=f"sisa_shard_{s}",
-    )
+    model = mlp.init(store.layer_dims, seeds.derive(cfg.seed, seeds.SISA_SHARD_INIT, s))
     checkpoints = []
     for r in range(store.n_slices):
         rows = np.concatenate(store.slice_rows[s][: r + 1])
@@ -105,20 +101,41 @@ def roc_auc_pairwise(positive_scores, negative_scores) -> float:
     return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
-def write_version1_model(model: mlp.MlpModel, path) -> None:
-    """Write model in model format version 1, which held float64 parameters:
-    the layout save_model writes, with version 1 and "<f8" parameter bytes."""
+def decode(em, schema) -> TabularDataset:
+    """Reference inverse of encode: un-scale numerics by their effective
+    range and take the argmax of one-hot blocks, walking the encoded columns
+    in schema order (one per numeric attribute, one per category)."""
+    rows = np.zeros((em.n_rows, len(schema)))
+    start = 0
+    for j, attr in enumerate(schema):
+        if attr.role == "class":
+            rows[:, j] = em.labels
+        elif attr.kind == "numeric":
+            lo, hi = attr.effective_range
+            rows[:, j] = em.features[:, start] * (hi - lo) + lo
+            start += 1
+        else:
+            rows[:, j] = np.argmax(em.features[:, start : start + len(attr.categories)], axis=1)
+            start += len(attr.categories)
+    return TabularDataset(schema, rows, Provenance.raw())
+
+
+def write_old_model(model: mlp.MlpModel, path, version: int) -> None:
+    """Write model in model format version 1 or 2: after the dims, a training
+    seed and a tag (written as 0 and "original"), then the parameters, as
+    float64 in version 1 and float32 in version 2."""
     dims = model.layer_dims
-    tag = model.provenance.encode("utf-8")
+    tag = b"original"
     parts = [
         b"PFMLP\x00\x00\x01",
-        struct.pack("<II", 1, len(dims)),
+        struct.pack("<II", version, len(dims)),
         struct.pack(f"<{len(dims)}I", *dims),
-        struct.pack("<qI", model.train_seed, len(tag)),
+        struct.pack("<qI", 0, len(tag)),
         tag,
     ]
+    dtype = {1: "<f8", 2: "<f4"}[version]
     for w, b in zip(model.weights, model.biases):
-        parts += [np.asarray(w, dtype="<f8").tobytes(), np.asarray(b, dtype="<f8").tobytes()]
+        parts += [np.asarray(w, dtype=dtype).tobytes(), np.asarray(b, dtype=dtype).tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 

@@ -208,7 +208,7 @@ def test_criterion_4_forget_independence(tmp_path):
         pa, pb = tmp_path / f"{spec.method}_a.model", tmp_path / f"{spec.method}_b.model"
         save_model(a.deployed_model, pa)
         save_model(b.deployed_model, pb)
-        assert file_bytes(pa) == file_bytes(pb), spec.tag()
+        assert file_bytes(pa) == file_bytes(pb), spec.method
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"forget independence took {elapsed:.1f}s"
 

@@ -23,7 +23,7 @@ from privforget.data import (
 from privforget.mlp import TrainConfig, load_model
 from privforget.unlearn import load_eupg_state
 
-from conftest import make_dataset, write_version1_model
+from conftest import make_dataset, write_old_model
 
 REPORT_SCHEMA = json.loads(
     (files("privforget") / "schemas" / "report.schema.json").read_text()
@@ -299,8 +299,8 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
         ("eupg", lambda m: m["spec"].update(mechanisms={"categorical": {
             "cat0": {"delta_u": 1.0, "utility": [[1.0], [0.0, 1.0]]}}}),
          "manifest key 'spec.mechanisms.categorical.utility': expected rows of equal length"),
-        ("sisa", lambda m: m["cfg"].update(beta1=float("nan")),
-         "manifest key 'cfg.beta1': expected a finite number, got nan"),
+        ("sisa", lambda m: m["cfg"].update(learning_rate=float("nan")),
+         "manifest key 'cfg.learning_rate': expected a finite number, got nan"),
         ("sisa", lambda m: m.update(layer_dims=5), "manifest key 'layer_dims': expected a list, got 5"),
         ("sisa", lambda m: m.update(n_shards="2"), "manifest key 'n_shards': expected a non-negative"),
         ("sisa", lambda m: m.update(n_slices=0), "manifest key 'n_slices' must be a positive integer"),
@@ -308,7 +308,7 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
     ],
     ids=["categories_not_list", "ledger_no_entries", "learning_rate_string", "epochs_string",
          "batch_size_negative", "shuffle_string", "audit_log_object", "spec_check", "unknown_top_level",
-         "ragged_matrix", "beta1_nan",
+         "ragged_matrix", "learning_rate_nan",
          "layer_dims_number", "n_shards_string", "no_slices", "clamp_null"],
 )
 def test_manifest_values_typed(tmp_path, capsys, sisa_run, eupg_run, run, edit, message):
@@ -415,21 +415,70 @@ def test_saved_states_repeat_byte_for_byte(tmp_path, method, extra):
             assert (a / name).read_bytes() == (b / name).read_bytes(), (state, name)
 
 
-def test_forget_refuses_a_version_1_model_file(tmp_path, capsys, eupg_run):
-    """forget against a saved EUPG state whose deployed model is a format
-    version 1 (float64) file exits 1, naming the file, and writes no state
+def assert_forget_refuses_deployed_model(tmp_path, capsys, eupg_run, write, message):
+    """forget on a copy of eupg_run's output whose deployed.model went
+    through write exits 1, naming the file and message, and writes no state
     after forgetting."""
     shutil.copytree(Path(eupg_run["out"]), tmp_path / "out")
     state_dir = tmp_path / "out" / "rep0" / "state"
     deployed = state_dir / "deployed.model"
-    write_version1_model(load_model(deployed), deployed)
+    write(deployed)
     conf = {**eupg_run, "out": str(tmp_path / "out")}
     capsys.readouterr()
     assert main(["forget", "--config", write_config(tmp_path, conf)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {deployed}: model format version 1"), err
-    assert "re-run `privforget run` to rebuild it" in err, err
+    assert err.startswith(f"error: {deployed}: {message}"), err
     assert not (state_dir.parent / "state_after_forget").exists()
+    return err
+
+
+def test_forget_refuses_a_version_1_model_file(tmp_path, capsys, eupg_run):
+    """forget against a saved EUPG state whose deployed model is a format
+    version 1 (float64) file exits 1, naming the file, and writes no state
+    after forgetting."""
+    err = assert_forget_refuses_deployed_model(
+        tmp_path, capsys, eupg_run, lambda path: write_old_model(load_model(path), path, 1),
+        "model format version 1",
+    )
+    assert "re-run `privforget run` to rebuild it" in err, err
+
+
+def test_forget_refuses_a_truncated_model_file(tmp_path, capsys, eupg_run):
+    """forget against a saved EUPG state whose deployed model is cut inside
+    its header exits 1 naming the file, where it used to exit 2."""
+    assert_forget_refuses_deployed_model(
+        tmp_path, capsys, eupg_run, lambda path: path.write_bytes(path.read_bytes()[:20]),
+        "truncated header",
+    )
+
+
+@pytest.mark.parametrize("which", ["config", "utility_file", "manifest", "report"])
+def test_unparsable_json_file_named(tmp_path, capsys, eupg_run, which):
+    """A JSON input that does not parse exits 1 naming the file: a config
+    file, a utility file, a state's manifest (through forget and attack) and
+    a report under report --root."""
+    shutil.copytree(Path(eupg_run["out"]), tmp_path / "out")
+    out = tmp_path / "out"
+    state_dir = out / "rep0" / "state"
+    conf = {**eupg_run, "out": str(out), "utility_file": str(tmp_path / "utility.json")}
+    (tmp_path / "utility.json").write_text("{}")
+    cfg_path = write_config(tmp_path, conf)
+    bad, commands = {
+        "config": (cfg_path, [["run", "--config", cfg_path]]),
+        "utility_file": (tmp_path / "utility.json", [["run", "--config", cfg_path]]),
+        "manifest": (state_dir / "manifest.json", [
+            ["forget", "--config", cfg_path],
+            ["attack", "--state", str(state_dir), "--members", conf["train_csv"],
+             "--nonmembers", conf["test_csv"]],
+        ]),
+        "report": (out / "rep0" / "run_report.json", [["report", "--root", str(out)]]),
+    }[which]
+    Path(bad).write_text('{"method":\n')
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: Expecting value: line 2"), err
 
 
 def test_repetitions_and_summary(tmp_path):

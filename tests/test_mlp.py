@@ -29,11 +29,11 @@ from privforget.mlp import (
     train,
 )
 
-from conftest import make_dataset, write_version1_model
+from conftest import make_dataset, write_old_model
 
 
 def matrix(features, labels):
-    return EncodedMatrix(np.asarray(features, float), np.asarray(labels), (), {})
+    return EncodedMatrix(np.asarray(features, float), np.asarray(labels))
 
 
 def ref_loss(weights, biases, x, y):
@@ -299,13 +299,13 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
 
 
-def test_finetune_provenance_and_validation(small_dataset):
+def test_finetune_is_train_for_its_epochs(small_dataset):
     em = encode(small_dataset)
-    base = init((em.width, 4, 2), seed=0, provenance="protected(k=5)")
+    base = init((em.width, 4, 2), seed=0)
     tuned = finetune(base, em, 2, TrainConfig(seed=3))
-    assert tuned.provenance == "finetuned(protected(k=5),epochs=2)"
-    assert tuned.train_seed == 3
-    with pytest.raises(ModelError, match="non-negative"):
+    assert models_equal(tuned, train(base, em, TrainConfig(epochs=2, seed=3)))
+    assert not models_equal(tuned, base)
+    with pytest.raises(ModelError, match="epochs must be non-negative, got -1"):
         finetune(base, em, -1, TrainConfig())
 
 
@@ -335,20 +335,18 @@ def test_save_load_round_trip(tmp_path):
     after its header, and forward still computes float64 probabilities."""
     ds = make_dataset(80, seed=1)
     em = encode(ds)
-    base = init((em.width, 6, 2), seed=7, provenance="protected(eps=0.5)")
+    base = init((em.width, 6, 2), seed=7)
     trained = train(base, em, TrainConfig(batch_size=20, epochs=2, seed=7))
     model = finetune(trained, em, 1, TrainConfig(batch_size=20, seed=8))
     path = tmp_path / "m.model"
     save_model(model, path)
     back = load_model(path)
     assert models_equal(model, back)
-    assert back.provenance == model.provenance
-    assert back.train_seed == model.train_seed
     assert back.layer_dims == model.layer_dims
     for m in (base, trained, model, back):
         assert {a.dtype for a in m.weights + m.biases} == {np.dtype(np.float32)}
-    # magic, version and dim count, dims, train_seed, provenance length and bytes
-    header = 8 + 8 + 4 * len(back.layer_dims) + 8 + 4 + len(back.provenance.encode())
+    # magic, version and dim count, dims
+    header = 16 + 4 * len(back.layer_dims)
     n_params = sum(a.size for a in back.weights + back.biases)
     assert path.stat().st_size == header + 4 * n_params
     probs = forward(back, em.features)
@@ -357,27 +355,37 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_model_rejects_corruption(tmp_path):
+    """A damaged model file raises ModelError naming the file, whichever
+    of its lengths is wrong, and a file of an older format is refused."""
     model = init((2, 3, 2), seed=0)
     path = tmp_path / "m.model"
     save_model(model, path)
     raw = path.read_bytes()
+    assert len(raw) == 16 + 4 * 3 + 4 * 17
 
-    (tmp_path / "magic.model").write_bytes(b"XXXXXXXX" + raw[8:])
-    with pytest.raises(ModelError, match="not a model file"):
-        load_model(tmp_path / "magic.model")
+    def refused(name, data, message):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ModelError) as err:
+            load_model(tmp_path / name)
+        assert str(err.value).startswith(f"{tmp_path / name}: {message}"), err.value
 
-    (tmp_path / "short.model").write_bytes(raw[:-9])
-    with pytest.raises(ModelError, match="truncated"):
-        load_model(tmp_path / "short.model")
+    refused("magic.model", b"XXXXXXXX" + raw[8:], "not a model file")
+    refused("empty.model", b"", "not a model file")
+    # cut inside the version and dims count, inside the dims, and inside the parameters
+    refused("cut12.model", raw[:12], "truncated header")
+    refused("cut20.model", raw[:20], "truncated header: 3 layer dims run past the end")
+    refused("cut30.model", raw[:30], "truncated parameter block")
+    refused("short.model", raw[:-9], "truncated parameter block")
+    refused("long.model", raw + b"\x00", "trailing bytes after parameters")
+    many_dims = raw[:12] + (10**6).to_bytes(4, "little") + raw[16:]
+    refused("many_dims.model", many_dims, "truncated header: 1000000 layer dims run past the end")
+    refused("one_dim.model", raw[:12] + (1).to_bytes(4, "little") + raw[16:20], "layer_dims must be")
 
-    (tmp_path / "long.model").write_bytes(raw + b"\x00")
-    with pytest.raises(ModelError, match="trailing"):
-        load_model(tmp_path / "long.model")
-
-    old = tmp_path / "version1.model"
-    write_version1_model(model, old)
-    with pytest.raises(ModelError) as refused:
-        load_model(old)
-    message = str(refused.value)
-    assert message.startswith(f"{old}: model format version 1 is not supported"), message
-    assert "re-run `privforget run` to rebuild it" in message
+    for version in (1, 2):
+        old = tmp_path / f"version{version}.model"
+        write_old_model(model, old, version)
+        with pytest.raises(ModelError) as err:
+            load_model(old)
+        message = str(err.value)
+        assert message.startswith(f"{old}: model format version {version} is not supported"), message
+        assert "re-run `privforget run` to rebuild it" in message

@@ -63,8 +63,6 @@ def test_privacy_spec_validation():
         PrivacySpec.dp(0.0)
     with pytest.raises(DataError, match="unknown privacy method"):
         PrivacySpec("noise")
-    assert PrivacySpec.k_anonymity(10).tag() == "k=10"
-    assert PrivacySpec.dp(0.5).tag() == "eps=0.5"
 
 
 def test_protect_dispatch(small_dataset):
@@ -81,15 +79,12 @@ def test_protect_dispatch(small_dataset):
 
 def test_eupg_prepare_structure(small_dataset):
     state = prepared(small_dataset)
-    assert state.base_model.provenance == "protected(k=3)"
-    assert state.deployed_model.provenance == "finetuned(protected(k=3),epochs=2)"
     assert set(state.timings) == {"anonymize", "train", "finetune"}
     assert state.dp_ledger is None
     assert state.protected_data.provenance.kind == "k_anonymized"
 
     dp_state = prepared(small_dataset, PrivacySpec.dp(2.0, seed=1))
     assert dp_state.dp_ledger is not None
-    assert dp_state.base_model.provenance == "protected(eps=2)"
 
 
 def test_eupg_prepare_rejects_protected_input(small_dataset):
@@ -228,7 +223,7 @@ def test_sisa_train_structure():
     assert all(len(cp) == 2 for cp in store.checkpoints)
     assert store.alive.all()
     finals = store.final_models()
-    assert [m.provenance for m in finals] == [f"sisa_shard_{s}" for s in range(3)]
+    assert len(finals) == 3 and all(m is cp[-1] for m, cp in zip(finals, store.checkpoints))
     em = encode(ds)
     probs = sisa_predict(store, em.features)
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -607,10 +602,13 @@ def test_shard_store_v2_directory_refused(tmp_path):
             load(tmp_path)
 
 
-@pytest.mark.parametrize("kind, version", [("eupg", 3), ("sisa", 3), ("original", 1)])
+@pytest.mark.parametrize(
+    "kind, version", [("eupg", 3), ("sisa", 3), ("original", 1), ("eupg", 5), ("sisa", 5)]
+)
 def test_previous_format_version_refused(tmp_path, small_dataset, kind, version):
     """A state written before every manifest recorded its clamp flag (and,
-    for EUPG, while its ledger carried two derived fields), or an original
+    for EUPG, while its ledger carried two derived fields), one whose
+    training settings held Adam's constants (format 5), or an original
     model of the retired kind original_model, is refused, naming the
     directory and the version."""
     fitted = {
@@ -621,8 +619,11 @@ def test_previous_format_version_refused(tmp_path, small_dataset, kind, version)
     save_state(fitted, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["format_version"] = version
-    del manifest["clamp_out_of_range"]
-    if kind == "eupg":
+    if version == 5:
+        manifest["cfg"].update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
+    else:
+        del manifest["clamp_out_of_range"]
+    if kind == "eupg" and version == 3:
         manifest["dp_ledger"] = fitted.dp_ledger.to_json_dict()
     if kind == "original":
         manifest = {"schema": manifest["schema"], "format_version": version, "kind": "original_model"}
@@ -759,7 +760,7 @@ def test_data_checksum_hashes_in_place():
     """A store's data checksum reads the matrix where it lies: under 1 MiB
     allocated for an 11 MB matrix, and the digest of its bytes as before."""
     rng = np.random.default_rng(0)
-    em = EncodedMatrix(rng.random((13_000, 104)), rng.integers(0, 2, 13_000), (), {})
+    em = EncodedMatrix(rng.random((13_000, 104)), rng.integers(0, 2, 13_000))
     assert em.features.nbytes >= 10_000_000
     tracemalloc.start()
     try:
