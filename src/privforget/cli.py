@@ -28,7 +28,6 @@ import numpy as np
 from . import attack as attack_mod
 from . import dpanon, kanon, unlearn
 from .data import (
-    NUMERIC,
     DataError,
     ForgetRequest,
     TabularDataset,
@@ -71,8 +70,6 @@ DEFAULTS: dict = {
     "attacks": ["loss_based", "entropy_based"],
     "repetitions": 1,
     "utility_file": None,
-    "clamp_out_of_range": False,
-    "shuffle": True,
     "out": "privforget-out",
     "sweep": None,
 }
@@ -82,7 +79,6 @@ INTEGER_KEYS = ("k", "n_shards", "n_slices", "hidden_units", "batch_size", "epoc
                 "finetune_epochs", "seed", "privacy_seed", "forget_seed", "repetitions")
 REAL_KEYS = ("epsilon", "learning_rate", "forget_ratio")
 NULLABLE = ("k", "epsilon", "privacy_seed", "forget_seed", "forget_ratio")
-BOOLEAN_KEYS = ("shuffle", "clamp_out_of_range")
 # file path config keys, null when unset; the output directory `out` is never null
 PATH_KEYS = ("train_csv", "test_csv", "schema", "utility_file")
 
@@ -177,9 +173,6 @@ def _validated(conf: dict) -> dict:
     for key in INTEGER_KEYS + REAL_KEYS:
         if conf[key] is not None or key not in NULLABLE:
             conf[key] = _number(key, conf[key])
-    for key in BOOLEAN_KEYS:
-        if not isinstance(conf[key], bool):
-            raise DataError(f"config key {key!r} must be true or false, got {conf[key]!r}")
     if conf["method"] not in METHODS:
         raise DataError(f"unknown method {conf['method']!r}; expected one of {METHODS}")
     _check_attacks(conf["attacks"], "config key 'attacks'")
@@ -206,15 +199,6 @@ def _require(conf: dict, *keys):
             raise DataError(f"config key {key!r} is required for this command")
 
 
-def _clamp_declared(ds: TabularDataset) -> TabularDataset:
-    rows = np.array(ds.rows)
-    for j, attr in enumerate(ds.schema):
-        if attr.kind == NUMERIC and attr.declared_range is not None:
-            lo, hi = attr.declared_range
-            rows[:, j] = np.clip(rows[:, j], lo, hi)
-    return TabularDataset(ds.schema, rows, ds.provenance)
-
-
 def load_train_test(conf: dict):
     """Load train and test CSVs; the test set is parsed and encoded under the
     schema learned from the training data (category order, observed ranges)."""
@@ -224,10 +208,6 @@ def load_train_test(conf: dict):
     test = None
     if conf.get("test_csv"):
         test = load_csv(conf["test_csv"], train.schema)
-    if conf["clamp_out_of_range"]:
-        train = _clamp_declared(train)
-        if test is not None:
-            test = _clamp_declared(test)
     return train, test
 
 
@@ -237,7 +217,6 @@ def _train_config(conf: dict, seed: int) -> TrainConfig:
         learning_rate=conf["learning_rate"],
         epochs=conf["epochs"],
         seed=seed,
-        shuffle=conf["shuffle"],
     )
 
 
@@ -482,7 +461,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         params = _state_params(conf)
         shards, slices = params["n_shards"], params["n_slices"]
         fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
-    _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir, conf["clamp_out_of_range"])
+    _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
 
     return _report(conf, "run", rep, rep_dir, fitted, encode(train), test, None, **fields)
 
@@ -520,7 +499,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         )
     timings: dict[str, float] = {}
     state_dir, after_dir = rep_dir / "state", rep_dir / "state_after_forget"
-    fitted, _, _ = unlearn.load_state(state_dir)
+    fitted = unlearn.load_state(state_dir)
     _check_state_params(state_dir, fitted, conf)
 
     # the state's own settings drive the forget: its training config and
@@ -533,7 +512,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
             after = _timed(timings, "forget", unlearn.sisa_forget, fitted, train, request)
     except DataError as exc:
         raise DataError(f"{state_dir}: {exc}") from None
-    _timed(timings, "artifact_io", unlearn.save_state, after, after_dir, conf["clamp_out_of_range"])
+    _timed(timings, "artifact_io", unlearn.save_state, after, after_dir)
 
     return _report(
         conf,
@@ -584,13 +563,12 @@ def cmd_attack(args) -> int:
     """Membership inference against what a saved state serves.
 
     Both CSVs are loaded and encoded under the state's schema, the
-    training table's, and clamped to its declared ranges when the training
-    table was, so a member scores as it did in `run`.
+    training table's, so a member scores as it did in `run`.
     """
     _check_attacks(args.attacks, "--attacks")
-    fitted, schema, clamp = unlearn.load_state(args.state)
-    tables = (load_csv(path, schema) for path in (args.members, args.nonmembers))
-    members, nonmembers = (encode(_clamp_declared(t) if clamp else t) for t in tables)
+    fitted = unlearn.load_state(args.state)
+    tables = (load_csv(path, fitted.schema) for path in (args.members, args.nonmembers))
+    members, nonmembers = (encode(t) for t in tables)
     m, nm = attack_mod.balanced_pair(members, nonmembers, args.seed)
     results = _mia_entries(lambda X: unlearn.predict(fitted, X), m, nm, args.attacks)
     payload = json.dumps({"seed": args.seed, "results": results}, indent=2)
@@ -683,25 +661,32 @@ def cmd_report(args) -> int:
     extra_cols: set[str] = set()
     for path in sorted(root.rglob("*report.json")):
         rep = read_json(path)
-        if "command" not in rep:
+        if not isinstance(rep, dict):
+            raise DataError(f"{path}: not a report: expected a JSON object")
+        if "command" not in rep:  # an anonymize report
             continue
-        forget = rep.get("forget") or {}
-        fixed = {
-            "path": str(path.relative_to(root)),
-            "command": rep["command"],
-            "method": rep["method"],
-            "k": rep["params"].get("k"),
-            "epsilon": rep["params"].get("epsilon"),
-            "n_shards": rep["params"].get("n_shards"),
-            "n_slices": rep["params"].get("n_slices"),
-            "repetition": rep["repetition"],
-            "finetune_epochs": rep["config"].get("finetune_epochs"),
-            "forget_ratio": forget.get("ratio"),
-            "n_forgotten": forget.get("n_forgotten"),
-            "utility_metric": rep["utility"]["metric"],
-            "utility": rep["utility"]["value"],
-        }
-        metric_columns = _metric_columns(rep)
+        try:
+            forget = rep.get("forget") or {}
+            fixed = {
+                "path": str(path.relative_to(root)),
+                "command": rep["command"],
+                "method": rep["method"],
+                "k": rep["params"].get("k"),
+                "epsilon": rep["params"].get("epsilon"),
+                "n_shards": rep["params"].get("n_shards"),
+                "n_slices": rep["params"].get("n_slices"),
+                "repetition": rep["repetition"],
+                "finetune_epochs": rep["config"].get("finetune_epochs"),
+                "forget_ratio": forget.get("ratio"),
+                "n_forgotten": forget.get("n_forgotten"),
+                "utility_metric": rep["utility"]["metric"],
+                "utility": rep["utility"]["value"],
+            }
+            metric_columns = _metric_columns(rep)
+        except KeyError as exc:
+            raise DataError(f"{path}: not a run or forget report: it lacks key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: not a run or forget report: {exc}") from None
         extra_cols.update(metric_columns)
         rows.append({**fixed, **metric_columns})
     if not rows:

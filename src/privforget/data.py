@@ -332,8 +332,10 @@ def parse_schema_file(path) -> list[AttributeSchema]:
 def load_csv(path, schema) -> TabularDataset:
     """Parse a CSV with header into a raw TabularDataset.
 
-    The header must name exactly the schema attributes, in order.  Numeric
-    cells must parse as floats; categorical cells must be non-empty strings.
+    The file must be UTF-8 text, and its header must name exactly the
+    schema attributes, in order.  Numeric cells must parse as finite floats
+    inside the attribute's declared range, if it has one; categorical cells
+    must be non-empty strings.
     Attributes declared with an empty category list accept any label and the
     list of categories is learned in order of first appearance; a non-empty
     list is closed and unseen labels are an error.  A numeric attribute
@@ -344,7 +346,7 @@ def load_csv(path, schema) -> TabularDataset:
     """
     schema = validate_schema(schema)
     rownum = -1  # the last row read
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -391,19 +393,39 @@ def load_csv(path, schema) -> TabularDataset:
                             cells.append(float(len(cat_list) - 1))
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise CsvFormatError(f"{path}: row {rownum + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded ahead in blocks: the row is not known
+            raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
     rows = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(schema))
     final_schema = []
     for j, attr in enumerate(schema):
         if attr.kind == CATEGORICAL:
             final_schema.append(dataclasses.replace(attr, categories=tuple(categories[j])))
-        elif attr.observed_range is not None:
+            continue
+        col = rows[:, j]
+        _check_numeric_column(path, attr, col)
+        if attr.observed_range is not None:
             final_schema.append(attr)
         else:
-            col = rows[:, j]
             observed = (float(col.min()), float(col.max())) if col.size else (0.0, 1.0)
             final_schema.append(dataclasses.replace(attr, observed_range=observed))
     return TabularDataset(tuple(final_schema), rows, Provenance.raw())
+
+
+def _check_numeric_column(path, attr: AttributeSchema, col: np.ndarray) -> None:
+    """CsvFormatError naming path, the first bad row and the column unless
+    every value of col is finite and inside attr's declared range, if any."""
+    declared = attr.declared_range
+    if declared is None:
+        ok = np.isfinite(col)
+    else:  # a declared range is finite, so NaN and the infinities fall outside it
+        ok = (col >= declared[0]) & (col <= declared[1])
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        problem = "is not a finite number"
+        if np.isfinite(col[bad]):
+            problem = f"lies outside declared range {list(declared)}"
+        raise CsvFormatError(f"{path}: row {bad + 1}, column {attr.name!r}: value {col[bad]} {problem}")
 
 
 def write_csv(ds: TabularDataset, path) -> None:
@@ -467,8 +489,7 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
                     bad = int(np.argmax(below | above))
                     raise EncodingError(
                         f"attribute {attr.name!r}: value {col[bad]} at row {bad} "
-                        f"outside declared range [{lo}, {hi}] "
-                        "(set config key clamp_out_of_range to clamp)"
+                        f"outside declared range [{lo}, {hi}]"
                     )
             width = hi - lo
             if width > 0:

@@ -60,9 +60,9 @@ def perturb_numeric(
     sensitivity: float,
     epsilon: float,
     rng: np.random.Generator,
-    bounds: tuple[float, float] | None = None,
+    bounds: tuple[float, float],
 ):
-    """Add Laplace(sensitivity/epsilon) noise; clamp to bounds when given.
+    """Add Laplace(sensitivity/epsilon) noise, then clamp to bounds.
 
     Returns (noised values, number of cells that hit the clamp).
     """
@@ -72,12 +72,9 @@ def perturb_numeric(
         raise DpError(f"sensitivity must be non-negative, got {sensitivity}")
     values = np.asarray(values, dtype=np.float64)
     noised = values + laplace_sample(sensitivity / epsilon, rng, size=values.shape)
-    n_clamped = 0
-    if bounds is not None:
-        lo, hi = bounds
-        n_clamped = int(((noised < lo) | (noised > hi)).sum())
-        noised = np.clip(noised, lo, hi)
-    return noised, n_clamped
+    lo, hi = bounds
+    n_clamped = int(((noised < lo) | (noised > hi)).sum())
+    return np.clip(noised, lo, hi), n_clamped
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -211,10 +210,7 @@ def train(
     t = 0
 
     for epoch in range(cfg.epochs):
-        if cfg.shuffle:
-            order = rows[seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)]
-        else:
-            order = rows
+        order = rows[seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads_w, grads_b = _batch_gradients(

@@ -404,10 +404,9 @@ def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:
 # kinds: manifest.json plus binary model files, and nothing that forgetting
 # does not read, nor any wall-clock time, so one config saves the same bytes
 # on every run.  The manifest names its kind and holds the training table's
-# fitted encoding schema (category order and observed ranges) and whether
-# that table was clamped to its declared ranges, so load_state(dir) needs no
-# other input and a table loaded under that schema is encoded as the
-# training table was.
+# fitted encoding schema (category order and observed ranges), so
+# load_state(dir) needs no other input and a table loaded under that schema
+# is encoded as the training table was.
 #   - eupg_state: both models, the privacy spec, the training settings, the
 #     DP ledger and the audit log.  The protected rows are not stored:
 #     protect(ds, spec) re-derives them, and `privforget anonymize` is their
@@ -421,19 +420,16 @@ def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:
 # read back by _from_json against its type hints: the dataclasses are the
 # format.  A directory of another format version is refused, not converted.
 
-EUPG_FORMAT_VERSION = 6
-SHARD_FORMAT_VERSION = 6
+EUPG_FORMAT_VERSION = 7
+SHARD_FORMAT_VERSION = 7
 MANIFEST = "manifest.json"
 
 
 @dataclass(frozen=True)
 class _Manifest:
-    """What every kind's manifest holds: the training table's encoding
-    schema, and whether its numeric values were clamped to their declared
-    ranges before encoding."""
+    """What every kind's manifest holds: the training table's encoding schema."""
 
     schema: tuple[AttributeSchema, ...]
-    clamp_out_of_range: bool
 
     def __post_init__(self):
         validate_schema(self.schema)
@@ -476,9 +472,9 @@ def _from_json(state_dir, value, hint, key: str):
     tuple is read from a list, dict[str, T] from an object, and np.ndarray
     from a list of equal-length rows of numbers.  An int must be
     non-negative, since every manifest int is a count, an index or a seed,
-    and a float must be finite.  A field is named parent.name, and a list
-    item or map value by its container's key.  Anything else is a DataError
-    naming state_dir and key.
+    a float must be finite and a str a JSON string.  A field is named
+    parent.name, and a list item or map value by its container's key.
+    Anything else is a DataError naming state_dir and key.
     """
     where = MANIFEST if key == MANIFEST else f"manifest key {key!r}"
 
@@ -531,8 +527,8 @@ def _from_json(state_dir, value, hint, key: str):
         if type(value) not in (int, float) or not math.isfinite(value):
             raise expected("a finite number")
         return float(value)
-    elif type(value) is not hint:  # str or bool
-        raise expected(f"a JSON {'string' if hint is str else 'boolean'}")
+    elif type(value) is not hint:  # str
+        raise expected("a JSON string")
     return value
 
 
@@ -568,19 +564,15 @@ def _write_state(out_dir, models: dict[str, MlpModel], manifest: _Manifest) -> N
     (out / MANIFEST).write_text(json.dumps(record, indent=2, default=np.ndarray.tolist))
 
 
-def save_state(fitted: EupgState | ShardStore, out_dir, clamp_out_of_range: bool = False) -> None:
-    """Write fitted, with the schema it holds, for load_state;
-    clamp_out_of_range records whether its training table was clamped to
-    its declared ranges."""
+def save_state(fitted: EupgState | ShardStore, out_dir) -> None:
+    """Write fitted, with the schema it holds, for load_state."""
     save = save_eupg_state if isinstance(fitted, EupgState) else save_shard_store
-    save(fitted, out_dir, clamp_out_of_range)
+    save(fitted, out_dir)
 
 
-def load_state(state_dir) -> tuple:
-    """(fitted, schema, clamp_out_of_range) of the state saved in state_dir,
-    whatever its kind: an EupgState or a ShardStore, the training table's
-    encoding schema, and whether that table was clamped to its declared
-    ranges."""
+def load_state(state_dir) -> EupgState | ShardStore:
+    """The EupgState or ShardStore saved in state_dir, whatever its kind;
+    its schema is the training table's encoding schema."""
     manifest = _manifest(state_dir)
     kind, found = manifest.get("kind"), manifest.get("format_version")
     load = {_EupgManifest.kind: load_eupg_state, _ShardManifest.kind: load_shard_store}.get(kind)
@@ -589,16 +581,13 @@ def load_state(state_dir) -> tuple:
             f"{state_dir}: not a saved state: manifest kind {kind!r} format version {found} "
             "is not supported; re-run `privforget run` to rebuild it"
         )
-    fitted = load(state_dir)
-    clamp = _from_json(state_dir, manifest["clamp_out_of_range"], bool, "clamp_out_of_range")
-    return fitted, fitted.schema, clamp
+    return load(state_dir)
 
 
-def save_eupg_state(state: EupgState, out_dir, clamp_out_of_range: bool = False) -> None:
+def save_eupg_state(state: EupgState, out_dir) -> None:
     """Write manifest.json, base.model and deployed.model."""
     manifest = _EupgManifest(
         schema=state.schema,
-        clamp_out_of_range=clamp_out_of_range,
         spec=state.spec,
         finetune_epochs=state.finetune_epochs,
         cfg=state.cfg,
@@ -639,7 +628,7 @@ def _deal_checksum(slice_rows) -> str:
     return hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
 
 
-def save_shard_store(store: ShardStore, out_dir, clamp_out_of_range: bool = False) -> None:
+def save_shard_store(store: ShardStore, out_dir) -> None:
     """Write manifest.json and one shard{s}_slice{r}.model per checkpoint."""
     models = {
         f"shard{s}_slice{r}.model": store.checkpoints[s][r]
@@ -648,7 +637,6 @@ def save_shard_store(store: ShardStore, out_dir, clamp_out_of_range: bool = Fals
     }
     manifest = _ShardManifest(
         schema=store.schema,
-        clamp_out_of_range=clamp_out_of_range,
         n_shards=store.n_shards,
         n_slices=store.n_slices,
         cfg=store.cfg,

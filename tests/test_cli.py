@@ -291,8 +291,6 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
          "manifest key 'finetune_epochs': expected a non-negative integer, got '5'"),
         ("eupg", lambda m: m["cfg"].update(batch_size=-3),
          "manifest key 'cfg.batch_size': expected a non-negative integer, got -3"),
-        ("eupg", lambda m: m["cfg"].update(shuffle="no"),
-         "manifest key 'cfg.shuffle': expected a JSON boolean, got 'no'"),
         ("eupg", lambda m: m.update(audit_log={}), "manifest key 'audit_log': expected a list"),
         ("eupg", lambda m: m["spec"].update(epsilon=-1.0), "manifest key 'spec': dp requires epsilon > 0"),
         ("eupg", lambda m: m.update(notes="x"), "manifest.json has unknown key 'notes'"),
@@ -304,12 +302,11 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
         ("sisa", lambda m: m.update(layer_dims=5), "manifest key 'layer_dims': expected a list, got 5"),
         ("sisa", lambda m: m.update(n_shards="2"), "manifest key 'n_shards': expected a non-negative"),
         ("sisa", lambda m: m.update(n_slices=0), "manifest key 'n_slices' must be a positive integer"),
-        ("sisa", lambda m: m.update(clamp_out_of_range=None), "manifest key 'clamp_out_of_range'"),
     ],
     ids=["categories_not_list", "ledger_no_entries", "learning_rate_string", "epochs_string",
-         "batch_size_negative", "shuffle_string", "audit_log_object", "spec_check", "unknown_top_level",
+         "batch_size_negative", "audit_log_object", "spec_check", "unknown_top_level",
          "ragged_matrix", "learning_rate_nan",
-         "layer_dims_number", "n_shards_string", "no_slices", "clamp_null"],
+         "layer_dims_number", "n_shards_string", "no_slices"],
 )
 def test_manifest_values_typed(tmp_path, capsys, sisa_run, eupg_run, run, edit, message):
     """forget refuses a manifest value of the wrong type, a negative count or
@@ -512,7 +509,10 @@ def test_config_validation_errors(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
     good = write_inputs(tmp_path)
-    assert main(["run", "--config", write_config(tmp_path, good), "--set", "nope=1"]) == 1
+    # shuffling is always on and clamping always off: neither is a config key
+    for pair in ("nope=1", "shuffle=false", "clamp_out_of_range=true"):
+        assert main(["run", "--config", write_config(tmp_path, good), "--set", pair]) == 1, pair
+        assert f"unknown config key '{pair.split('=')[0]}'" in capsys.readouterr().err, pair
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["run", "--config", write_config(tmp_path, good), "--set", "method=warp"]) == 1
     assert main([]) == 1
@@ -536,12 +536,6 @@ def test_config_validation_errors(tmp_path, capsys):
         ("seed=true", "seed"),
         ("attacks=loss_based", "attacks"),
         ('attacks=["loss_based","entropy_based","loss_based"]', "attacks"),
-        # booleans take JSON true/false only: "no" and "off" used to mean True
-        ("shuffle=no", "shuffle"),
-        ("shuffle=1", "shuffle"),
-        ('shuffle="false"', "shuffle"),
-        ("clamp_out_of_range=off", "clamp_out_of_range"),
-        ("clamp_out_of_range=null", "clamp_out_of_range"),
         # a sweep grid is an object: a string or list used to fail on its characters or items
         ("sweep=abc", "sweep"),
         ("sweep=[1,2]", "sweep"),
@@ -710,18 +704,32 @@ def test_failed_k_anonymity_exits_one(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "out" / "rep0" / "state").exists()
 
 
-def test_clamp_out_of_range(tmp_path, capsys):
-    """A value outside a declared range fails the run unless the config
-    asks for clamping."""
+@pytest.mark.parametrize("table", ["train_csv", "test_csv"])
+def test_bad_csv_cell_exits_one_naming_file_row_and_column(tmp_path, capsys, table):
+    """run exits 1, naming the file, the row and the column, and writes no
+    output directory, when a numeric cell of the training or the test CSV
+    is not finite or lies outside its declared range; a CSV that is not
+    UTF-8 exits 1 naming the file."""
     conf = write_inputs(tmp_path)
+    path = Path(conf[table])
+    header, *rows = path.read_text().splitlines()
     schema = Path(conf["schema"])
     declared = "num0,numeric,quasi_identifier"
-    schema.write_text(schema.read_text().replace(declared, declared + ",-1,1"))
-    cfg_path = write_config(tmp_path, conf)
-    assert main(["run", "--config", cfg_path]) == 1
-    err = capsys.readouterr().err
-    assert "num0" in err and "clamp_out_of_range" in err
-    assert main(["run", "--config", cfg_path, "--set", "clamp_out_of_range=true"]) == 0
+    cases = [("nan", "", "value nan is not a finite number"),
+             ("inf", "", "value inf is not a finite number"),
+             ("9.5", ",-10,9", "value 9.5 lies outside declared range [-10.0, 9.0]")]
+    for cell, declared_range, problem in cases:
+        edited = rows.copy()
+        edited[4] = ",".join([cell] + edited[4].split(",")[1:])
+        path.write_text("\n".join([header, *edited]) + "\n")
+        schema.write_text(schema.read_text().replace(declared, declared + declared_range))
+        assert main(["run", "--config", write_config(tmp_path, conf)]) == 1, cell
+        assert capsys.readouterr().err == f"error: {path}: row 5, column 'num0': {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+    path.write_bytes(path.read_bytes().replace(b"c0", b"c\xff", 1))
+    assert main(["run", "--config", write_config(tmp_path, conf)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
 
 
 def test_attack_subcommand(tmp_path, capsys):
@@ -774,31 +782,6 @@ def test_attack_scores_what_run_scored(tmp_path, method, extra):
         run_mia = json.loads((rep_dir / "run_report.json").read_text())["mia"]
         expected = [{k: v for k, v in e.items() if k != "population"} for e in run_mia]
         assert json.loads(out_json.read_text())["results"] == expected, (method, rep)
-
-
-@pytest.mark.parametrize(
-    "method, extra",
-    [("original", {}), ("eupg_k", {"k": 3}), ("eupg_dp", {"epsilon": 2.0}), ("sisa", {})],
-)
-def test_attack_clamps_as_run_did(tmp_path, method, extra):
-    """A run that clamped its table to a declared range records so in its
-    state, and attack --state on the training and test CSVs clamps them too:
-    it exits 0 and reproduces the run's train_vs_test entries."""
-    conf = {**write_inputs(tmp_path), "method": method, "clamp_out_of_range": True, **extra}
-    schema = Path(conf["schema"])
-    declared = "num0,numeric,quasi_identifier"
-    schema.write_text(schema.read_text().replace(declared, declared + ",-1,1"))
-    assert main(["run", "--config", write_config(tmp_path, conf)]) == 0
-    state = tmp_path / "out" / "rep0" / "state"
-    assert json.loads((state / "manifest.json").read_text())["clamp_out_of_range"] is True
-    out_json = tmp_path / "attack.json"
-    assert main([
-        "attack", "--state", str(state), "--members", conf["train_csv"],
-        "--nonmembers", conf["test_csv"], "--out", str(out_json),
-    ]) == 0
-    run_mia = json.loads((state.parent / "run_report.json").read_text())["mia"]
-    expected = [{k: v for k, v in e.items() if k != "population"} for e in run_mia]
-    assert json.loads(out_json.read_text())["results"] == expected
 
 
 def test_attack_encodes_members_under_the_state_schema(tmp_path, capsys, monkeypatch):
@@ -860,6 +843,22 @@ def test_report_subcommand(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--root", conf["out"]]) == 1
     assert conf["out"] in capsys.readouterr().err
+
+    # beside the anonymize report, which is skipped, a *report.json that is
+    # not a JSON object, or that holds a command but not what a run or
+    # forget report holds, exits 1 naming the file
+    bad = Path(conf["out"]) / "x" / "r_report.json"
+    bad.parent.mkdir()
+    for content, message in [
+        (7, "not a report: expected a JSON object"),
+        ([], "not a report: expected a JSON object"),
+        ({"command": "run"}, "not a run or forget report: it lacks key 'method'"),
+        ({"command": "run", "method": "sisa", "params": [1]}, "not a run or forget report: "),
+    ]:
+        bad.write_text(json.dumps(content))
+        assert main(["report", "--root", conf["out"]]) == 1, content
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}"), (content, err)
 
 
 def test_sweep_runs_and_resumes(tmp_path, capsys, monkeypatch):
@@ -943,9 +942,6 @@ def test_load_config_defaults_and_types(tmp_path):
     typed = load_config(path)
     assert (typed["epochs"], typed["epsilon"], typed["forget_ratio"]) == (7, 2.0, None)
     assert isinstance(typed["epsilon"], float)
-    path.write_text(json.dumps({"shuffle": False, "clamp_out_of_range": True}))
-    typed = load_config(path)
-    assert (typed["shuffle"], typed["clamp_out_of_range"]) == (False, True)
     path.write_text(json.dumps({"utility_metric": "f1"}))
     with pytest.raises(DataError, match="utility_metric"):
         load_config(path)

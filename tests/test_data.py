@@ -100,8 +100,7 @@ def test_schema_dict_round_trip(tmp_path):
     rows = np.array([[30.0, -1.5, 2.0, 0.0], [60.0, 0.1, 0.0, 1.0]])
     ds = TabularDataset(schema, rows, Provenance.raw())
     save_state(sisa_train(ds, 1, 1, mlp.TrainConfig(epochs=1), hidden_units=2), tmp_path)
-    _, back, _ = load_state(tmp_path)
-    assert back == schema
+    assert load_state(tmp_path).schema == schema
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +130,44 @@ def test_load_bad_numeric_names_row_and_column(tmp_path):
     p = write(tmp_path, "age,color,label\n30,a,yes\nabc,b,no\n")
     with pytest.raises(CsvFormatError, match=r"row 2, column 'age'"):
         load_csv(p, SCHEMA)
+
+
+OPEN_AGE = AttributeSchema("age", "numeric", "quasi_identifier")
+
+
+@pytest.mark.parametrize(
+    "age, cell, problem",
+    [
+        (OPEN_AGE, "nan", "value nan is not a finite number"),
+        (OPEN_AGE, "inf", "value inf is not a finite number"),
+        (OPEN_AGE, "-Infinity", "value -inf is not a finite number"),
+        (SCHEMA[0], "nan", "value nan is not a finite number"),
+        (SCHEMA[0], "100.5", "value 100.5 lies outside declared range [0.0, 100.0]"),
+        (SCHEMA[0], "-1e-9", "value -1e-09 lies outside declared range [0.0, 100.0]"),
+    ],
+    ids=["nan", "inf", "minus_inf", "declared_nan", "above_declared", "below_declared"],
+)
+@pytest.mark.parametrize("table", ["train", "test"])
+def test_load_bad_numeric_value_names_file_row_and_column(tmp_path, age, cell, problem, table):
+    """A numeric cell that parses but is not finite, or lies outside its
+    declared range, is a CsvFormatError naming the file, the row and the
+    column: in a training table, and in a test table loaded under the
+    training table's schema, which carries an observed range."""
+    schema = (age,) + SCHEMA[1:]
+    if table == "test":
+        schema = load_csv(write(tmp_path, "age,color,label\n30,a,yes\n", "train.csv"), schema).schema
+    p = write(tmp_path, f"age,color,label\n30,a,yes\n40,b,no\n{cell},c,no\n")
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(p, schema)
+    assert str(err.value) == f"{p}: row 3, column 'age': {problem}"
+
+
+def test_load_non_utf8_names_file(tmp_path):
+    p = tmp_path / "data.csv"
+    p.write_bytes(b"age,color,label\n30,a,yes\n40,\xff,no\n")
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(p, SCHEMA)
+    assert str(err.value).startswith(f"{p}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_load_missing_value(tmp_path):
@@ -213,8 +250,9 @@ def test_encode_minmax_and_onehot():
 def test_encode_out_of_declared_range_errors():
     rows = np.array([[150.0, 0.0, 0.0]])
     ds = TabularDataset(SCHEMA, rows, Provenance.raw())
-    with pytest.raises(EncodingError, match="age.*clamp_out_of_range"):
+    with pytest.raises(EncodingError) as err:
         encode(ds)
+    assert str(err.value) == "attribute 'age': value 150.0 at row 0 outside declared range [0.0, 100.0]"
 
 
 def test_encode_outside_observed_range_passes_through():

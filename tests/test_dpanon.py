@@ -74,9 +74,9 @@ def test_perturb_numeric_clamps_and_counts():
 
 def test_perturb_numeric_validation():
     with pytest.raises(DpError, match="epsilon"):
-        perturb_numeric(np.zeros(3), 1.0, 0.0, make_rng(0))
+        perturb_numeric(np.zeros(3), 1.0, 0.0, make_rng(0), bounds=(0.0, 1.0))
     with pytest.raises(DpError, match="sensitivity"):
-        perturb_numeric(np.zeros(3), -1.0, 1.0, make_rng(0))
+        perturb_numeric(np.zeros(3), -1.0, 1.0, make_rng(0), bounds=(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -226,12 +226,11 @@ def test_train_casts_each_batch_not_the_matrix():
     assert peak < data.features.nbytes / 4
 
 
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_train_on_rows_equals_train_on_take(small_dataset, shuffle):
+def test_train_on_rows_equals_train_on_take(small_dataset):
     """Training on rows of a matrix gives the bits of training on their copy."""
     em = encode(small_dataset)
     model = init((em.width, 8, 2), seed=2)
-    cfg = TrainConfig(batch_size=16, epochs=3, seed=9, shuffle=shuffle)
+    cfg = TrainConfig(batch_size=16, epochs=3, seed=9)
     # 45 rows in no sorted order: two full batches and a partial one of 13
     rows = np.random.default_rng(0).permutation(em.n_rows)[:45]
     on_rows = train(model, em, cfg, rows=rows)

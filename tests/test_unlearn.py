@@ -603,14 +603,16 @@ def test_shard_store_v2_directory_refused(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, version", [("eupg", 3), ("sisa", 3), ("original", 1), ("eupg", 5), ("sisa", 5)]
+    "kind, version",
+    [("eupg", 3), ("sisa", 3), ("original", 1), ("eupg", 5), ("sisa", 5), ("eupg", 6), ("sisa", 6)],
 )
 def test_previous_format_version_refused(tmp_path, small_dataset, kind, version):
     """A state written before every manifest recorded its clamp flag (and,
     for EUPG, while its ledger carried two derived fields), one whose
-    training settings held Adam's constants (format 5), or an original
-    model of the retired kind original_model, is refused, naming the
-    directory and the version."""
+    training settings held Adam's constants (format 5), one holding the
+    clamp flag and a shuffle setting (format 6), or an original model of
+    the retired kind original_model, is refused, naming the directory and
+    the version."""
     fitted = {
         "eupg": lambda: prepared(small_dataset, PrivacySpec.dp(1.0, seed=2)),
         "sisa": lambda: sisa_train(small_dataset, 2, 2, CFG, hidden_units=8),
@@ -619,10 +621,11 @@ def test_previous_format_version_refused(tmp_path, small_dataset, kind, version)
     save_state(fitted, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["format_version"] = version
+    if version in (5, 6):
+        manifest.update(clamp_out_of_range=False)
+        manifest["cfg"].update(shuffle=True)
     if version == 5:
         manifest["cfg"].update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
-    else:
-        del manifest["clamp_out_of_range"]
     if kind == "eupg" and version == 3:
         manifest["dp_ledger"] = fitted.dp_ledger.to_json_dict()
     if kind == "original":
@@ -670,7 +673,7 @@ def saved_states(tmp_path_factory):
     states = {}
     for kind, obj in fitted.items():
         state_dir = tmp_path_factory.mktemp(kind)
-        save_state(obj, state_dir, clamp_out_of_range=True)
+        save_state(obj, state_dir)
         states[kind] = state_dir, json.loads((state_dir / "manifest.json").read_text())
     return states
 
@@ -700,7 +703,7 @@ def manifest_edit(data, manifest):
         wrong = -1 - value
     else:
         path, value = data.draw(st.sampled_from(nodes[1:]))
-        # a string for a number or a boolean, a number for a string, an object for a list or null
+        # a string for a number, a number for a string, an object for a list or null
         wrong = {dict: [], list: {}, str: 7, type(None): {}}.get(type(value), "7")
     parent = edited
     for key in path[:-1]:
@@ -726,9 +729,9 @@ def test_every_manifest_edit_refused_naming_its_key(saved_states, kind, data):
 
 
 def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset):
-    """save_state then load_state gives back each method's fitted object and
-    the training schema, and predict scores what each serves; the original
-    baseline is a store of one shard and one slice."""
+    """save_state then load_state gives back each method's fitted object,
+    holding the training schema, and predict scores what each serves; the
+    original baseline is a store of one shard and one slice."""
     ds = small_dataset
     em = encode(ds)
     fitted = {
@@ -737,10 +740,9 @@ def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset)
         "sisa": sisa_train(ds, 2, 2, CFG, hidden_units=8),
     }
     for name, obj in fitted.items():
-        save_state(obj, tmp_path / name, clamp_out_of_range=name == "sisa")
-        back, schema, clamp = load_state(tmp_path / name)
-        assert type(back) is type(obj) and schema == ds.schema, name
-        assert clamp is (name == "sisa"), name
+        save_state(obj, tmp_path / name)
+        back = load_state(tmp_path / name)
+        assert type(back) is type(obj) and back.schema == ds.schema, name
         assert predict(back, em.features).tobytes() == predict(obj, em.features).tobytes(), name
     assert {f.name for f in (tmp_path / "original").iterdir()} == {"manifest.json", "shard0_slice0.model"}
     assert predict(fitted["eupg"], em.features).tobytes() == (
