@@ -240,11 +240,10 @@ def _privacy_spec(conf: dict, privacy_seed: int, schema) -> unlearn.PrivacySpec:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _mia_entries(probs_fn, m, nm, attacks, population=None) -> list[dict]:
-    """One entry per attack on a balanced member/non-member pair; the
-    population key is left out when no population is named."""
-    m_probs = probs_fn(m.features)
-    nm_probs = probs_fn(nm.features)
+def _mia_entries(m, m_probs, nm, nm_probs, attacks, population=None) -> list[dict]:
+    """One entry per attack on a balanced member/non-member pair and the
+    class probabilities predicted for each side; the population key is left
+    out when no population is named."""
     entries = []
     for atk in attacks:
         res = attack_mod.mia_from_probs(m_probs, m.labels, nm_probs, nm.labels, atk)
@@ -395,7 +394,6 @@ def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fi
     base_seed = conf["seed"] + rep
     seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
     seeds.update(fields.pop("seeds", {}))
-    probs_fn = lambda X: unlearn.predict(fitted, X)
     populations = {"train_vs_test": np.arange(train_em.n_rows)}
     if forgotten is not None:
         populations = {
@@ -403,14 +401,21 @@ def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fi
             "retain_vs_test": np.flatnonzero(~forgotten),
         }
     test_em = encode(test)
-    utility = attack_mod.utility_from_probs(
-        probs_fn(test_em.features), test_em.labels, conf["utility_metric"]
-    )
+    test_probs = unlearn.predict(fitted, test_em.features)
+    utility = attack_mod.utility_from_probs(test_probs, test_em.labels, conf["utility_metric"])
     mia = []
     for population, rows in populations.items():
         m_rows, nm_rows = attack_mod.balanced_rows(len(rows), test_em.n_rows, base_seed)
         members, nonmembers = train_em.take(rows[m_rows]), test_em.take(nm_rows)
-        mia += _mia_entries(probs_fn, members, nonmembers, conf["attacks"], population)
+        m_probs = unlearn.predict(fitted, members.features)
+        # a side that keeps every test row reuses the utility's probabilities;
+        # a subsample is predicted from its own rows, as forward(X)[idx] and
+        # forward(X[idx]) can differ in their last bits
+        if isinstance(nm_rows, slice):
+            nm_probs = test_probs
+        else:
+            nm_probs = unlearn.predict(fitted, nonmembers.features)
+        mia += _mia_entries(members, m_probs, nonmembers, nm_probs, conf["attacks"], population)
     report = {
         "format_version": 1,
         "command": command,
@@ -570,7 +575,8 @@ def cmd_attack(args) -> int:
     tables = (load_csv(path, fitted.schema) for path in (args.members, args.nonmembers))
     members, nonmembers = (encode(t) for t in tables)
     m, nm = attack_mod.balanced_pair(members, nonmembers, args.seed)
-    results = _mia_entries(lambda X: unlearn.predict(fitted, X), m, nm, args.attacks)
+    m_probs, nm_probs = (unlearn.predict(fitted, side.features) for side in (m, nm))
+    results = _mia_entries(m, m_probs, nm, nm_probs, args.attacks)
     payload = json.dumps({"seed": args.seed, "results": results}, indent=2)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

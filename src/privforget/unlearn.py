@@ -25,7 +25,6 @@ import os
 import time
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,19 +249,18 @@ def _deal(n: int, n_shards: int, n_slices: int, seed: int):
 
 
 def _replay_shard(store: ShardStore, data: EncodedMatrix, s: int, first: int, alive: np.ndarray):
-    """Shard s's checkpoints with slices first.. retrained on the alive rows of data.
+    """Shard s's checkpoints from slice first on, retrained on the alive rows of data.
 
     Training starts from checkpoint first-1, or from the shard's seeded
-    initialization when first is 0; the checkpoints before first are kept
-    as the same objects.  Slice r trains on the alive rows of slices 0..r in
-    dealt order, for per_slice_epochs epochs under the slice's own seed.
+    initialization when first is 0.  Slice r trains on the alive rows of
+    slices 0..r in dealt order, for per_slice_epochs epochs under the slice's
+    own seed.
     """
-    kept = store.checkpoints[s][:first]
     if first == 0:
         init_seed = seeds.derive(store.cfg.seed, seeds.SISA_SHARD_INIT, s)
         model = mlp.init(store.layer_dims, init_seed)
     else:
-        model = kept[-1]
+        model = store.checkpoints[s][first - 1]
     replayed = []
     for r in range(first, store.n_slices):
         rows = np.concatenate(store.slice_rows[s][: r + 1])
@@ -275,18 +273,18 @@ def _replay_shard(store: ShardStore, data: EncodedMatrix, s: int, first: int, al
             rows=rows,
         )
         replayed.append(model)
-    return tuple(kept) + tuple(replayed)
+    return replayed
 
 
 def _shard_workers(n_jobs: int) -> int:
-    """Threads to replay n_jobs shards on: the usable CPUs left after each
-    thread's BLAS calls take theirs, at least one and at most n_jobs.
+    """Processes to replay n_jobs shards in: the usable CPUs left after each
+    process's BLAS calls take theirs, at least one and at most n_jobs.
 
     The BLAS thread count is read as OpenBLAS (the BLAS of numpy's wheels)
     reads it: the first of its thread-count variables set to a positive
-    integer, else one thread per usable CPU.  Shard threads on top of a
+    integer, else one thread per usable CPU.  Shard processes on top of a
     multithreaded BLAS oversubscribe the CPUs and replay slower than one
-    thread does.
+    process does.
     """
     cpus = len(os.sched_getaffinity(0))
     blas = cpus
@@ -298,23 +296,56 @@ def _shard_workers(n_jobs: int) -> int:
     return max(1, min(n_jobs, cpus // blas))
 
 
+# (store, data, alive) of the replay in progress, in a forked replay worker
+_replay_inputs = None
+
+
+def _set_replay_inputs(store: ShardStore, data: EncodedMatrix, alive: np.ndarray) -> None:
+    global _replay_inputs
+    _replay_inputs = (store, data, alive)
+
+
+def _replay_job(job: tuple[int, int]) -> list:
+    """(layer_dims, weights, biases) of each slice _replay_shard retrains for
+    job (s, first), on the worker's replay inputs."""
+    store, data, alive = _replay_inputs
+    replayed = _replay_shard(store, data, job[0], job[1], alive)
+    return [(m.layer_dims, m.weights, m.biases) for m in replayed]
+
+
 def _replay_shards(
     store: ShardStore, data: EncodedMatrix, starts: list[tuple[int, int]], alive: np.ndarray
 ) -> list:
-    """_replay_shard(store, data, s, first, alive) for each (s, first) in starts, in order.
+    """Shard s's checkpoints with slices first.. replayed, for each (s, first)
+    in starts, in order; the checkpoints before first are kept as the same
+    objects.
 
     Shards are independent and each is a pure function of its seeds, so they
-    run concurrently on _shard_workers threads (numpy releases the GIL in its
-    BLAS and ufunc loops) and give the same bits whatever the thread count.
-    The first exception raised by a shard propagates; shards not yet started
-    are cancelled.
+    replay concurrently in _shard_workers forked processes and give the same
+    bits whatever the worker count.  Threads would share one GIL, and a
+    float32 batch is mostly numpy dispatch.  The workers get store, data and
+    alive through fork, copy-on-write, and only each job's (s, first) and the
+    replayed parameters are pickled; fork is named because forkserver,
+    Python 3.14's default on Linux, would pickle the data too.  Each
+    replayed model is rebuilt here, so its parameters are checked, read-only
+    float32 arrays.  The first exception raised by a shard propagates;
+    shards not yet started are cancelled, and the workers are joined either
+    way.
     """
+    # imported here, so that code that never replays a shard does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def replay(job):
-        return _replay_shard(store, data, job[0], job[1], alive)
-
-    with ThreadPoolExecutor(max_workers=_shard_workers(len(starts))) as pool:
-        return list(pool.map(replay, starts))
+    with ProcessPoolExecutor(
+        max_workers=_shard_workers(len(starts)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_replay_inputs,
+        initargs=(store, data, alive),
+    ) as pool:
+        return [
+            store.checkpoints[s][:first] + tuple(MlpModel(*params) for params in replayed)
+            for (s, first), replayed in zip(starts, pool.map(_replay_job, starts))
+        ]
 
 
 def sisa_train(

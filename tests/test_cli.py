@@ -612,6 +612,29 @@ def test_forget_report_copies_no_population(tmp_path):
     assert sizes == {"forget_vs_test": (30, 30), "retain_vs_test": (100, 100)}
 
 
+def test_forget_report_predicts_the_test_set_once(tmp_path, monkeypatch):
+    """A SISA forget report predicts the 100 test rows once: retain_vs_test
+    keeps every test row and reuses the utility's probabilities, while
+    forget_vs_test subsamples 30 test rows and predicts them on their own."""
+    train, test = make_dataset(300, seed=0), make_dataset(100, seed=1)
+    test = TabularDataset(train.schema, test.rows, train.provenance)
+    store = unlearn.sisa_train(train, 2, 2, TrainConfig(batch_size=64, epochs=1), hidden_units=8)
+    conf = load_config(None, {"method": "sisa", "n_shards": 2, "n_slices": 2})
+    forgotten = ForgetRequest.from_ratio(train.n_rows, 0.1, 0).mask(train.n_rows)
+    predict, received = unlearn.predict, []
+
+    def counting_predict(fitted, features):
+        received.append(len(features))
+        return predict(fitted, features)
+
+    monkeypatch.setattr(unlearn, "predict", counting_predict)
+    report = _report(conf, "forget", 0, tmp_path, store, encode(train), test, forgotten)
+    # the test set, then forget_vs_test's members and non-members, then retain_vs_test's members
+    assert received == [100, 30, 30, 100]
+    sizes = {e["population"]: (e["n_members"], e["n_nonmembers"]) for e in report["mia"]}
+    assert sizes == {"forget_vs_test": (30, 30), "retain_vs_test": (100, 100)}
+
+
 def test_missing_inputs_exit_one(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     conf["train_csv"] = str(tmp_path / "gone.csv")

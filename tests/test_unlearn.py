@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import tracemalloc
 
@@ -312,7 +313,7 @@ def pin_cpus(monkeypatch, cpus, **blas):
     ],
 )
 def test_shard_workers_leave_cpus_to_blas(monkeypatch, cpus, blas, jobs, workers):
-    """Shard threads times BLAS threads never exceed the usable CPUs; an
+    """Shard processes times BLAS threads never exceed the usable CPUs; an
     unset BLAS count means one BLAS thread per CPU."""
     pin_cpus(monkeypatch, cpus, **blas)
     assert unlearn._shard_workers(jobs) == workers
@@ -320,9 +321,9 @@ def test_shard_workers_leave_cpus_to_blas(monkeypatch, cpus, blas, jobs, workers
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
-    """Shards replay on one thread per usable CPU (BLAS on one thread); the
+    """Shards replay in one process per usable CPU (BLAS on one thread); the
     checkpoints are the bytes of the sequential from-scratch oracle either
-    way."""
+    way, and no worker process is left once the forget returns."""
     pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
     ds = make_dataset(70, seed=8)
     cfg = TrainConfig(batch_size=8, epochs=3, seed=3)
@@ -335,12 +336,35 @@ def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
         oracle = [sisa_oracle(ds, store, s, alive) for s in range(3)]
         assert store_bytes(trained) == [[model_bytes(m) for m in shard] for shard in oracle]
     assert after.checkpoints[1] is store.checkpoints[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_replayed_checkpoints_read_only_float32(monkeypatch, cpus):
+    """Every checkpoint a worker process replays comes back with read-only
+    float32 parameters; checkpoints before a shard's first hit slice stay
+    the same objects."""
+    pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+    ds = make_dataset(60, seed=4)
+    cfg = TrainConfig(batch_size=8, epochs=3, seed=2)
+    store = sisa_train(ds, n_shards=2, n_slices=3, cfg=cfg, hidden_units=8)
+    targets = (int(store.slice_rows[0][1][0]), int(store.slice_rows[1][2][0]))
+    after = sisa_forget(store, ds, ForgetRequest(targets))
+
+    replayed = [m for shard in store.checkpoints for m in shard]
+    replayed += after.checkpoints[0][1:] + after.checkpoints[1][2:]
+    for model in replayed:
+        for a in model.weights + model.biases:
+            assert a.dtype == np.float32 and not a.flags.writeable
+    for s, first in ((0, 1), (1, 2)):
+        for r in range(store.n_slices):
+            assert (after.checkpoints[s][r] is store.checkpoints[s][r]) == (r < first), (s, r)
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_sisa_forget_divergence_propagates(monkeypatch, cpus):
     """A shard whose replay diverges fails the whole forget; the input store
-    is left as it was."""
+    is left as it was and no worker process is left."""
     pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
     ds = make_dataset(70, seed=8)
     cfg = TrainConfig(batch_size=8, epochs=2, seed=3)
@@ -360,6 +384,7 @@ def test_sisa_forget_divergence_propagates(monkeypatch, cpus):
     targets = tuple(int(store.slice_rows[s][0][0]) for s in range(3))
     with pytest.raises(TrainingDiverged, match="non-finite"):
         sisa_forget(store, ds, ForgetRequest(targets))
+    assert multiprocessing.active_children() == []
     assert store.checkpoints is checkpoints
     assert store_bytes(store) == before
     assert np.array_equal(store.alive, alive) and store.removed_log == ()
