@@ -32,6 +32,7 @@ from .data import (
     ForgetRequest,
     TabularDataset,
     encode,
+    encoded_width,
     load_csv,
     parse_schema_file,
     read_json,
@@ -376,16 +377,17 @@ def cmd_anonymize(conf: dict) -> int:
     return 0
 
 
-def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fields) -> dict:
+def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **fields) -> dict:
     """Score what a fitted method serves (unlearn.predict) on the test set
     and against membership inference, then write ``<command>_report.json``.
 
-    train_em is the encoded training table.  The members attacked against
-    the test rows are all its rows when forgotten is None (run), else its
-    forgotten and its retained rows under that request mask (forget).  Each
-    population stays an array of row indices, and only the rows of its
-    balanced pair are taken from that one matrix: encode(subset) equals
-    encode(train).take(rows) bit for bit.  fields
+    train is the raw training table.  The members attacked against the test
+    rows are all its rows when forgotten is None (run), else its forgotten
+    and its retained rows under that request mask (forget).  Each population
+    stays an array of row indices, and only the rows of its balanced pair
+    are encoded, with encode(train, rows=): the bits of encode(subset) and
+    of encode(train).take(rows), while the rest of the table is never
+    encoded.  fields
     fill the command-specific report keys in place (timings_s, forget,
     artifacts, budget_ledger, kanonymity) and seeds the privacy and forget
     seeds, so the key order is fixed here.
@@ -394,7 +396,7 @@ def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fi
     base_seed = conf["seed"] + rep
     seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
     seeds.update(fields.pop("seeds", {}))
-    populations = {"train_vs_test": np.arange(train_em.n_rows)}
+    populations = {"train_vs_test": np.arange(train.n_rows)}
     if forgotten is not None:
         populations = {
             "forget_vs_test": np.flatnonzero(forgotten),
@@ -406,7 +408,7 @@ def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fi
     mia = []
     for population, rows in populations.items():
         m_rows, nm_rows = attack_mod.balanced_rows(len(rows), test_em.n_rows, base_seed)
-        members, nonmembers = train_em.take(rows[m_rows]), test_em.take(nm_rows)
+        members, nonmembers = encode(train, rows=rows[m_rows]), test_em.take(nm_rows)
         m_probs = unlearn.predict(fitted, members.features)
         # a side that keeps every test row reuses the utility's probabilities;
         # a subsample is predicted from its own rows, as forward(X)[idx] and
@@ -424,10 +426,10 @@ def _report(conf, command, rep, rep_dir, fitted, train_em, test, forgotten, **fi
         "repetition": rep,
         "seeds": seeds,
         "dataset": {
-            "train_rows": train_em.n_rows,
+            "train_rows": train.n_rows,
             "test_rows": test.n_rows,
             "n_classes": len(test.schema[test.class_index].categories),
-            "encoded_width": train_em.width,
+            "encoded_width": encoded_width(train.schema),
         },
         "config": {k: v for k, v in conf.items() if k != "sweep"},
         "timings_s": None,
@@ -468,7 +470,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
     _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
 
-    return _report(conf, "run", rep, rep_dir, fitted, encode(train), test, None, **fields)
+    return _report(conf, "run", rep, rep_dir, fitted, train, test, None, **fields)
 
 
 def cmd_run(conf: dict) -> int:
@@ -525,7 +527,7 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         rep,
         rep_dir,
         after,
-        encode(train),
+        train,
         test,
         request.mask(train.n_rows),
         timings_s=timings,

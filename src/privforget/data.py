@@ -358,7 +358,10 @@ def load_csv(path, schema) -> TabularDataset:
                 raise CsvFormatError(
                     f"{path}: header {header!r} does not match schema attributes {expected!r}"
                 )
-            categories: list[list[str]] = [list(a.categories) for a in schema]
+            # each column's category codes, in first-appearance order past the schema's own
+            codes: list[dict[str, float]] = [
+                {c: float(i) for i, c in enumerate(a.categories)} for a in schema
+            ]
             closed = [a.kind == CATEGORICAL and len(a.categories) > 0 for a in schema]
             cells = array("d")  # row-major, one float64 per cell
             for rownum, record in enumerate(reader, start=1):
@@ -366,7 +369,7 @@ def load_csv(path, schema) -> TabularDataset:
                     raise CsvFormatError(
                         f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}"
                     )
-                for attr, cat_list, is_closed, field in zip(schema, categories, closed, record):
+                for attr, col_codes, is_closed, field in zip(schema, codes, closed, record):
                     value = field.strip()
                     if value == "":
                         raise CsvFormatError(
@@ -381,16 +384,15 @@ def load_csv(path, schema) -> TabularDataset:
                                 f"cannot parse {value!r} as a number"
                             ) from None
                     else:
-                        if value in cat_list:
-                            cells.append(float(cat_list.index(value)))
-                        elif is_closed:
-                            raise CsvFormatError(
-                                f"{path}: row {rownum}, column {attr.name!r}: "
-                                f"unknown category {value!r}"
-                            )
-                        else:
-                            cat_list.append(value)
-                            cells.append(float(len(cat_list) - 1))
+                        code = col_codes.get(value)
+                        if code is None:
+                            if is_closed:
+                                raise CsvFormatError(
+                                    f"{path}: row {rownum}, column {attr.name!r}: "
+                                    f"unknown category {value!r}"
+                                )
+                            code = col_codes[value] = float(len(col_codes))
+                        cells.append(code)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise CsvFormatError(f"{path}: row {rownum + 1}: {exc}") from None
         except UnicodeDecodeError as exc:  # decoded ahead in blocks: the row is not known
@@ -400,7 +402,7 @@ def load_csv(path, schema) -> TabularDataset:
     final_schema = []
     for j, attr in enumerate(schema):
         if attr.kind == CATEGORICAL:
-            final_schema.append(dataclasses.replace(attr, categories=tuple(categories[j])))
+            final_schema.append(dataclasses.replace(attr, categories=tuple(codes[j])))
             continue
         col = rows[:, j]
         _check_numeric_column(path, attr, col)
@@ -463,7 +465,7 @@ def encoded_width(schema) -> int:
     return sum(cols.stop - cols.start for cols in attribute_columns(schema).values())
 
 
-def encode(ds: TabularDataset) -> EncodedMatrix:
+def encode(ds: TabularDataset, rows: np.ndarray | None = None) -> EncodedMatrix:
     """Min-max scale numerics, one-hot categoricals, class to int labels.
 
     Scaling uses the attribute's declared range when one was declared,
@@ -471,24 +473,29 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
     explicitly declared range raises.  Values outside an observed range
     (e.g. test data encoded under the training schema) pass through and may
     fall outside [0, 1].  A zero-width range maps to 0.0.  The features are
-    built in one (n, encoded_width) array, which the result holds.
+    built in one (n, encoded_width) array, which the result holds.  Given
+    rows (an integer index array), only those rows of ds are encoded, in
+    that order: the same bits as encode(ds).take(rows), without encoding
+    the others.
     """
     class_attr = ds.schema[ds.class_index]
     if class_attr.kind != CATEGORICAL:
         raise EncodingError("class attribute must be categorical")
-    n = ds.n_rows
+    cells = ds.rows if rows is None else ds.rows[rows]
+    n = len(cells)
     features = np.zeros((n, encoded_width(ds.schema)))
     row_ids = np.arange(n)
     for j, cols in attribute_columns(ds.schema).items():
-        attr, col = ds.schema[j], ds.rows[:, j]
+        attr, col = ds.schema[j], cells[:, j]
         if attr.kind == NUMERIC:
             lo, hi = attr.effective_range
             if attr.declared_range is not None:
                 below, above = col < lo, col > hi
                 if below.any() or above.any():
                     bad = int(np.argmax(below | above))
+                    row = bad if rows is None else int(np.asarray(rows)[bad])
                     raise EncodingError(
-                        f"attribute {attr.name!r}: value {col[bad]} at row {bad} "
+                        f"attribute {attr.name!r}: value {col[bad]} at row {row} "
                         f"outside declared range [{lo}, {hi}]"
                     )
             width = hi - lo
@@ -498,7 +505,7 @@ def encode(ds: TabularDataset) -> EncodedMatrix:
                 scaled /= width
         else:
             features[row_ids, cols.start + col.astype(np.int64)] = 1.0
-    labels = ds.rows[:, ds.class_index].astype(np.int64)
+    labels = cells[:, ds.class_index].astype(np.int64)
     return EncodedMatrix._holding(features, labels)
 
 

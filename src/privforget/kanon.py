@@ -97,7 +97,8 @@ class Clustering:
 # in ascending row order.  The reference distance of a row does not depend
 # on which other rows are computed alongside it, so the labels equal the
 # reference's bit for bit, ties included.  The bound needs finite squared
-# distances, which mdav_labels checks up front.
+# distances, which mdav_labels checks up front.  It stays valid, only looser,
+# when max(sq) runs over clustered rows still in the block as well.
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -125,59 +126,113 @@ def _nearest(xa, p, s, bound, k):
     return cand[np.argsort(_exact(xa, cand, p), kind="stable")[: k - 1]]
 
 
+class _UntakenMean:
+    """The mean of the untaken rows of the kernel's active block, bit for bit
+    that of the block compacted to them, mostly without a pass over the block.
+
+    numpy sums a C-ordered block two or more columns wide along axis 0 row
+    by row, in row order from 0.0, masked or not; a single column it sums
+    pairwise.  A column of integers whose magnitudes sum below 2**53, such
+    as a one-hot column, sums exactly in any order, so when x has such
+    columns their sums over the untaken rows are kept as the column totals
+    less each cluster's rows, and only the other, real columns are summed
+    at each call: in row order, over a C-ordered copy of them that is
+    compacted with the block and widened by a zero column when it would be
+    one column wide.  When every column is real, the block itself is summed.
+    """
+
+    def __init__(self, x):
+        n, d = x.shape
+        whole = [bool((c == np.rint(c)).all()) and np.abs(c).max() * n < 2.0**53 for c in x.T]
+        self.real = np.flatnonzero(np.logical_not(whole))
+        self.sums = np.add.reduce(x, axis=0)
+        self.copy = None
+        if len(self.real) < d:
+            self.copy = x.take(self.real, axis=1)
+            if len(self.real) == 1:
+                self.copy = np.column_stack([self.copy, np.zeros(n)])
+
+    def remove(self, rows):
+        """Drop the rows (an array of them) just taken from the running sums."""
+        self.sums -= np.add.reduce(rows, axis=0)
+
+    def compact(self, keep):
+        if self.copy is not None:
+            self.copy = self.copy[keep]
+
+    def __call__(self, xa, taken, m):
+        if self.copy is None:
+            if xa.shape[1] == 1:
+                return xa[~taken].mean(axis=0)
+            return np.add.reduce(xa, axis=0, where=~taken[:, None]) / m
+        centroid = self.sums.copy()
+        real_sums = np.add.reduce(self.copy, axis=0, where=~taken[:, None])
+        centroid[self.real] = real_sums[: len(self.real)]
+        return centroid / m
+
+
 def _mdav_kernel(x, sq, k):
     """Labels and cluster count; x has finite rows with squared norms sq."""
     n, d = x.shape
     tol = (4 * d + 16) * np.finfo(np.float64).eps
     labels = np.empty(n, dtype=np.int64)
-    # The active block: the unclustered rows in ascending row order, with
-    # their row ids and squared norms.  It is compacted once per loop
-    # iteration; the rows clustered since then are flagged in `taken` and
-    # masked out of the scans.
-    ids, xa = np.arange(n), x
+    # The active block: x's rows in ascending row order, with their row ids
+    # and squared norms, less the rows compacted away.  The rows clustered
+    # since the last compaction stay in the block, flagged in `taken`, and
+    # every scan sets them to +-inf; m rows are untaken.  The block is
+    # compacted once a quarter of it is taken, so x itself is never copied
+    # and each compaction allocates at most 3/4 of the block it replaces.
+    ids, xa, sqa = np.arange(n), x, sq
+    taken = np.zeros(n, dtype=bool)
+    m = n
+    untaken_mean = _UntakenMean(x)
     n_clusters = 0
 
-    def take_cluster(seed, taken):
+    def take_cluster(seed):
         """Cluster the seed with its k-1 nearest untaken rows; flag them taken.
 
         Returns the surrogate distances to the seed, taken rows at -inf, and
         their bound: the "farthest from r" scan reuses them.
         """
-        nonlocal n_clusters
+        nonlocal m, n_clusters
         p = xa[seed]
-        s, bound = _scan(xa, sq, p, tol)
+        s, bound = _scan(xa, sqa, p, tol)
         taken[seed] = True
         s[taken] = np.inf
         members = np.append(_nearest(xa, p, s, bound, k), seed)
         taken[members] = True
+        untaken_mean.remove(xa[members])
+        m -= k
         labels[ids[members]] = n_clusters
         n_clusters += 1
         s[taken] = -np.inf
         return s, bound
 
     def farthest_from_centroid():
-        centroid = xa.mean(axis=0)
-        return _farthest(xa, centroid, *_scan(xa, sq, centroid, tol))
+        centroid = untaken_mean(xa, taken, m)
+        s, bound = _scan(xa, sqa, centroid, tol)
+        s[taken] = -np.inf
+        return _farthest(xa, centroid, s, bound)
 
-    def compact(taken):
-        nonlocal ids, xa, sq
-        keep = ~taken
-        ids, xa, sq = ids[keep], xa[keep], sq[keep]
+    def compact_if_a_quarter_taken():
+        nonlocal ids, xa, sqa, taken
+        if 4 * (len(ids) - m) >= len(ids):
+            keep = ~taken
+            ids, xa, sqa = ids[keep], xa[keep], sqa[keep]
+            untaken_mean.compact(keep)
+            taken = np.zeros(m, dtype=bool)
 
-    while len(ids) >= 3 * k:
-        taken = np.zeros(len(ids), dtype=bool)
+    while m >= 3 * k:
         r = farthest_from_centroid()
-        s_r, bound = take_cluster(r, taken)
-        take_cluster(_farthest(xa, xa[r], s_r, bound), taken)
-        compact(taken)
+        s_r, bound = take_cluster(r)
+        take_cluster(_farthest(xa, xa[r], s_r, bound))
+        compact_if_a_quarter_taken()
 
-    if len(ids) >= 2 * k:
-        taken = np.zeros(len(ids), dtype=bool)
-        take_cluster(farthest_from_centroid(), taken)
-        compact(taken)
+    if m >= 2 * k:
+        take_cluster(farthest_from_centroid())
 
-    if len(ids):
-        labels[ids] = n_clusters
+    if m:
+        labels[ids[~taken]] = n_clusters
         n_clusters += 1
     return labels, n_clusters
 
@@ -228,13 +283,21 @@ def mdav(features: np.ndarray, k: int) -> Clustering:
 # dataset-level operations
 
 def qi_feature_matrix(em: EncodedMatrix, ds: TabularDataset) -> np.ndarray:
-    """Encoded columns of the quasi-identifier attributes, in schema order."""
+    """Encoded columns of the quasi-identifier attributes, in schema order.
+
+    When they form one run of columns, as when every non-class attribute is
+    a quasi-identifier, this is a read-only view of em.features; otherwise
+    a copy of the columns.
+    """
     columns = attribute_columns(ds.schema)
     spans = [columns[j] for j in ds.qi_indices]
     if not spans:
         raise DataError("dataset declares no quasi-identifier attributes")
+    start, stop = spans[0].start, spans[-1].stop
+    if sum(s.stop - s.start for s in spans) == stop - start:
+        return em.features[:, start:stop]
     cols = np.concatenate([np.arange(s.start, s.stop) for s in spans])
-    return em.features[:, cols]
+    return em.features.take(cols, axis=1)
 
 
 def centroid_replace(ds: TabularDataset, clustering: Clustering) -> TabularDataset:

@@ -297,12 +297,15 @@ def _shard_workers(n_jobs: int) -> int:
 
 
 # (store, data, alive) of the replay in progress, in a forked replay worker
+# or, while it replays on its own, in this process
 _replay_inputs = None
 
 
-def _set_replay_inputs(store: ShardStore, data: EncodedMatrix, alive: np.ndarray) -> None:
+def _set_replay_inputs(*inputs) -> None:
+    """Hold (store, data, alive) for _replay_job; called without arguments,
+    hold nothing."""
     global _replay_inputs
-    _replay_inputs = (store, data, alive)
+    _replay_inputs = inputs or None
 
 
 def _replay_job(job: tuple[int, int]) -> list:
@@ -326,26 +329,41 @@ def _replay_shards(
     float32 batch is mostly numpy dispatch.  The workers get store, data and
     alive through fork, copy-on-write, and only each job's (s, first) and the
     replayed parameters are pickled; fork is named because forkserver,
-    Python 3.14's default on Linux, would pickle the data too.  Each
-    replayed model is rebuilt here, so its parameters are checked, read-only
-    float32 arrays.  The first exception raised by a shard propagates;
-    shards not yet started are cancelled, and the workers are joined either
-    way.
+    Python 3.14's default on Linux, would pickle the data too.  When one
+    worker is all there is, the same _replay_job runs here instead, one job
+    after the other, and no process is forked.  Each replayed model is
+    rebuilt here, so its parameters are checked, read-only float32 arrays.
+    The first exception raised by a shard propagates; in a pool, shards not
+    yet started are cancelled, and the workers are joined either way.
     """
-    # imported here, so that code that never replays a shard does not load multiprocessing
+    workers = _shard_workers(len(starts))
+    if workers == 1:
+        _set_replay_inputs(store, data, alive)
+        try:
+            results = [_replay_job(job) for job in starts]
+        finally:
+            _set_replay_inputs()
+        return _rebuilt(store, starts, results)
+
+    # imported here, so that code that never forks a replay does not load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        max_workers=_shard_workers(len(starts)),
+        max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_set_replay_inputs,
         initargs=(store, data, alive),
     ) as pool:
-        return [
-            store.checkpoints[s][:first] + tuple(MlpModel(*params) for params in replayed)
-            for (s, first), replayed in zip(starts, pool.map(_replay_job, starts))
-        ]
+        return _rebuilt(store, starts, pool.map(_replay_job, starts))
+
+
+def _rebuilt(store: ShardStore, starts: list[tuple[int, int]], results) -> list:
+    """Each started shard's kept checkpoints followed by its replayed models."""
+    return [
+        store.checkpoints[s][:first] + tuple(MlpModel(*params) for params in replayed)
+        for (s, first), replayed in zip(starts, results)
+    ]
 
 
 def sisa_train(

@@ -576,8 +576,9 @@ def test_forget_ratio_selecting_no_or_all_rows_refused(tmp_path, capsys, ratio):
 
 @pytest.mark.parametrize("ratio,seed", [(0.1, 0), (0.5, 3), (0.99, 1)])
 def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
-    """The forget report attacks takes of encode(train): the same bytes as
-    encoding each part of split_forget on its own."""
+    """The forget report attacks encode(train, rows=) of each population: the
+    same bytes as encoding each part of split_forget on its own, and as
+    taking its rows of encode(train)."""
     train, _ = load_train_test(load_config(write_config(tmp_path, write_inputs(tmp_path))))
     request = ForgetRequest.from_ratio(train.n_rows, ratio, seed)
     retain, forget = split_forget(train, request)
@@ -585,29 +586,29 @@ def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
     retain_rows = np.setdiff1d(np.arange(train.n_rows), forget_rows)
     whole = encode(train)
     for part, rows in ((retain, retain_rows), (forget, forget_rows)):
-        alone, taken = encode(part), whole.take(rows)
-        assert alone.features.tobytes() == taken.features.tobytes()
-        assert alone.labels.tobytes() == taken.labels.tobytes()
+        alone, taken, encoded = encode(part), whole.take(rows), encode(train, rows=rows)
+        for em in (taken, encoded):
+            assert alone.features.tobytes() == em.features.tobytes()
+            assert alone.labels.tobytes() == em.labels.tobytes()
 
 
 def test_forget_report_copies_no_population(tmp_path):
-    """A SISA forget report takes only the sampled rows of each population
-    from the encoded training matrix it is given: it never allocates as much
-    as the 2,970 retained rows."""
+    """A SISA forget report encodes only the sampled rows of each population
+    from the raw training table: it never allocates as much as one encoded
+    training matrix."""
     train = make_dataset(3000, seed=0, n_categorical=10)
     test = TabularDataset(train.schema, make_dataset(100, seed=1, n_categorical=10).rows, train.provenance)
     store = unlearn.sisa_train(train, 2, 2, TrainConfig(batch_size=256, epochs=1), hidden_units=8)
     conf = load_config(None, {"method": "sisa", "n_shards": 2, "n_slices": 2})
     forgotten = ForgetRequest.from_ratio(train.n_rows, 0.01, 0).mask(train.n_rows)
-    train_em = encode(train)
-    retain_bytes = int((~forgotten).sum()) * train_em.width * 8
+    train_bytes = encode(train).features.nbytes
     tracemalloc.start()
     try:
-        report = _report(conf, "forget", 0, tmp_path, store, train_em, test, forgotten)
+        report = _report(conf, "forget", 0, tmp_path, store, train, test, forgotten)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < retain_bytes
+    assert peak < train_bytes
     sizes = {e["population"]: (e["n_members"], e["n_nonmembers"]) for e in report["mia"]}
     assert sizes == {"forget_vs_test": (30, 30), "retain_vs_test": (100, 100)}
 
@@ -628,7 +629,7 @@ def test_forget_report_predicts_the_test_set_once(tmp_path, monkeypatch):
         return predict(fitted, features)
 
     monkeypatch.setattr(unlearn, "predict", counting_predict)
-    report = _report(conf, "forget", 0, tmp_path, store, encode(train), test, forgotten)
+    report = _report(conf, "forget", 0, tmp_path, store, train, test, forgotten)
     # the test set, then forget_vs_test's members and non-members, then retain_vs_test's members
     assert received == [100, 30, 30, 100]
     sizes = {e["population"]: (e["n_members"], e["n_nonmembers"]) for e in report["mia"]}

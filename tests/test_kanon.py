@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from privforget.data import (
 from privforget.kanon import (
     Clustering,
     _exact,
+    _UntakenMean,
     centroid_replace,
     k_anonymize,
     mdav,
@@ -20,6 +22,8 @@ from privforget.kanon import (
     qi_feature_matrix,
     verify_k_anonymity,
 )
+
+from conftest import make_dataset
 
 # sha256 of the little-endian int64 labels and the cluster count that
 # mdav_labels gives on seeded integer-valued matrices, keyed by (k, n, value
@@ -95,12 +99,24 @@ def _duplicate_ints(rng, n):
     return distinct[rng.integers(0, len(distinct), size=n)]
 
 
+def _one_real_among_one_hot(rng, n):
+    """A single real column between one-hot blocks: numpy sums a lone column
+    pairwise but a wider block row by row, so its centroid entry must be
+    summed in row order, as the block's is."""
+    blocks = [np.eye(c)[rng.integers(0, c, size=n)] for c in (5, 3)]
+    return np.hstack([blocks[0], rng.normal(size=(n, 1)), blocks[1]])
+
+
 MATRIX_FAMILIES = {
     "normal": lambda rng, n: rng.normal(size=(n, 6)),
     "adult_like": _adult_like,
     "duplicate_ints": _duplicate_ints,
     "offset_1e6": lambda rng, n: 1e6 + rng.normal(size=(n, 5)),
     "scaled_1e6": lambda rng, n: 1e6 * rng.normal(size=(n, 5)),
+    "one_column": lambda rng, n: rng.normal(size=(n, 1)),
+    # integers too large to sum exactly
+    "large_ints": lambda rng, n: rng.integers(-(2**50), 2**50, size=(n, 3)).astype(float),
+    "one_real_among_one_hot": _one_real_among_one_hot,
 }
 
 
@@ -108,7 +124,8 @@ MATRIX_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
 def test_kernel_matches_reference(family, k):
     rng = np.random.default_rng([k, len(family)])
-    for n in (k, 2 * k, 3 * k - 1, 3 * k, 7 * k + 3, 150):
+    # 40k + 1 rows: the kernel compacts its active block several times
+    for n in (k, 2 * k, 3 * k - 1, 3 * k, 7 * k + 3, 150, 40 * k + 1):
         x = MATRIX_FAMILIES[family](rng, n)
         want, want_clusters = _mdav_labels_numpy(x, k)
         got, got_clusters = mdav_labels(x, k)
@@ -116,6 +133,28 @@ def test_kernel_matches_reference(family, k):
         clusters = mdav(x, k).clusters
         assert len(clusters) == want_clusters
         assert all(np.array_equal(c, np.flatnonzero(want == i)) for i, c in enumerate(clusters))
+
+
+@pytest.mark.parametrize("family", sorted(MATRIX_FAMILIES))
+def test_untaken_mean_is_the_compacted_mean(family):
+    """The kernel's centroid, kept from running sums while rows are taken
+    and the block is compacted now and then, has the bits of the mean of
+    the untaken rows gathered on their own."""
+    rng = np.random.default_rng([7, len(family)])
+    for n in (12, 150, 600):
+        x = MATRIX_FAMILIES[family](rng, n)
+        untaken_mean, xa, taken, m = _UntakenMean(x), x, np.zeros(n, dtype=bool), n
+        while m > 2:
+            rows = rng.choice(np.flatnonzero(~taken), size=2, replace=False)
+            taken[rows] = True
+            untaken_mean.remove(xa[rows])
+            m -= 2
+            want = xa[~taken].mean(axis=0)
+            assert untaken_mean(xa, taken, m).tobytes() == want.tobytes(), (family, n, m)
+            if rng.random() < 0.1:
+                keep = ~taken
+                xa, taken = xa[keep], np.zeros(m, dtype=bool)
+                untaken_mean.compact(keep)
 
 
 # Rows A = O + (5, 0, 0) and B = O + (3, 4, 2**-24) around O = (1024, 1024,
@@ -365,6 +404,42 @@ def test_mdav_deterministic(small_dataset):
     a = mdav(qi, 4)
     b = mdav(qi, 4)
     assert cluster_sets(a) == cluster_sets(b)
+
+
+def test_k_anonymize_copies_no_encoded_matrix():
+    """k_anonymize clusters a view of the encoded matrix and compacts the
+    active block lazily: on a 3000 x 100 table its allocations peak below
+    three encoded matrices (about five before either)."""
+    ds = make_dataset(3000, seed=5, n_numeric=4, n_categorical=32)
+    matrix_bytes = encode(ds).features.nbytes
+    assert matrix_bytes == 3000 * 100 * 8
+    tracemalloc.start()
+    try:
+        k_anonymize(ds, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * matrix_bytes
+
+
+def test_qi_feature_matrix_views_one_run_of_columns(small_dataset):
+    """Every non-class attribute a quasi-identifier: the QI columns are one
+    run, and the matrix is a read-only view of the encoded features."""
+    em = encode(small_dataset)
+    qi = qi_feature_matrix(em, small_dataset)
+    assert np.shares_memory(qi, em.features) and not qi.flags.writeable
+    assert np.array_equal(qi, em.features)
+
+
+def test_qi_feature_matrix_copies_scattered_columns():
+    """A non-QI attribute between two QI ones: the QI columns are copied out,
+    in schema order."""
+    rows = np.array([[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 2.0, 1.0], [8.0, 0.0, 1.0, 0.0]])
+    ds = TabularDataset(SCHEMA, rows, Provenance.raw())
+    em = encode(ds)
+    qi = qi_feature_matrix(em, ds)
+    assert not np.shares_memory(qi, em.features)
+    assert np.array_equal(qi, em.features[:, [0, 2, 3, 4]])
 
 
 def test_qi_feature_matrix_requires_qi():

@@ -339,6 +339,31 @@ def test_sisa_bits_independent_of_cpu_count(monkeypatch, cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_one_worker_replays_in_process(monkeypatch):
+    """With one worker, shards replay in this process: no ProcessPoolExecutor
+    is built, the checkpoints are those of the process pool, and no replay
+    input stays held once the replay returns."""
+    import concurrent.futures
+
+    ds = make_dataset(70, seed=8)
+    cfg = TrainConfig(batch_size=8, epochs=3, seed=3)
+
+    def train_and_forget():
+        store = sisa_train(ds, n_shards=3, n_slices=3, cfg=cfg, hidden_units=8)
+        targets = (int(store.slice_rows[0][2][0]), int(store.slice_rows[2][0][1]))
+        return store, sisa_forget(store, ds, ForgetRequest(targets))
+
+    pin_cpus(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+    pooled = train_and_forget()
+    pin_cpus(monkeypatch, 1, OPENBLAS_NUM_THREADS="1")
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: pytest.fail("pool built")
+    )
+    in_process = train_and_forget()
+    assert [store_bytes(s) for s in in_process] == [store_bytes(s) for s in pooled]
+    assert unlearn._replay_inputs is None
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_replayed_checkpoints_read_only_float32(monkeypatch, cpus):
     """Every checkpoint a worker process replays comes back with read-only
