@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 from array import array
 from dataclasses import dataclass
@@ -329,13 +330,49 @@ def parse_schema_file(path) -> list[AttributeSchema]:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
+# Data rows converted at a time.  Each column of a block is converted by one
+# C-level map over its cells, so the per-cell work runs without a Python loop
+# step; a block this small keeps its cells in cache while it is transposed
+# (2048-row blocks were slower), and the converted rows go straight into one
+# row-major array.
+_CSV_BLOCK = 256
+
+
+class _CategoryCodes(dict):
+    """One categorical column's cells, as read, mapped to category codes.
+
+    The codes of the schema's categories come first; an open list (the
+    schema gives none) learns labels in order of first appearance.  A cell
+    missing from the map is stripped: a padded spelling of a known label is
+    added under its own key, so each spelling is stripped once.  A cell that
+    is empty once stripped, or names a label outside a closed list, raises
+    KeyError.
+    """
+
+    def __init__(self, categories: tuple[str, ...]):
+        # a schema label that no stripped cell can spell is never matched
+        super().__init__((c, float(i)) for i, c in enumerate(categories) if c == c.strip() != "")
+        self.labels = list(categories)
+        self.closed = bool(categories)
+
+    def __missing__(self, cell: str) -> float:
+        label = cell.strip()
+        if label not in self:
+            if label == "" or self.closed:
+                raise KeyError(cell)
+            self[label] = float(len(self.labels))
+            self.labels.append(label)
+        code = self[cell] = self[label]
+        return code
+
+
 def load_csv(path, schema) -> TabularDataset:
     """Parse a CSV with header into a raw TabularDataset.
 
     The file must be UTF-8 text, and its header must name exactly the
     schema attributes, in order.  Numeric cells must parse as finite floats
     inside the attribute's declared range, if it has one; categorical cells
-    must be non-empty strings.
+    must be non-empty strings.  Cells may be padded with whitespace.
     Attributes declared with an empty category list accept any label and the
     list of categories is learned in order of first appearance; a non-empty
     list is closed and unseen labels are an error.  A numeric attribute
@@ -358,41 +395,33 @@ def load_csv(path, schema) -> TabularDataset:
                 raise CsvFormatError(
                     f"{path}: header {header!r} does not match schema attributes {expected!r}"
                 )
-            # each column's category codes, in first-appearance order past the schema's own
-            codes: list[dict[str, float]] = [
-                {c: float(i) for i, c in enumerate(a.categories)} for a in schema
-            ]
-            closed = [a.kind == CATEGORICAL and len(a.categories) > 0 for a in schema]
+            codes = [_CategoryCodes(a.categories) if a.kind == CATEGORICAL else None for a in schema]
             cells = array("d")  # row-major, one float64 per cell
-            for rownum, record in enumerate(reader, start=1):
-                if len(record) != len(schema):
-                    raise CsvFormatError(
-                        f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}"
-                    )
-                for attr, col_codes, is_closed, field in zip(schema, codes, closed, record):
-                    value = field.strip()
-                    if value == "":
-                        raise CsvFormatError(
-                            f"{path}: row {rownum}, column {attr.name!r}: missing value"
-                        )
-                    if attr.kind == NUMERIC:
-                        try:
-                            cells.append(float(value))
-                        except ValueError:
-                            raise CsvFormatError(
-                                f"{path}: row {rownum}, column {attr.name!r}: "
-                                f"cannot parse {value!r} as a number"
-                            ) from None
-                    else:
-                        code = col_codes.get(value)
-                        if code is None:
-                            if is_closed:
-                                raise CsvFormatError(
-                                    f"{path}: row {rownum}, column {attr.name!r}: "
-                                    f"unknown category {value!r}"
-                                )
-                            code = col_codes[value] = float(len(col_codes))
-                        cells.append(code)
+            block: list[list[str]] = []
+            while True:
+                block.clear()
+                try:
+                    block.extend(itertools.islice(reader, _CSV_BLOCK))
+                except (csv.Error, UnicodeDecodeError):  # the rows read before it are checked first
+                    _raise_first_bad_cell(path, schema, block, rownum + 1)
+                    rownum += len(block)
+                    raise
+                if not block:
+                    break
+                values = np.empty((len(block), len(schema)))
+                try:
+                    columns = zip(*block, strict=True)
+                    for j, (col_codes, column) in enumerate(zip(codes, columns, strict=True)):
+                        if col_codes is None:
+                            column = map(float, map(str.strip, column))
+                        else:
+                            column = map(col_codes.__getitem__, column)
+                        values[:, j] = np.fromiter(column, np.float64, len(block))
+                except (ValueError, KeyError):  # a row of the wrong length, or a bad cell
+                    _raise_first_bad_cell(path, schema, block, rownum + 1)
+                    raise
+                cells.frombytes(values.tobytes())
+                rownum += len(block)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise CsvFormatError(f"{path}: row {rownum + 1}: {exc}") from None
         except UnicodeDecodeError as exc:  # decoded ahead in blocks: the row is not known
@@ -402,7 +431,7 @@ def load_csv(path, schema) -> TabularDataset:
     final_schema = []
     for j, attr in enumerate(schema):
         if attr.kind == CATEGORICAL:
-            final_schema.append(dataclasses.replace(attr, categories=tuple(codes[j])))
+            final_schema.append(dataclasses.replace(attr, categories=tuple(codes[j].labels)))
             continue
         col = rows[:, j]
         _check_numeric_column(path, attr, col)
@@ -412,6 +441,30 @@ def load_csv(path, schema) -> TabularDataset:
             observed = (float(col.min()), float(col.max())) if col.size else (0.0, 1.0)
             final_schema.append(dataclasses.replace(attr, observed_range=observed))
     return TabularDataset(tuple(final_schema), rows, Provenance.raw())
+
+
+def _raise_first_bad_cell(path, schema, block: list[list[str]], first_row: int) -> None:
+    """CsvFormatError naming path, the row and the column of block's first
+    bad cell in row-major order, if it has one; block holds data rows
+    first_row, first_row + 1, ... as read."""
+    for rownum, record in enumerate(block, start=first_row):
+        if len(record) != len(schema):
+            raise CsvFormatError(f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}")
+        for attr, field in zip(schema, record):
+            value = field.strip()
+            if value == "":
+                problem = "missing value"
+            elif attr.kind == NUMERIC:
+                try:
+                    float(value)
+                    continue
+                except ValueError:
+                    problem = f"cannot parse {value!r} as a number"
+            elif attr.categories and value not in attr.categories:
+                problem = f"unknown category {value!r}"
+            else:
+                continue
+            raise CsvFormatError(f"{path}: row {rownum}, column {attr.name!r}: {problem}")
 
 
 def _check_numeric_column(path, attr: AttributeSchema, col: np.ndarray) -> None:

@@ -40,7 +40,6 @@ from .data import (
     encode,
     encoded_width,
     read_json,
-    split_forget,
     validate_schema,
 )
 from .dpanon import DpLedger, MechanismSpec
@@ -177,8 +176,8 @@ def eupg_forget(
     if ds.provenance.kind != "raw":
         raise DataError(f"forget expects the raw training dataset, got {ds.provenance.tag()!r}")
     epochs = state.finetune_epochs if epochs is None else epochs
-    retain, _ = split_forget(ds, request)
-    deployed = mlp.finetune(state.base_model, encode(retain), epochs, state.cfg)
+    retain = encode(ds, rows=np.flatnonzero(~request.mask(ds.n_rows)))
+    deployed = mlp.finetune(state.base_model, retain, epochs, state.cfg)
     event = ForgetEvent(
         n_forgotten=len(request.forget_indices),
         epochs=epochs,

@@ -1,5 +1,9 @@
+import csv
+import dataclasses
 import hashlib
+import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from privforget.data import (
     split_forget,
     write_csv,
 )
+from privforget.data import _check_numeric_column
 from privforget.unlearn import load_state, save_state, sisa_train
 
 from conftest import decode
@@ -230,6 +235,217 @@ def test_write_load_round_trip(tmp_path):
     write_csv(ds, p)
     back = load_csv(p, SCHEMA)
     assert np.array_equal(back.rows, rows)
+
+
+
+def test_load_padded_cells_as_unpadded(tmp_path):
+    """Cells padded after each comma, as in the UCI Adult files
+    ("39, State-gov, ..."), load to the same rows and categories as unpadded
+    ones, over several row blocks and under open and closed lists."""
+    rng = random.Random(5)
+    lines = ["age,color,label"]
+    lines += [f"{rng.randint(0, 100)},{rng.choice('abc')},{rng.choice(['no', 'yes'])}" for _ in range(700)]
+    plain = write(tmp_path, "\n".join(lines) + "\n", "plain.csv")
+    padded = write(tmp_path, "\n".join(lines).replace(",", ", ") + "\n", "padded.csv")
+    open_schema = tuple(dataclasses.replace(a, categories=()) for a in SCHEMA)
+    for schema in (SCHEMA, open_schema):
+        want, got = load_csv(plain, schema), load_csv(padded, schema)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.schema == want.schema
+
+
+def test_load_csv_peak_memory_near_its_rows(tmp_path):
+    """load_csv converts rows as it reads them: its peak is the float64 cells
+    and the dataset's copy of them, about 2.1x the rows, not the strings of
+    every record held until the end of the file (about 9x)."""
+    from conftest import make_dataset
+
+    ds = make_dataset(20_000, seed=3)
+    p = tmp_path / "big.csv"
+    write_csv(ds, p)
+    tracemalloc.start()
+    try:
+        back = load_csv(p, ds.schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.rows.tobytes() == ds.rows.tobytes()
+    assert peak < 2.5 * back.rows.nbytes
+
+
+# ---------------------------------------------------------------------------
+# CSV loading: parity with a per-cell reference parser
+
+def reference_load_csv(path, schema) -> TabularDataset:
+    """The rows load_csv gives, parsed one cell at a time: strip it, test
+    its kind, then float() or a category lookup.  load_csv converts whole
+    columns of row blocks instead and must give the same rows, schema and
+    first error."""
+    rownum = -1
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, expected a header row")
+            rownum = 0
+            expected = [a.name for a in schema]
+            if [h.strip() for h in header] != expected:
+                raise CsvFormatError(
+                    f"{path}: header {header!r} does not match schema attributes {expected!r}"
+                )
+            codes = [{c: float(i) for i, c in enumerate(a.categories)} for a in schema]
+            cells = array("d")
+            for rownum, record in enumerate(reader, start=1):
+                if len(record) != len(schema):
+                    raise CsvFormatError(
+                        f"{path}: row {rownum}: expected {len(schema)} fields, got {len(record)}"
+                    )
+                for attr, col_codes, field in zip(schema, codes, record):
+                    value = field.strip()
+                    where = f"{path}: row {rownum}, column {attr.name!r}"
+                    if value == "":
+                        raise CsvFormatError(f"{where}: missing value")
+                    if attr.kind == "numeric":
+                        try:
+                            cells.append(float(value))
+                        except ValueError:
+                            raise CsvFormatError(f"{where}: cannot parse {value!r} as a number") from None
+                        continue
+                    code = col_codes.get(value)
+                    if code is None:
+                        if attr.categories:
+                            raise CsvFormatError(f"{where}: unknown category {value!r}")
+                        code = col_codes[value] = float(len(col_codes))
+                    cells.append(code)
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: row {rownum + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    rows = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(schema))
+    final_schema = []
+    for j, attr in enumerate(schema):
+        if attr.kind == "categorical":
+            final_schema.append(dataclasses.replace(attr, categories=tuple(codes[j])))
+            continue
+        _check_numeric_column(path, attr, rows[:, j])
+        if attr.observed_range is None:
+            observed = (float(rows[:, j].min()), float(rows[:, j].max())) if len(rows) else (0.0, 1.0)
+            attr = dataclasses.replace(attr, observed_range=observed)
+        final_schema.append(attr)
+    return TabularDataset(tuple(final_schema), rows, Provenance.raw())
+
+
+def load_outcome(load, path, schema):
+    """(rows bytes, schema) that load(path, schema) gives, or the message of
+    the CsvFormatError it raises."""
+    try:
+        ds = load(path, schema)
+    except CsvFormatError as exc:
+        return str(exc)
+    return ds.rows.tobytes(), ds.schema
+
+
+NUMERIC_CELLS = ("42", "-2.5", "1_000", "1e3", "7", "+3", ".5", "-0")
+LABELS = ("a", "b", "c", "light, blue", 'say "hi"')
+PADS = ("", "", "", " ", "  ", "\t", "\x1c")  # float() keeps the \x1c that str.strip() drops
+BAD_CELLS = {
+    "missing": "",
+    "blank": "  ",
+    "word": "abc",
+    "nan": "nan",
+    "huge": "1e999",
+    "above": "1e4",
+    "label": "zz",
+    "non_utf8": "\udcff",  # written as the byte 0xff
+    "over_limit": "x" * 200_000,  # over the csv module's field size limit
+}
+BAD_ROWS = ("short", "long", "blank_line")
+
+
+def parity_csv(tmp_path, n_numeric, closed, n_rows, seed, bad):
+    """A CSV of n_rows data rows and its schema: n_numeric numeric columns
+    (every other one with a declared range), one categorical column per
+    entry of closed (a closed or an open list) and a class; cells drawn
+    from seed, padded and quoted at random.  bad lists (row, column, kind)
+    faults: a BAD_CELLS kind replaces the cell, a BAD_ROWS kind the row."""
+    schema = [
+        AttributeSchema(f"num{j}", "numeric", "quasi_identifier",
+                        declared_range=(-10.0, 1000.0) if j % 2 else None)
+        for j in range(n_numeric)
+    ]
+    schema += [
+        AttributeSchema(f"cat{j}", "categorical", "quasi_identifier", categories=LABELS if c else ())
+        for j, c in enumerate(closed)
+    ]
+    schema.append(AttributeSchema("label", "categorical", "class"))
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_rows):
+        cells = [rng.choice(NUMERIC_CELLS) for _ in range(n_numeric)]
+        cells += [rng.choice(LABELS) for _ in closed]
+        cells.append(rng.choice(("no", "yes")))
+        rows.append([rng.choice(PADS) + c + rng.choice(PADS) for c in cells])
+    for row, col, kind in bad:
+        if kind == "short":
+            rows[row] = rows[row][:-1]
+        elif kind == "long":
+            rows[row] = rows[row] + ["1"]
+        elif kind == "blank_line":
+            rows[row] = []
+        elif rows[row]:
+            rows[row][col % len(rows[row])] = BAD_CELLS[kind]
+    lines = [",".join(a.name for a in schema)]
+    for cells in rows:
+        quoted = ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"') or rng.random() < 0.1 else c
+                  for c in cells]
+        lines.append(",".join(quoted))
+    p = tmp_path / f"parity-{seed}.csv"
+    p.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    return p, tuple(schema)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_numeric=st.integers(1, 3),
+    closed=st.lists(st.booleans(), min_size=1, max_size=3),
+    n_rows=st.integers(2 * 256 + 1, 3 * 256 + 80),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7),
+                  st.sampled_from(sorted(BAD_CELLS) + list(BAD_ROWS))),
+        max_size=3,
+    ),
+)
+def test_load_csv_matches_per_cell_reference(tmp_path_factory, n_numeric, closed, n_rows, seed, faults):
+    """Over tables of three or more row blocks, with padded and quoted cells,
+    open and closed lists and Python's numeric syntaxes, load_csv gives the
+    reference parser's rows, categories and observed ranges, or its message
+    for the first bad cell in row-major order."""
+    bad = [(int(at * n_rows), col, kind) for at, col, kind in faults]
+    p, schema = parity_csv(tmp_path_factory.mktemp("parity"), n_numeric, closed, n_rows, seed, bad)
+    assert load_outcome(load_csv, p, schema) == load_outcome(reference_load_csv, p, schema)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # a later column at an earlier row comes first
+        ([(300, 1, "word"), (40, 2, "label")], "row 41, column 'cat0': unknown category 'zz'"),
+        ([(40, 2, "label"), (40, 0, "word")], "row 41, column 'num0': cannot parse 'abc' as a number"),
+        ([(700, 0, "missing")], "row 701, column 'num0': missing value"),
+        ([(600, 0, "short"), (650, 0, "nan")], "row 601: expected 5 fields, got 4"),
+        ([(650, 0, "nan")], "row 651, column 'num0': value nan is not a finite number"),
+        ([(620, 2, "over_limit")], "row 621: field larger than field limit (131072)"),
+        # the rows of a block read before a csv error are checked first
+        ([(620, 2, "over_limit"), (530, 3, "missing")], "row 531, column 'cat1': missing value"),
+        ([(520, 4, "blank_line")], "row 521: expected 5 fields, got 0"),
+    ],
+)
+def test_load_csv_names_first_bad_cell_in_row_major_order(tmp_path, bad, message):
+    p, schema = parity_csv(tmp_path, 2, [True, False], 720, 17, bad)
+    assert load_outcome(load_csv, p, schema) == f"{p}: {message}"
+    assert load_outcome(reference_load_csv, p, schema) == f"{p}: {message}"
 
 
 # ---------------------------------------------------------------------------
