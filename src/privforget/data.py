@@ -152,9 +152,22 @@ class TabularDataset:
     provenance: Provenance
 
     def __post_init__(self):
+        self._own(np.array(self.rows, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _holding(cls, schema, rows: np.ndarray, provenance: Provenance) -> "TabularDataset":
+        """A TabularDataset of the float64 array rows itself, validated but
+        without the constructor's defensive copy: for arrays no caller holds."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "schema", schema)
+        object.__setattr__(ds, "provenance", provenance)
+        ds._own(rows)
+        return ds
+
+    def _own(self, rows: np.ndarray) -> None:
+        """Validate the schema and the float64 rows, then hold the rows read-only."""
         schema = validate_schema(self.schema)
         object.__setattr__(self, "schema", schema)
-        rows = np.array(self.rows, dtype=np.float64, copy=True)
         if rows.ndim != 2 or rows.shape[1] != len(schema):
             raise DataError(
                 f"rows must be 2-d with {len(schema)} columns, got shape {rows.shape}"
@@ -576,6 +589,6 @@ def split_forget(ds: TabularDataset, request: ForgetRequest):
             f"forget splits run on raw data, got provenance {ds.provenance.tag()!r}"
         )
     mask = request.mask(ds.n_rows)
-    retain = TabularDataset(ds.schema, ds.rows[~mask], Provenance.retain_subset())
-    forget = TabularDataset(ds.schema, ds.rows[mask], Provenance.forget_subset())
+    retain = TabularDataset._holding(ds.schema, ds.rows[~mask], Provenance.retain_subset())
+    forget = TabularDataset._holding(ds.schema, ds.rows[mask], Provenance.forget_subset())
     return retain, forget

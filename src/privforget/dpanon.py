@@ -261,7 +261,7 @@ def dp_protect_table(
             entries.append(
                 DpBudgetEntry(attr.name, "exponential", eps_attr, mech.delta_u)
             )
-    out = TabularDataset(ds.schema, rows, Provenance.dp_protected(epsilon_total))
+    out = TabularDataset._holding(ds.schema, rows, Provenance.dp_protected(epsilon_total))
     ledger = DpLedger(epsilon_total, m, seed, tuple(entries))
     return DpProtectResult(out, ledger)
 

@@ -11,10 +11,11 @@ one-hot blocks.
 All tie-breaks are deterministic: the candidate with the lowest original
 row index wins.  The cluster-building scans are the package's hot loop.
 They rank the unclustered rows on the surrogate |x|^2 - 2 x.p + |p|^2 (one
-matrix-vector product) and evaluate the reference sum((x - p)^2) only for
-the rows a proven rounding-error bound cannot rule out, so the labels are
-those of the reference evaluated over every row, bit for bit (the kernel
-comment below gives the bound).
+float32 matrix-vector product over a copy of the rows scaled by a power of
+two) and evaluate the reference sum((x - p)^2) only for the rows a proven
+rounding-error bound cannot rule out, so the labels are those of the
+reference evaluated over every row, bit for bit (the kernel comment below
+gives the bound).
 """
 from __future__ import annotations
 
@@ -67,25 +68,61 @@ class Clustering:
 # kernel
 #
 # Reference semantics.  Every decision of fixed-size MDAV compares squared
-# distances computed as ``((xa - p) ** 2).sum(axis=1)`` over the active rows
-# ``xa`` (kept in ascending row order): "farthest" is the first maximum, the
+# distances computed as ``((x[rows] - p) ** 2).sum(axis=1)`` over the active
+# rows (kept in ascending row order): "farthest" is the first maximum, the
 # k-1 "nearest" are the head of a stable sort, so ties go to the lowest row.
 #
 # Filter and verify.  Evaluating that expression for every active row costs
-# two n x d temporaries per scan.  Instead each scan ranks the rows on the
-# surrogate ``sq - 2 * (xa @ p) + p @ p`` (``sq`` the cached squared row
-# norms; one gemv), which differs from the reference expression by at most
+# two n x d temporaries per scan.  Instead each scan ranks the rows on a
+# surrogate read from a float32 copy of the rows, at half the bytes of x,
+# and a proven bound on the surrogate's error picks the few rows whose
+# reference distances decide.
 #
-#     bound = tol * (max(sq) + p @ p + tiny),   tol = (4 d + 16) * eps.
+# Scaling.  The copy is xs = fl32(x'), x' = x * 2**-e, with e the exponent
+# that puts max|x'| in [0.5, 1) (but e >= -460, see below); it is built
+# without a float64 temporary and compacted with the block.  A point p is
+# scaled alike, p' = p * 2**-e, sq' = |x'|^2 is sq * 4**-e, and the
+# surrogate is
 #
-# Both are rounded forms of the true squared distance.  With
-# S = |x|^2 + |p|^2 and u = eps / 2, the standard rounding model gives a
-# surrogate error of at most (2 d + 5) u S (norms, the dot product in any
-# summation order, two additions) and a reference error of at most
-# (2 d + 4) u S (subtraction, square, a d-term sum of non-negative terms,
-# against a true distance <= 2 S).  Their sum is (2 d + 4.5) eps S; tol is
-# about twice that, to absorb the second-order terms and the threshold
-# arithmetic, and ``tiny`` covers gradual underflow.  Hence
+#     s = sq' - 2 * (xs @ fl32(p')) + p' @ p'
+#
+# one sgemv, combined in float64.  Scaling by a power of two is exact and
+# reorders no distances; without it, rows at 1e30 overflow float32 and rows
+# at 1e-30 underflow it.
+#
+# Bound.  Let S = max(sq') + p' @ p', u32 = 2**-24, u64 = 2**-53, and D' the
+# true squared distance of x' and p'.  By the standard rounding model
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3):
+#
+#   - fl32 moves each entry of x' and p' by at most u32 times its magnitude
+#     or, below float32's normal range, by 2**-150; with |x'_i|, |p'_i| <= 1
+#     and |x'||p'| <= S / 2, xs . ps is within u32 S + d 2**-149 of x' . p';
+#   - the float32 d-term dot in any summation order (BLAS threads may
+#     reorder it) adds at most gamma_d |xs||ps| ~ d u32 S / 2, plus d 2**-150
+#     for products that underflow;
+#   - doubled, the dot's error is at most (d + 2) u32 S + 3 d 2**-149;
+#   - the float64 norms sq' and p' @ p' (d-term sums of non-negative terms)
+#     and the two float64 additions add at most (d + 4) u64 S;
+#   - the reference, against the same D', is off by at most (2 d + 4) u64 S
+#     (subtraction, square, a d-term sum of non-negative terms, against a
+#     true distance <= 2 S).
+#
+# The total, to first order, is (d/2 + 1) eps32 S + (1.5 d + 4) eps64 S
+# + 3 d 2**-149.  The bound used,
+#
+#     bound = tol * S + (8 d + 16) * 2**-149,
+#     tol = (2 d + 16) * eps32 + (4 d + 16) * eps64,
+#
+# is more than twice each term, which absorbs the second-order terms and
+# the threshold arithmetic.  Where float64 underflows, the rounding model
+# adds an absolute error instead: at most 2**-1075 per square of sq and of
+# the reference, which are computed on x, not x', and so at most
+# 2 d 2**(-1075 - 2 e) in scaled units; with e >= -460 that is below
+# 2 d 2**-155, inside the absolute term, as are the 2**-1075 that sq' and p'
+# may lose.  Rows whose entries are all below 2**-461 are hence scaled by
+# 2**460 only, and their float32 products may underflow: the absolute term
+# then carries the bound, valid but loose enough that most rows get the
+# reference.  Hence
 #
 #   - every row that maximises the reference lies within 2 * bound of the
 #     surrogate maximum, and
@@ -93,37 +130,44 @@ class Clustering:
 #     the (k-1)-th smallest surrogate.
 #
 # Only those candidates (usually exactly 1 and k-1 rows) get the reference
-# expression, and the decision is taken on its values over the candidates
-# in ascending row order.  The reference distance of a row does not depend
-# on which other rows are computed alongside it, so the labels equal the
-# reference's bit for bit, ties included.  The bound needs finite squared
-# distances, which mdav_labels checks up front.  It stays valid, only looser,
-# when max(sq) runs over clustered rows still in the block as well.
+# expression, gathered from the float64 x by row id, and the decision is
+# taken on its values over the candidates in ascending row order.  The
+# reference distance of a row does not depend on which other rows are
+# computed alongside it, so the labels equal the reference's bit for bit,
+# ties included.  The bound needs finite squared distances, which
+# mdav_labels checks up front.  max(sq') is taken at each compaction, over
+# clustered rows still in the block as well: the bound stays valid, only
+# looser.
 
-_TINY = np.finfo(np.float64).tiny
-
-
-def _scan(xa, sq, p, tol):
-    """Surrogate squared distances from every active row to p, and their error bound."""
-    pp = p @ p
-    return sq - 2.0 * (xa @ p) + pp, tol * (sq.max() + pp + _TINY)
+_EPS32 = float(np.finfo(np.float32).eps)
+_EPS64 = float(np.finfo(np.float64).eps)
+_MIN_EXPONENT = -460
 
 
-def _exact(xa, rows, p):
-    """Reference squared distances from the given active rows to p."""
-    return ((xa[rows] - p) ** 2).sum(axis=1)
+def _scaled_float32(x):
+    """fl32(x * 2**-e) and e, with max|x * 2**-e| in [0.5, 1) unless e = -460."""
+    biggest = max(float(x.max()), -float(x.min()))
+    e = max(int(np.frexp(biggest)[1]), _MIN_EXPONENT)
+    xs = np.empty(x.shape, dtype=np.float32)
+    np.ldexp(x, -e, out=xs, casting="same_kind")
+    return xs, e
 
 
-def _farthest(xa, p, s, bound):
+def _exact(x, rows, p):
+    """Reference squared distances from the given rows of x to p."""
+    return ((x[rows] - p) ** 2).sum(axis=1)
+
+
+def _farthest(x, ids, p, s, bound):
     """Position of the active row farthest from p (the first, on ties)."""
     cand = np.flatnonzero(s >= s.max() - 2.0 * bound)
-    return int(cand[np.argmax(_exact(xa, cand, p))])
+    return int(cand[np.argmax(_exact(x, ids[cand], p))])
 
 
-def _nearest(xa, p, s, bound, k):
+def _nearest(x, ids, p, s, bound, k):
     """Positions of the k-1 active rows nearest to p; rows with s = inf are excluded."""
     cand = np.flatnonzero(s <= np.partition(s, k - 2)[k - 2] + 2.0 * bound)
-    return cand[np.argsort(_exact(xa, cand, p), kind="stable")[: k - 1]]
+    return cand[np.argsort(_exact(x, ids[cand], p), kind="stable")[: k - 1]]
 
 
 class _UntakenMean:
@@ -131,14 +175,19 @@ class _UntakenMean:
     that of the block compacted to them, mostly without a pass over the block.
 
     numpy sums a C-ordered block two or more columns wide along axis 0 row
-    by row, in row order from 0.0, masked or not; a single column it sums
-    pairwise.  A column of integers whose magnitudes sum below 2**53, such
-    as a one-hot column, sums exactly in any order, so when x has such
-    columns their sums over the untaken rows are kept as the column totals
-    less each cluster's rows, and only the other, real columns are summed
-    at each call: in row order, over a C-ordered copy of them that is
-    compacted with the block and widened by a zero column when it would be
-    one column wide.  When every column is real, the block itself is summed.
+    by row, in row order from 0.0; a single column it sums pairwise.  A
+    column of integers whose magnitudes sum below 2**53, such as a one-hot
+    column, sums exactly in any order, so when x has such columns their sums
+    over the untaken rows are kept as the column totals less each cluster's
+    rows.  Only the other, real columns are summed at each call, over a
+    C-ordered copy of them that is compacted with the block, widened by a
+    zero column when it would be one column wide, and whose taken rows are
+    zeroed.  ``einsum("ij->j")`` sums such a copy in row order from 0.0 as
+    well: its inner loop runs along the unit-stride columns, adding one row
+    at a time into a zeroed output.  A zeroed row adds +0.0, which leaves
+    any running sum that started from +0.0 unchanged (such a sum is never
+    -0.0).  A lone column of x is averaged pairwise over its untaken rows,
+    as the reference does.
     """
 
     def __init__(self, x):
@@ -146,47 +195,52 @@ class _UntakenMean:
         whole = [bool((c == np.rint(c)).all()) and np.abs(c).max() * n < 2.0**53 for c in x.T]
         self.real = np.flatnonzero(np.logical_not(whole))
         self.sums = np.add.reduce(x, axis=0)
-        self.copy = None
-        if len(self.real) < d:
-            self.copy = x.take(self.real, axis=1)
-            if len(self.real) == 1:
-                self.copy = np.column_stack([self.copy, np.zeros(n)])
+        self.copy = x.take(self.real, axis=1)
+        if len(self.real) == 1 and d > 1:
+            self.copy = np.column_stack([self.copy, np.zeros(n)])
 
-    def remove(self, rows):
-        """Drop the rows (an array of them) just taken from the running sums."""
+    def remove(self, members, rows):
+        """Drop the rows just taken, at block positions members, from the sums."""
         self.sums -= np.add.reduce(rows, axis=0)
+        self.copy[members] = 0.0
 
     def compact(self, keep):
-        if self.copy is not None:
-            self.copy = self.copy[keep]
+        self.copy = self.copy[keep]
 
-    def __call__(self, xa, taken, m):
-        if self.copy is None:
-            if xa.shape[1] == 1:
-                return xa[~taken].mean(axis=0)
-            return np.add.reduce(xa, axis=0, where=~taken[:, None]) / m
+    def __call__(self, taken, m):
+        if self.copy.shape[1] == 1:
+            return self.copy[~taken].mean(axis=0)
         centroid = self.sums.copy()
-        real_sums = np.add.reduce(self.copy, axis=0, where=~taken[:, None])
-        centroid[self.real] = real_sums[: len(self.real)]
+        centroid[self.real] = np.einsum("ij->j", self.copy)[: len(self.real)]
         return centroid / m
 
 
 def _mdav_kernel(x, sq, k):
     """Labels and cluster count; x has finite rows with squared norms sq."""
     n, d = x.shape
-    tol = (4 * d + 16) * np.finfo(np.float64).eps
+    xs, e = _scaled_float32(x)
+    sqs = np.ldexp(sq, -2 * e)
+    tol = (2 * d + 16) * _EPS32 + (4 * d + 16) * _EPS64
+    floor = (8 * d + 16) * 2.0**-149
     labels = np.empty(n, dtype=np.int64)
-    # The active block: x's rows in ascending row order, with their row ids
-    # and squared norms, less the rows compacted away.  The rows clustered
-    # since the last compaction stay in the block, flagged in `taken`, and
-    # every scan sets them to +-inf; m rows are untaken.  The block is
-    # compacted once a quarter of it is taken, so x itself is never copied
-    # and each compaction allocates at most 3/4 of the block it replaces.
-    ids, xa, sqa = np.arange(n), x, sq
+    # The active block: the row ids of x in ascending order, with their
+    # scaled float32 rows and squared norms, less the rows compacted away.
+    # The rows clustered since the last compaction stay in the block,
+    # flagged in `taken`, and every scan sets them to +-inf; m rows are
+    # untaken.  The block is compacted once a quarter of it is taken, so
+    # each compaction allocates at most 3/4 of the block it replaces; x
+    # itself is only ever read by row id.
+    ids, sq_max = np.arange(n), sqs.max()
     taken = np.zeros(n, dtype=bool)
     m = n
     untaken_mean = _UntakenMean(x)
     n_clusters = 0
+
+    def scan(p):
+        """Surrogate squared distances from every active row to p, and their bound."""
+        ps = np.ldexp(p, -e)
+        pp = ps @ ps
+        return sqs - 2.0 * (xs @ ps.astype(np.float32)) + pp, tol * (sq_max + pp) + floor
 
     def take_cluster(seed):
         """Cluster the seed with its k-1 nearest untaken rows; flag them taken.
@@ -195,37 +249,39 @@ def _mdav_kernel(x, sq, k):
         their bound: the "farthest from r" scan reuses them.
         """
         nonlocal m, n_clusters
-        p = xa[seed]
-        s, bound = _scan(xa, sqa, p, tol)
+        p = x[ids[seed]]
+        s, bound = scan(p)
         taken[seed] = True
         s[taken] = np.inf
-        members = np.append(_nearest(xa, p, s, bound, k), seed)
+        members = np.append(_nearest(x, ids, p, s, bound, k), seed)
         taken[members] = True
-        untaken_mean.remove(xa[members])
+        rows = ids[members]
+        untaken_mean.remove(members, x[rows])
         m -= k
-        labels[ids[members]] = n_clusters
+        labels[rows] = n_clusters
         n_clusters += 1
         s[taken] = -np.inf
         return s, bound
 
     def farthest_from_centroid():
-        centroid = untaken_mean(xa, taken, m)
-        s, bound = _scan(xa, sqa, centroid, tol)
+        centroid = untaken_mean(taken, m)
+        s, bound = scan(centroid)
         s[taken] = -np.inf
-        return _farthest(xa, centroid, s, bound)
+        return _farthest(x, ids, centroid, s, bound)
 
     def compact_if_a_quarter_taken():
-        nonlocal ids, xa, sqa, taken
+        nonlocal ids, xs, sqs, sq_max, taken
         if 4 * (len(ids) - m) >= len(ids):
             keep = ~taken
-            ids, xa, sqa = ids[keep], xa[keep], sqa[keep]
+            ids, xs, sqs = ids[keep], xs[keep], sqs[keep]
+            sq_max = sqs.max()
             untaken_mean.compact(keep)
             taken = np.zeros(m, dtype=bool)
 
     while m >= 3 * k:
         r = farthest_from_centroid()
         s_r, bound = take_cluster(r)
-        take_cluster(_farthest(xa, xa[r], s_r, bound))
+        take_cluster(_farthest(x, ids, x[ids[r]], s_r, bound))
         compact_if_a_quarter_taken()
 
     if m >= 2 * k:
@@ -324,7 +380,7 @@ def centroid_replace(ds: TabularDataset, clustering: Clustering) -> TabularDatas
             n_cat = len(attr.categories)
             freq = np.bincount(labels * n_cat + col.astype(np.int64), minlength=n_clusters * n_cat)
             rows[:, j] = freq.reshape(n_clusters, n_cat).argmax(axis=1)[labels]
-    return TabularDataset(ds.schema, rows, Provenance.k_anonymized(clustering.k))
+    return TabularDataset._holding(ds.schema, rows, Provenance.k_anonymized(clustering.k))
 
 
 def k_anonymize(ds: TabularDataset, k: int) -> TabularDataset:

@@ -684,3 +684,16 @@ def test_dataset_category_bounds():
         TabularDataset(SCHEMA, np.array([[1.0, 5.0, 0.0]]), Provenance.raw())
     with pytest.raises(DataError, match="non-integer"):
         TabularDataset(SCHEMA, np.array([[1.0, 0.5, 0.0]]), Provenance.raw())
+
+
+def test_dataset_holding_keeps_the_array_and_validates_it():
+    """_holding takes a fresh array without the constructor's copy, makes it
+    read-only and still refuses the cells the constructor refuses."""
+    rows = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 1.0]])
+    ds = TabularDataset._holding(SCHEMA, rows, Provenance.raw())
+    assert ds.rows is rows and not rows.flags.writeable
+    assert ds.schema == SCHEMA and ds.provenance == Provenance.raw()
+    with pytest.raises(DataError, match="category index"):
+        TabularDataset._holding(SCHEMA, np.array([[1.0, 5.0, 0.0]]), Provenance.raw())
+    with pytest.raises(DataError, match="non-finite"):
+        TabularDataset._holding(SCHEMA, np.array([[np.nan, 0.0, 0.0]]), Provenance.raw())
