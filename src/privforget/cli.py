@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv as csvmod
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -26,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import attack as attack_mod
-from . import dpanon, kanon, unlearn
+from . import dpanon, kanon, mlp, unlearn
 from .data import (
     DataError,
+    EncodedMatrix,
     ForgetRequest,
     TabularDataset,
     encode,
@@ -200,12 +202,16 @@ def _require(conf: dict, *keys):
             raise DataError(f"config key {key!r} is required for this command")
 
 
+def load_train(conf: dict) -> TabularDataset:
+    """Load the training CSV under the schema file."""
+    _require(conf, "train_csv", "schema")
+    return load_csv(conf["train_csv"], parse_schema_file(conf["schema"]))
+
+
 def load_train_test(conf: dict):
     """Load train and test CSVs; the test set is parsed and encoded under the
     schema learned from the training data (category order, observed ranges)."""
-    _require(conf, "train_csv", "schema")
-    schema = parse_schema_file(conf["schema"])
-    train = load_csv(conf["train_csv"], schema)
+    train = load_train(conf)
     test = None
     if conf.get("test_csv"):
         test = load_csv(conf["test_csv"], train.schema)
@@ -295,10 +301,10 @@ def _check_state_params(state_dir: Path, fitted, conf: dict) -> None:
             )
 
 
-def _timed(timings: dict, key: str, fn, *args):
-    """fn(*args), with its wall time recorded as timings[key]."""
+def _timed(timings: dict, key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with its wall time recorded as timings[key]."""
     t0 = time.perf_counter()
-    result = fn(*args)
+    result = fn(*args, **kwargs)
     timings[key] = time.perf_counter() - t0
     return result
 
@@ -377,9 +383,30 @@ def cmd_anonymize(conf: dict) -> int:
     return 0
 
 
-def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **fields) -> dict:
-    """Score what a fitted method serves (unlearn.predict) on the test set
-    and against membership inference, then write ``<command>_report.json``.
+@dataclasses.dataclass(frozen=True)
+class _ReportInputs:
+    """What a report scores: the test table, its encoding, and per member
+    population its name, its members' and its non-members' encodings and
+    whether the non-members are the whole test set."""
+
+    test: TabularDataset
+    test_em: EncodedMatrix
+    sides: tuple[tuple[str, EncodedMatrix, EncodedMatrix, bool], ...]
+
+    def features(self) -> list[np.ndarray]:
+        """The matrices a fitted method predicts, in order: the test set,
+        then per population its members and its non-members, unless those
+        are the whole test set, whose probabilities the utility's serve."""
+        out = [self.test_em.features]
+        for _, members, nonmembers, whole_test in self.sides:
+            out.append(members.features)
+            if not whole_test:
+                out.append(nonmembers.features)
+        return out
+
+
+def _report_inputs(conf, rep, train, test, forgotten) -> _ReportInputs:
+    """The report inputs of a repetition against the test table.
 
     train is the raw training table.  The members attacked against the test
     rows are all its rows when forgotten is None (run), else its forgotten
@@ -387,15 +414,8 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
     stays an array of row indices, and only the rows of its balanced pair
     are encoded, with encode(train, rows=): the bits of encode(subset) and
     of encode(train).take(rows), while the rest of the table is never
-    encoded.  fields
-    fill the command-specific report keys in place (timings_s, forget,
-    artifacts, budget_ledger, kanonymity) and seeds the privacy and forget
-    seeds, so the key order is fixed here.
+    encoded.
     """
-    method = conf["method"]
-    base_seed = conf["seed"] + rep
-    seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
-    seeds.update(fields.pop("seeds", {}))
     populations = {"train_vs_test": np.arange(train.n_rows)}
     if forgotten is not None:
         populations = {
@@ -403,20 +423,73 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
             "retain_vs_test": np.flatnonzero(~forgotten),
         }
     test_em = encode(test)
-    test_probs = unlearn.predict(fitted, test_em.features)
-    utility = attack_mod.utility_from_probs(test_probs, test_em.labels, conf["utility_metric"])
-    mia = []
+    sides = []
     for population, rows in populations.items():
-        m_rows, nm_rows = attack_mod.balanced_rows(len(rows), test_em.n_rows, base_seed)
-        members, nonmembers = encode(train, rows=rows[m_rows]), test_em.take(nm_rows)
-        m_probs = unlearn.predict(fitted, members.features)
+        m_rows, nm_rows = attack_mod.balanced_rows(len(rows), test_em.n_rows, conf["seed"] + rep)
         # a side that keeps every test row reuses the utility's probabilities;
         # a subsample is predicted from its own rows, as forward(X)[idx] and
         # forward(X[idx]) can differ in their last bits
-        if isinstance(nm_rows, slice):
-            nm_probs = test_probs
-        else:
-            nm_probs = unlearn.predict(fitted, nonmembers.features)
+        members, nonmembers = encode(train, rows=rows[m_rows]), test_em.take(nm_rows)
+        sides.append((population, members, nonmembers, isinstance(nm_rows, slice)))
+    return _ReportInputs(test, test_em, tuple(sides))
+
+
+class _ShardScores:
+    """The on_final of a shard store's replay: it predicts each shard's final
+    model on the report inputs, which build() makes at its first call."""
+
+    def __init__(self, build):
+        self._build = build
+        self.inputs: _ReportInputs | None = None
+        self.build_error: DataError | None = None
+        self._probs: dict[int, list[np.ndarray]] = {}
+
+    def __call__(self, s: int, model) -> None:
+        if self.inputs is None:
+            try:
+                self.inputs = self._build()
+            except DataError as exc:
+                self.build_error = exc
+                raise
+        self._probs[s] = [mlp.forward(model, x) for x in self.inputs.features()]
+
+    def probs(self) -> list[np.ndarray]:
+        """The ensemble's probabilities for each of the inputs' matrices:
+        the shards' averaged in shard order, as unlearn.sisa_predict does."""
+        shards = [self._probs[s] for s in sorted(self._probs)]
+        return [unlearn.ensemble_probs(list(p)) for p in zip(*shards)]
+
+
+def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **fields) -> dict:
+    """Score what a fitted method serves (unlearn.predict) on the report
+    inputs of train, test and forgotten (see _report_inputs), then write
+    ``<command>_report.json`` (see _scored_report)."""
+    inputs = _report_inputs(conf, rep, train, test, forgotten)
+    probs = [unlearn.predict(fitted, x) for x in inputs.features()]
+    return _scored_report(conf, command, rep, rep_dir, train, inputs, probs, **fields)
+
+
+def _scored_report(conf, command, rep, rep_dir, train, inputs, probs, **fields) -> dict:
+    """Write ``<command>_report.json`` from the probabilities a fitted method
+    gives for each of the inputs' features(): the test utility and the
+    membership inference of each population.  fields fill the
+    command-specific report keys in place (timings_s, forget, artifacts,
+    budget_ledger, kanonymity) and seeds the privacy and forget seeds, so
+    the key order is fixed here.
+    """
+    method = conf["method"]
+    base_seed = conf["seed"] + rep
+    seeds = {"train": base_seed, "privacy": None, "forget": None, "mia": base_seed}
+    seeds.update(fields.pop("seeds", {}))
+    test = inputs.test
+    probs = iter(probs)
+    test_probs = next(probs)
+    labels = inputs.test_em.labels
+    utility = attack_mod.utility_from_probs(test_probs, labels, conf["utility_metric"])
+    mia = []
+    for population, members, nonmembers, whole_test in inputs.sides:
+        m_probs = next(probs)
+        nm_probs = test_probs if whole_test else next(probs)
         mia += _mia_entries(members, m_probs, nonmembers, nm_probs, conf["attacks"], population)
     report = {
         "format_version": 1,
@@ -445,7 +518,10 @@ def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **field
     return report
 
 
-def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
+def _run_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
+    """Fit the configured method on train, save its state under rep_dir and
+    write its run report.  load_test() gives the test table: an EUPG run
+    reads it before fitting, a shard store on the CPU its replay leaves idle."""
     method = conf["method"]
     base_seed = conf["seed"] + rep
     cfg = _train_config(conf, base_seed)
@@ -456,6 +532,7 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
     fields: dict = {"timings_s": timings, "artifacts": {"state_dir": str(state_dir)}}
 
     if method in ("eupg_k", "eupg_dp"):
+        test = load_test()
         spec = _privacy_spec(conf, privacy_seed, train.schema)
         fitted = unlearn.eupg_prepare(train, spec, cfg, conf["finetune_epochs"], hidden)
         if method == "eupg_k":
@@ -464,25 +541,35 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
         fields["seeds"] = {"privacy": privacy_seed}
         if fitted.dp_ledger:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
-    else:
-        params = _state_params(conf)
-        shards, slices = params["n_shards"], params["n_slices"]
-        fitted = _timed(timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden)
-    _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
+        _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
+        return _report(conf, "run", rep, rep_dir, fitted, train, test, None, **fields)
 
-    return _report(conf, "run", rep, rep_dir, fitted, train, test, None, **fields)
+    params = _state_params(conf)
+    shards, slices = params["n_shards"], params["n_slices"]
+    scores = _ShardScores(lambda: _report_inputs(conf, rep, train, load_test(), None))
+    fitted = _timed(
+        timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden, on_final=scores
+    )
+    _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
+    return _scored_report(conf, "run", rep, rep_dir, train, scores.inputs, scores.probs(), **fields)
+
+
+def _test_loader(conf: dict, train: TabularDataset):
+    """A function giving the test table, parsed under the training table's
+    schema (category order, observed ranges) at its first call and kept."""
+    return functools.cache(lambda: load_csv(conf["test_csv"], train.schema))
 
 
 def cmd_run(conf: dict) -> int:
     """Train the configured method, measure utility and attack strength."""
     _require(conf, "train_csv", "test_csv", "schema")
     out = resolve_out(conf)
-    train, test = load_train_test(conf)
+    train = load_train(conf)
+    load_test = _test_loader(conf, train)
     reports = []
     for rep in range(conf["repetitions"]):
-        rep_dir = out / f"rep{rep}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        report = _run_one(conf, rep, rep_dir, train, test)
+        # the output directories appear once the test table has loaded
+        report = _run_one(conf, rep, out / f"rep{rep}", train, load_test)
         reports.append(report)
         print(
             f"rep{rep}: {conf['method']} utility={report['utility']['value']:.4f} "
@@ -494,7 +581,9 @@ def cmd_run(conf: dict) -> int:
     return 0
 
 
-def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
+def _forget_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
+    """Serve conf's forget request against the state under rep_dir, save the
+    result beside it and write the forget report; load_test() as in _run_one."""
     method = conf["method"]
     base_seed = conf["seed"] + rep
     forget_base = conf["forget_seed"] if conf["forget_seed"] is not None else base_seed
@@ -504,41 +593,45 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, test) -> dict:
             f"forget_ratio {conf['forget_ratio']} selects {len(request.forget_indices)} of "
             f"the {train.n_rows} training rows; a forget needs rows to forget and to retain"
         )
+    forgotten = request.mask(train.n_rows)
     timings: dict[str, float] = {}
     state_dir, after_dir = rep_dir / "state", rep_dir / "state_after_forget"
     fitted = unlearn.load_state(state_dir)
     _check_state_params(state_dir, fitted, conf)
-
-    # the state's own settings drive the forget: its training config and
-    # layer dims, and for EUPG its privacy spec
-    try:
-        if isinstance(fitted, unlearn.EupgState):
-            epochs = conf["finetune_epochs"]
-            after = _timed(timings, "forget", unlearn.eupg_forget, fitted, train, request, epochs)
-        else:
-            after = _timed(timings, "forget", unlearn.sisa_forget, fitted, train, request)
-    except DataError as exc:
-        raise DataError(f"{state_dir}: {exc}") from None
-    _timed(timings, "artifact_io", unlearn.save_state, after, after_dir)
-
-    return _report(
-        conf,
-        "forget",
-        rep,
-        rep_dir,
-        after,
-        train,
-        test,
-        request.mask(train.n_rows),
-        timings_s=timings,
-        seeds={"forget": forget_base + rep},
-        forget={
+    fields = {
+        "timings_s": timings,
+        "seeds": {"forget": forget_base + rep},
+        "forget": {
             "ratio": conf["forget_ratio"],
             "n_forgotten": len(request.forget_indices),
             "epochs": conf["finetune_epochs"] if method.startswith("eupg") else None,
         },
-        artifacts={"state_dir": str(after_dir)},
-    )
+        "artifacts": {"state_dir": str(after_dir)},
+    }
+
+    # the state's own settings drive the forget: its training config and
+    # layer dims, and for EUPG its privacy spec
+    eupg = isinstance(fitted, unlearn.EupgState)
+    if eupg:
+        test = load_test()
+    scores = _ShardScores(lambda: _report_inputs(conf, rep, train, load_test(), forgotten))
+    try:
+        if eupg:
+            epochs = conf["finetune_epochs"]
+            after = _timed(timings, "forget", unlearn.eupg_forget, fitted, train, request, epochs)
+        else:
+            forget = unlearn.sisa_forget
+            after = _timed(timings, "forget", forget, fitted, train, request, on_final=scores)
+    except DataError as exc:
+        if exc is scores.build_error:  # the test table's error, not the state's
+            raise
+        raise DataError(f"{state_dir}: {exc}") from None
+    _timed(timings, "artifact_io", unlearn.save_state, after, after_dir)
+
+    if eupg:
+        return _report(conf, "forget", rep, rep_dir, after, train, test, forgotten, **fields)
+    probs = scores.probs()
+    return _scored_report(conf, "forget", rep, rep_dir, train, scores.inputs, probs, **fields)
 
 
 def cmd_forget(conf: dict) -> int:
@@ -547,13 +640,14 @@ def cmd_forget(conf: dict) -> int:
     run_dir = resolve_out(conf)
     if not run_dir.exists():
         raise DataError(f"run directory not found: {run_dir} (run 'run' first)")
-    train, test = load_train_test(conf)
+    train = load_train(conf)
+    load_test = _test_loader(conf, train)
     reports = []
     for rep in range(conf["repetitions"]):
         rep_dir = run_dir / f"rep{rep}"
         if not rep_dir.exists():
             raise DataError(f"missing repetition directory {rep_dir}")
-        report = _forget_one(conf, rep, rep_dir, train, test)
+        report = _forget_one(conf, rep, rep_dir, train, load_test)
         reports.append(report)
         print(
             f"rep{rep}: forget {report['forget']['n_forgotten']} rows "

@@ -19,6 +19,7 @@ gives the bound).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,34 +35,60 @@ from .data import (
 )
 
 
-@dataclass(frozen=True)
 class Clustering:
-    """A partition of row indices 0..n_rows-1 into clusters of size k..2k-1."""
+    """A partition of row indices 0..n_rows-1 into n_clusters clusters of
+    size k..2k-1, held as each row's cluster id (labels()); clusters, the
+    row indices of each cluster, is built from those when first read.
+    Checks run on whole arrays and raise DataError at the first failing
+    cluster in cluster order, its size before an overlap with an earlier
+    cluster, and then for rows that no cluster covers."""
 
-    n_rows: int
-    k: int
-    clusters: tuple[np.ndarray, ...]
+    def __init__(self, n_rows: int, k: int, clusters):
+        """The partition whose cluster i holds the row indices clusters[i]."""
+        clusters = tuple(np.array(c, dtype=np.int64) for c in clusters)
+        sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+        ids = np.repeat(np.arange(len(clusters)), sizes)
+        rows = np.concatenate(clusters) if clusters else ids
+        # the first cluster holding each row: len(clusters) for a row none holds
+        first = np.full(n_rows, len(clusters))
+        np.minimum.at(first, rows, ids)
+        later = ids[first[rows] < ids]  # clusters holding a row an earlier one holds
+        self._hold(k, first, sizes, later[0] if later.size else len(clusters))
+        self.clusters = clusters
 
-    def __post_init__(self):
-        clusters = tuple(np.array(c, dtype=np.int64) for c in self.clusters)
-        object.__setattr__(self, "clusters", clusters)
-        seen = np.zeros(self.n_rows, dtype=bool)
-        for c in clusters:
-            if not self.k <= len(c) <= 2 * self.k - 1:
-                raise DataError(
-                    f"cluster size {len(c)} outside [{self.k}, {2 * self.k - 1}]"
-                )
-            if seen[c].any():
-                raise DataError("clusters overlap")
-            seen[c] = True
-        if not seen.all():
+    @classmethod
+    def _of_labels(cls, k: int, labels: np.ndarray, n_clusters: int) -> "Clustering":
+        """The partition that puts row i in cluster labels[i], an int64 id
+        in [0, n_clusters)."""
+        clustering = object.__new__(cls)
+        clustering._hold(k, labels, np.bincount(labels, minlength=n_clusters), n_clusters)
+        return clustering
+
+    def _hold(self, k: int, labels: np.ndarray, sizes: np.ndarray, overlap_at: int) -> None:
+        """Check and hold the partition of labels into len(sizes) clusters,
+        the first of which to overlap an earlier one is overlap_at."""
+        n_clusters = len(sizes)
+        bad = np.flatnonzero((sizes < k) | (sizes > 2 * k - 1))
+        size_at = bad[0] if bad.size else n_clusters
+        if size_at < n_clusters and size_at <= overlap_at:
+            raise DataError(f"cluster size {sizes[size_at]} outside [{k}, {2 * k - 1}]")
+        if overlap_at < n_clusters:
+            raise DataError("clusters overlap")
+        if not (labels < n_clusters).all():
             raise DataError("clusters do not cover all rows")
+        labels.setflags(write=False)
+        self.n_rows, self.k, self.n_clusters = len(labels), k, n_clusters
+        self._labels, self._sizes = labels, sizes
+
+    @functools.cached_property
+    def clusters(self) -> tuple[np.ndarray, ...]:
+        # a stable sort keeps every cluster's rows in ascending order
+        order = np.argsort(self._labels, kind="stable")
+        return tuple(np.split(order, np.cumsum(self._sizes)[:-1]))
 
     def labels(self) -> np.ndarray:
-        out = np.empty(self.n_rows, dtype=np.int64)
-        for cid, c in enumerate(self.clusters):
-            out[c] = cid
-        return out
+        """Each row's cluster id, read-only."""
+        return self._labels
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +356,7 @@ def mdav(features: np.ndarray, k: int) -> Clustering:
     whatever remains (k..2k-1 rows) becomes the final cluster.
     """
     labels, n_clusters = mdav_labels(features, k)
-    # a stable sort keeps every cluster's rows in ascending order
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n_clusters)
-    return Clustering(features.shape[0], k, tuple(np.split(order, np.cumsum(sizes)[:-1])))
+    return Clustering._of_labels(k, labels, n_clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +390,7 @@ def centroid_replace(ds: TabularDataset, clustering: Clustering) -> TabularDatas
     if clustering.n_rows != ds.n_rows:
         raise DataError("clustering does not match dataset size")
     rows = np.array(ds.rows)
-    labels = clustering.labels()
-    n_clusters = len(clustering.clusters)
+    labels, n_clusters = clustering.labels(), clustering.n_clusters
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
     for j in ds.qi_indices:
         attr = ds.schema[j]

@@ -295,8 +295,9 @@ def _shard_workers(n_jobs: int) -> int:
     return max(1, min(n_jobs, cpus // blas))
 
 
-# (store, data, alive) of the replay in progress, in a forked replay worker
-# or, while it replays on its own, in this process
+# (store, data, alive) of the replay in progress: set by sisa_train or
+# sisa_forget, read by _replay_job in a forked replay worker or, while the
+# shards replay on their own, in this process, and dropped by _replay_shards
 _replay_inputs = None
 
 
@@ -309,60 +310,89 @@ def _set_replay_inputs(*inputs) -> None:
 
 def _replay_job(job: tuple[int, int]) -> list:
     """(layer_dims, weights, biases) of each slice _replay_shard retrains for
-    job (s, first), on the worker's replay inputs."""
+    job (s, first), on the replay inputs."""
     store, data, alive = _replay_inputs
     replayed = _replay_shard(store, data, job[0], job[1], alive)
     return [(m.layer_dims, m.weights, m.biases) for m in replayed]
 
 
-def _replay_shards(
-    store: ShardStore, data: EncodedMatrix, starts: list[tuple[int, int]], alive: np.ndarray
-) -> list:
-    """Shard s's checkpoints with slices first.. replayed, for each (s, first)
-    in starts, in order; the checkpoints before first are kept as the same
-    objects.
+def _replay_shards(starts: list[tuple[int, int]], on_final=None) -> list:
+    """The checkpoints of every shard of the store in the replay inputs the
+    caller set: for each (s, first) in starts, shard s's with slices first..
+    replayed, the checkpoints before first kept as the same objects, and
+    every other shard's as they are.  This process drops the inputs once it
+    needs them no more: when the workers are forked, or after replaying in
+    this process.  A caller that holds no other reference to the encoded
+    table has freed it by the time on_final runs.
 
     Shards are independent and each is a pure function of its seeds, so they
     replay concurrently in _shard_workers forked processes and give the same
-    bits whatever the worker count.  Threads would share one GIL, and a
-    float32 batch is mostly numpy dispatch.  The workers get store, data and
-    alive through fork, copy-on-write, and only each job's (s, first) and the
-    replayed parameters are pickled; fork is named because forkserver,
-    Python 3.14's default on Linux, would pickle the data too.  When one
-    worker is all there is, the same _replay_job runs here instead, one job
-    after the other, and no process is forked.  Each replayed model is
-    rebuilt here, so its parameters are checked, read-only float32 arrays.
-    The first exception raised by a shard propagates; in a pool, shards not
-    yet started are cancelled, and the workers are joined either way.
+    bits whatever the worker count; threads would share one GIL.  The
+    workers get the inputs through fork, copy-on-write: a fork pool forks
+    its workers while the jobs are submitted, and this process then drops
+    them.
+    Only each job's (s, first) and the replayed parameters are pickled; fork
+    is named because forkserver, Python 3.14's default on Linux, would
+    pickle the data too.  When one worker is all there is, the same
+    _replay_job runs here instead, one job after the other, and no process
+    is forked.  Each replayed model is rebuilt here, so its parameters are
+    checked, read-only float32 arrays.
+
+    on_final(s, model), when given, runs here once for every shard of the
+    store, with its final model, in no fixed order: a replayed shard as it
+    finishes, but never before a worker has run out of shards to take, and
+    a shard not in starts at that same point, so on_final's work fills the
+    CPU the pool leaves idle while its last shards replay.  In this process
+    it runs after the replay.  CLI run and forget score their report so,
+    and a shard store's report timings_s train and forget then cover
+    reading the test CSV and predicting the report's matrices too.  The
+    first exception raised by a shard or by on_final propagates; in a pool,
+    shards not yet started are cancelled, and the workers are joined either
+    way.
     """
+    store = _replay_inputs[0]
     workers = _shard_workers(len(starts))
-    if workers == 1:
-        _set_replay_inputs(store, data, alive)
-        try:
-            results = [_replay_job(job) for job in starts]
-        finally:
-            _set_replay_inputs()
-        return _rebuilt(store, starts, results)
+    checkpoints = list(store.checkpoints)
+    replaying = {s for s, _ in starts}
+    not_handed = list(range(store.n_shards))
 
-    # imported here, so that code that never forks a replay does not load multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    def finish(job: tuple[int, int], params: list) -> None:
+        s, first = job
+        checkpoints[s] = store.checkpoints[s][:first] + tuple(MlpModel(*p) for p in params)
+        replaying.remove(s)
 
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_replay_inputs,
-        initargs=(store, data, alive),
-    ) as pool:
-        return _rebuilt(store, starts, pool.map(_replay_job, starts))
+    def hand_over() -> None:
+        """on_final for every shard not replaying and not yet handed over."""
+        for s in [s for s in not_handed if s not in replaying]:
+            not_handed.remove(s)
+            if on_final is not None:
+                on_final(s, checkpoints[s][-1])
 
+    try:
+        if workers == 1:
+            for job in starts:
+                finish(job, _replay_job(job))
+        else:
+            # imported here, so that code that never forks a replay does not load multiprocessing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, as_completed
 
-def _rebuilt(store: ShardStore, starts: list[tuple[int, int]], results) -> list:
-    """Each started shard's kept checkpoints followed by its replayed models."""
-    return [
-        store.checkpoints[s][:first] + tuple(MlpModel(*params) for params in replayed)
-        for (s, first), replayed in zip(starts, results)
-    ]
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                jobs = {pool.submit(_replay_job, job): job for job in starts}
+                _set_replay_inputs()  # the workers, forked by now, hold them
+                try:
+                    for future in as_completed(jobs):
+                        finish(jobs[future], future.result())
+                        if len(replaying) < workers:  # a worker has no shard left to take
+                            hand_over()
+                finally:
+                    for future in jobs:
+                        future.cancel()
+    finally:
+        _set_replay_inputs()
+    hand_over()
+    return checkpoints
 
 
 def sisa_train(
@@ -371,10 +401,14 @@ def sisa_train(
     n_slices: int,
     cfg: TrainConfig,
     hidden_units: int = 128,
+    *,
+    on_final=None,
 ) -> ShardStore:
     """Train the sharded ensemble.  Total epochs split as ceil(epochs/slices)
     per incremental stage, so each shard sees roughly cfg.epochs of work.
-    One shard of one slice is a single model trained from scratch."""
+    One shard of one slice is a single model trained from scratch.
+    on_final(s, model) runs with each shard's trained model, as
+    _replay_shards says."""
     if n_shards < 1 or n_slices < 1:
         raise DataError("need at least one shard and one slice")
     if ds.n_rows < n_shards * n_slices:
@@ -392,17 +426,23 @@ def sisa_train(
         data_sha256=_data_checksum(data),
         checkpoints=((),) * n_shards,
     )
-    checkpoints = _replay_shards(store, data, [(s, 0) for s in range(n_shards)], store.alive)
+    _set_replay_inputs(store, data, store.alive)
+    del data  # the replay inputs hold the only reference; _replay_shards drops it
+    checkpoints = _replay_shards([(s, 0) for s in range(n_shards)], on_final)
     return dataclasses.replace(store, checkpoints=tuple(checkpoints))
 
 
-def sisa_forget(store: ShardStore, ds: TabularDataset, request: ForgetRequest) -> ShardStore:
+def sisa_forget(
+    store: ShardStore, ds: TabularDataset, request: ForgetRequest, *, on_final=None
+) -> ShardStore:
     """Exact unlearning: roll affected shards back and replay their slices.
 
     ds must be the table the store was trained on; another one is refused
     before any replay.  Each shard holding a forgotten row is replayed from
     its earliest hit slice with the forgotten rows dropped (see
     _replay_shard).  Untouched shards keep their exact checkpoint objects.
+    on_final(s, model) runs with each shard's final model, replayed or
+    untouched, as _replay_shards says.
     """
     if ds.schema != store.schema:
         raise DataError("dataset schema does not match the shard store")
@@ -420,9 +460,9 @@ def sisa_forget(store: ShardStore, ds: TabularDataset, request: ForgetRequest) -
     first_hit = np.full(store.n_shards, store.n_slices)
     np.minimum.at(first_hit, hit_shard, hit_slice)
     hit = [(s, int(first)) for s, first in enumerate(first_hit) if first < store.n_slices]
-    checkpoints = list(store.checkpoints)
-    for (s, _), replayed in zip(hit, _replay_shards(store, data, hit, alive)):
-        checkpoints[s] = replayed
+    _set_replay_inputs(store, data, alive)
+    del data  # the replay inputs hold the only reference; _replay_shards drops it
+    checkpoints = _replay_shards(hit, on_final)
     return dataclasses.replace(
         store,
         alive=alive,
@@ -433,8 +473,13 @@ def sisa_forget(store: ShardStore, ds: TabularDataset, request: ForgetRequest) -
 
 def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
     """Ensemble prediction: mean of the shard models' softmax outputs."""
-    probs = [mlp.forward(m, features) for m in store.final_models()]
-    return np.mean(probs, axis=0)
+    return ensemble_probs([mlp.forward(m, features) for m in store.final_models()])
+
+
+def ensemble_probs(shard_probs: list[np.ndarray]) -> np.ndarray:
+    """The ensemble's class probabilities from its shard models', given in
+    shard order: their mean."""
+    return np.mean(shard_probs, axis=0)
 
 
 def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:

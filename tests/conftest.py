@@ -1,7 +1,8 @@
-"""Shared fixtures: synthetic tabular datasets, the SISA, AUC and decoding oracles and acceptance reporting."""
+"""Shared fixtures: synthetic tabular datasets, the SISA, AUC and decoding oracles, a CPU-count pin and acceptance reporting."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -9,6 +10,19 @@ import pytest
 
 from privforget import mlp, seeds
 from privforget.data import AttributeSchema, Provenance, TabularDataset, encode
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def pin_cpus(monkeypatch, cpus, **blas):
+    """Pretend the process may run on `cpus` CPUs, with only the given BLAS
+    thread-count variables set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
 
 
 def make_dataset(

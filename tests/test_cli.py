@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import shutil
 import tracemalloc
 from importlib.resources import files
@@ -10,8 +11,18 @@ import numpy as np
 import pytest
 
 from privforget import unlearn
-from privforget.cli import DEFAULTS, _report, _sweep_points, load_config, load_train_test, main
+from privforget.cli import (
+    DEFAULTS,
+    _report,
+    _report_inputs,
+    _ShardScores,
+    _sweep_points,
+    load_config,
+    load_train_test,
+    main,
+)
 from privforget.data import (
+    DataError,
     ForgetRequest,
     TabularDataset,
     encode,
@@ -23,7 +34,7 @@ from privforget.data import (
 from privforget.mlp import TrainConfig, load_model
 from privforget.unlearn import load_eupg_state
 
-from conftest import make_dataset, write_old_model
+from conftest import make_dataset, pin_cpus, write_old_model
 
 REPORT_SCHEMA = json.loads(
     (files("privforget") / "schemas" / "report.schema.json").read_text()
@@ -412,6 +423,70 @@ def test_saved_states_repeat_byte_for_byte(tmp_path, method, extra):
             assert (a / name).read_bytes() == (b / name).read_bytes(), (state, name)
 
 
+def test_cli_bits_independent_of_worker_count(tmp_path, monkeypatch):
+    """A sisa run and forget replaying in one process and in three worker
+    processes save the same bytes and write the same reports, timings
+    apart; no worker and no replay input is left afterwards."""
+    conf = {**write_inputs(tmp_path), "method": "sisa", "n_shards": 3, "n_slices": 3}
+    cfg_path, out = write_config(tmp_path, conf), tmp_path / "out"
+    for cpus in (1, 4):
+        pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+        assert main(["run", "--config", cfg_path]) == 0
+        assert main(["forget", "--config", cfg_path]) == 0
+        out.rename(tmp_path / f"cpus{cpus}")
+    one, four = tmp_path / "cpus1" / "rep0", tmp_path / "cpus4" / "rep0"
+    for state in ("state", "state_after_forget"):
+        files = sorted(f.name for f in (one / state).iterdir())
+        assert files == sorted(f.name for f in (four / state).iterdir())
+        for name in files:
+            assert (one / state / name).read_bytes() == (four / state / name).read_bytes()
+    for name in ("run_report.json", "forget_report.json"):
+        reports = [json.loads((rep / name).read_text()) for rep in (one, four)]
+        for report in reports:
+            report.pop("timings_s")
+        assert reports[0] == reports[1]
+    assert multiprocessing.active_children() == []
+    assert unlearn._replay_inputs is None
+
+
+@pytest.mark.parametrize("command", ["run", "forget"])
+def test_bad_test_csv_read_while_shards_replay_exits_one(tmp_path, capsys, monkeypatch, command):
+    """A shard store reads the test CSV while its last shards replay in a
+    pool: an unseen category there exits 1 with the message of loading it,
+    the pool's workers are joined, and run leaves no output directory,
+    forget no state after forgetting."""
+    conf = {**write_inputs(tmp_path), "method": "sisa", "n_shards": 3, "n_slices": 3}
+    cfg_path, test_csv = write_config(tmp_path, conf), Path(conf["test_csv"])
+    if command == "forget":
+        assert main(["run", "--config", cfg_path]) == 0
+    lines = test_csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index("cat0")] = "unseen"
+    test_csv.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+    train = load_train_test({**conf, "test_csv": None})[0]
+    with pytest.raises(DataError) as expected:
+        load_csv(test_csv, train.schema)
+
+    pin_cpus(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
+    shard_workers, workers = unlearn._shard_workers, []
+
+    def counted_workers(n_jobs):
+        workers.append(shard_workers(n_jobs))
+        return workers[-1]
+
+    monkeypatch.setattr(unlearn, "_shard_workers", counted_workers)
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert workers and min(workers) >= 2
+    assert multiprocessing.active_children() == []
+    assert unlearn._replay_inputs is None
+    if command == "run":
+        assert not (tmp_path / "out").exists()
+    else:
+        assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
+
+
 def assert_forget_refuses_deployed_model(tmp_path, capsys, eupg_run, write, message):
     """forget on a copy of eupg_run's output whose deployed.model went
     through write exits 1, naming the file and message, and writes no state
@@ -634,6 +709,21 @@ def test_forget_report_predicts_the_test_set_once(tmp_path, monkeypatch):
     assert received == [100, 30, 30, 100]
     sizes = {e["population"]: (e["n_members"], e["n_nonmembers"]) for e in report["mia"]}
     assert sizes == {"forget_vs_test": (30, 30), "retain_vs_test": (100, 100)}
+
+
+def test_shard_scores_average_as_sisa_predict():
+    """Shards handed over in any order average, per report matrix, to the
+    bits unlearn.sisa_predict gives for the store: one ensemble rule."""
+    train, test = make_dataset(300, seed=0), make_dataset(100, seed=1)
+    test = TabularDataset(train.schema, test.rows, train.provenance)
+    store = unlearn.sisa_train(train, 5, 2, TrainConfig(batch_size=64, epochs=1), hidden_units=8)
+    conf = load_config(None, {"method": "sisa"})
+    forgotten = ForgetRequest.from_ratio(train.n_rows, 0.1, 0).mask(train.n_rows)
+    scores = _ShardScores(lambda: _report_inputs(conf, 0, train, test, forgotten))
+    for s in (3, 0, 4, 2, 1):
+        scores(s, store.final_models()[s])
+    expected = [unlearn.sisa_predict(store, x) for x in scores.inputs.features()]
+    assert [p.tobytes() for p in scores.probs()] == [p.tobytes() for p in expected]
 
 
 def test_missing_inputs_exit_one(tmp_path, capsys):

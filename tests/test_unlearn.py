@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from privforget.unlearn import (
     sisa_train,
 )
 
-from conftest import make_dataset, sisa_oracle
+from conftest import make_dataset, pin_cpus, sisa_oracle
 
 CFG = TrainConfig(batch_size=32, epochs=3, seed=0)
 
@@ -286,19 +288,6 @@ def store_bytes(store):
     return [[model_bytes(m) for m in shard] for shard in store.checkpoints]
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def pin_cpus(monkeypatch, cpus, **blas):
-    """Pretend the process may run on `cpus` CPUs, with only the given BLAS
-    thread-count variables set."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in blas.items():
-        monkeypatch.setenv(var, value)
-
-
 @pytest.mark.parametrize(
     "cpus, blas, jobs, workers",
     [
@@ -362,6 +351,78 @@ def test_one_worker_replays_in_process(monkeypatch):
     in_process = train_and_forget()
     assert [store_bytes(s) for s in in_process] == [store_bytes(s) for s in pooled]
     assert unlearn._replay_inputs is None
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_on_final_gets_every_final_model_once_the_table_is_freed(monkeypatch, cpus):
+    """on_final runs once per shard with the final model the returned store
+    holds, an untouched shard's included, and only after this process has
+    dropped the encoded training table, which the workers hold.  In this
+    process it runs after every shard has replayed, in shard order."""
+    pin_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+    ds = make_dataset(70, seed=8)
+    cfg = TrainConfig(batch_size=8, epochs=3, seed=3)
+    encoded, events = [], []
+    real_encode, real_job = unlearn.encode, unlearn._replay_job
+
+    def recorded_encode(table, rows=None):
+        em = real_encode(table, rows=rows)
+        encoded.extend((weakref.ref(em), weakref.ref(em.features)))
+        return em
+
+    def logged_job(job):
+        events.append(("replay", job[0]))
+        return real_job(job)
+
+    def on_final(s, model):
+        assert all(ref() is None for ref in encoded)
+        events.append(("final", s, model))
+
+    monkeypatch.setattr(unlearn, "encode", recorded_encode)
+    if cpus == 1:  # a pool pickles its job function by name
+        monkeypatch.setattr(unlearn, "_replay_job", logged_job)
+    store = sisa_train(ds, n_shards=3, n_slices=3, cfg=cfg, hidden_units=8, on_final=on_final)
+    trained, events[:] = events[:], []
+    # shards 0 and 2 replay, shard 1 is untouched
+    targets = (int(store.slice_rows[0][2][0]), int(store.slice_rows[2][0][1]))
+    after = sisa_forget(store, ds, ForgetRequest(targets), on_final=on_final)
+
+    for fitted, log, replayed in ((store, trained, [0, 1, 2]), (after, events, [0, 2])):
+        finals = [e for e in log if e[0] == "final"]
+        assert sorted(s for _, s, _ in finals) == [0, 1, 2]
+        assert all(model is fitted.checkpoints[s][-1] for _, s, model in finals)
+        if cpus == 1:
+            assert log == [("replay", s) for s in replayed] + finals
+            assert [s for _, s, _ in finals] == [0, 1, 2]
+    assert after.checkpoints[1][-1] is store.checkpoints[1][-1]
+    assert len(encoded) == 4 and unlearn._replay_inputs is None
+
+
+_replay_job = unlearn._replay_job
+
+
+def marking_replay_job(job):
+    """unlearn._replay_job, which then marks shard job[0] done with a file in
+    $REPLAY_MARKS; module-level, so that a pool can pickle it by name."""
+    replayed = _replay_job(job)
+    (Path(os.environ["REPLAY_MARKS"]) / str(job[0])).touch()
+    return replayed
+
+
+def test_on_final_waits_for_a_worker_without_shards(tmp_path, monkeypatch):
+    """Five shards on two workers: on_final first runs once a worker has no
+    shard left to take, so at least four shards have finished by then."""
+    pin_cpus(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    monkeypatch.setenv("REPLAY_MARKS", str(tmp_path))
+    monkeypatch.setattr(unlearn, "_replay_job", marking_replay_job)
+    finished = []
+
+    def on_final(s, model):
+        finished.append(len(list(tmp_path.iterdir())))
+
+    cfg = TrainConfig(batch_size=8, epochs=6, seed=3)
+    sisa_train(make_dataset(300, seed=8), 5, 2, cfg, hidden_units=8, on_final=on_final)
+    assert len(finished) == 5 and finished[0] >= 4, finished
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
