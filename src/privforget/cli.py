@@ -359,7 +359,7 @@ def cmd_anonymize(conf: dict) -> int:
     method = conf["method"]
     if method not in ("eupg_k", "eupg_dp"):
         raise DataError("anonymize requires method 'eupg_k' or 'eupg_dp'")
-    train, _ = load_train_test(conf)
+    train = load_train(conf)
     out = resolve_out(conf)
     out.mkdir(parents=True, exist_ok=True)
     privacy_seed = conf["privacy_seed"] if conf["privacy_seed"] is not None else conf["seed"]

@@ -137,7 +137,9 @@ def _affine_relu_stack(weights, biases, x: np.ndarray) -> list[np.ndarray]:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # the row max over a class-major copy: numpy's axis-1 max steps through
+    # a few classes at a time, and a max is exact in any order
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -181,6 +183,12 @@ def _batch_gradients(model_params, x, y):
     return loss, grads_w, grads_b
 
 
+def _outside(values: np.ndarray, stop: int):
+    """The least or the greatest of values if it lies outside [0, stop), else None."""
+    lo, hi = values.min(), values.max()
+    return lo if lo < 0 else hi if hi >= stop else None
+
+
 def train(
     model: MlpModel, data: EncodedMatrix, cfg: TrainConfig, rows: np.ndarray | None = None
 ) -> MlpModel:
@@ -191,6 +199,14 @@ def train(
     rows (an integer index array, every row of data by default) in that
     order and gives the same bits as training on data.take(rows), without
     copying them: each batch is gathered from data directly.
+
+    The parameters and both Adam moments are each one flat float32 vector,
+    the layers' weights and biases views of it, and each batch's gradients
+    are concatenated into one: an Adam step is 14 whole-vector ufuncs.  At
+    each epoch's end, first moments below the smallest normal float32 are
+    set to 0: such an entry moves its parameter by about 1e-31, under half
+    an ulp of any parameter above ~1e-24, and leaving it makes later steps
+    compute in subnormals.
     """
     x = _check_features(model, data.features)
     y = data.labels
@@ -198,43 +214,51 @@ def train(
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise ModelError(f"rows must be a 1-d integer array, got {rows.dtype} {rows.shape}")
     n = len(rows)
-    if n and y[rows].max() >= model.n_classes:
-        raise ModelError("label outside the model's class range")
+    if n:
+        row = _outside(rows, data.n_rows)
+        if row is not None:
+            raise ModelError(f"row {row} outside the matrix's {data.n_rows} rows")
+        label = _outside(y[rows], model.n_classes)
+        if label is not None:
+            raise ModelError(f"label {label} outside the model's class range [0, {model.n_classes})")
 
-    weights = [np.array(w) for w in model.weights]
-    biases = [np.array(b) for b in model.biases]
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    # layer by layer, its weights then its bias; views(flat) are those of
+    # each layer in a flat vector
+    parts = [p for layer in zip(model.weights, model.biases) for p in layer]
+    params = np.concatenate([p.ravel() for p in parts])
+    ends = np.cumsum([p.size for p in parts])
+    layout = [(slice(end - p.size, end), p.shape) for p, end in zip(parts, ends)]
+
+    def views(flat):
+        layers = [flat[at].reshape(shape) for at, shape in layout]
+        return layers[0::2], layers[1::2]
+
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     t = 0
 
     for epoch in range(cfg.epochs):
         order = rows[seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = _batch_gradients(
-                (weights, biases), x[idx].astype(np.float32), y[idx]
+            loss, batch_w, batch_b = _batch_gradients(
+                views(params), x[idx].astype(np.float32), y[idx]
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size} "
                     f"(learning_rate={cfg.learning_rate})"
                 )
+            grads = np.concatenate([g.ravel() for layer in zip(batch_w, batch_b) for g in layer])
             t += 1
             bc1 = 1.0 - _BETA1**t
             bc2 = 1.0 - _BETA2**t
-            for params, grads, ms, vs in (
-                (weights, grads_w, m_w, v_w),
-                (biases, grads_b, m_b, v_b),
-            ):
-                for i in range(len(params)):
-                    ms[i] = _BETA1 * ms[i] + (1.0 - _BETA1) * grads[i]
-                    vs[i] = _BETA2 * vs[i] + (1.0 - _BETA2) * grads[i] ** 2
-                    step = cfg.learning_rate * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + _ADAM_EPS)
-                    params[i] = params[i] - step
+            m = _BETA1 * m + (1.0 - _BETA1) * grads
+            v = _BETA2 * v + (1.0 - _BETA2) * grads**2
+            params = params - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+        m[np.abs(m) < np.finfo(np.float32).tiny] = 0.0
 
-    return MlpModel(model.layer_dims, tuple(weights), tuple(biases))
+    return MlpModel(model.layer_dims, *map(tuple, views(params)))
 
 
 def finetune(model: MlpModel, data: EncodedMatrix, epochs: int, cfg: TrainConfig) -> MlpModel:

@@ -785,6 +785,18 @@ def test_anonymize_kanon(tmp_path):
     assert report["budget_ledger"] is None
 
 
+def test_anonymize_does_not_read_the_test_csv(tmp_path):
+    """anonymize protects the training CSV alone: a test CSV with a short
+    row, which run would refuse, does not stop it."""
+    conf = write_inputs(tmp_path)
+    conf.update({"method": "eupg_k", "k": 4})
+    with open(conf["test_csv"], "a") as fh:
+        fh.write("1.0,2.0\n")
+    assert main(["anonymize", "--config", write_config(tmp_path, conf)]) == 0
+    assert (tmp_path / "out" / "protected.csv").exists()
+    assert main(["run", "--config", write_config(tmp_path, conf)]) == 1
+
+
 def test_anonymize_dp(tmp_path, capsys):
     conf = write_inputs(tmp_path)
     conf.update({"method": "eupg_dp", "epsilon": 1.0})

@@ -12,7 +12,7 @@ from privforget.attack import (
     scores_from_probs,
     utility_from_probs,
 )
-from privforget import mlp
+from privforget import mlp, seeds
 from privforget.data import DataError, EncodedMatrix, encode
 from privforget.mlp import (
     MlpModel,
@@ -195,6 +195,105 @@ def test_in_place_stack_trains_the_reference_bits(small_dataset, monkeypatch, hi
     assert param_bytes(trained) == param_bytes(reference)
 
 
+def reference_train(model, data, cfg, rows=None):
+    """train with Adam run per parameter array: a first and second moment
+    for each weight matrix and bias vector, 56 ufunc calls a step for two
+    layers, and no flush of subnormal moments.  Also returns the most
+    float32 subnormals its first moments held at the end of an epoch."""
+    x, y = data.features, data.labels
+    rows = np.arange(data.n_rows) if rows is None else rows
+    n = len(rows)
+    weights = [np.array(w) for w in model.weights]
+    biases = [np.array(b) for b in model.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    t = 0
+    most_subnormal = 0
+    for epoch in range(cfg.epochs):
+        order = rows[seeds.stream(cfg.seed, seeds.EPOCH_SHUFFLE, epoch).permutation(n)]
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, grads_w, grads_b = _batch_gradients(
+                (weights, biases), x[idx].astype(np.float32), y[idx]
+            )
+            t += 1
+            bc1 = 1.0 - 0.9**t
+            bc2 = 1.0 - 0.999**t
+            for params, grads, ms, vs in (
+                (weights, grads_w, m_w, v_w),
+                (biases, grads_b, m_b, v_b),
+            ):
+                for i in range(len(params)):
+                    ms[i] = 0.9 * ms[i] + (1.0 - 0.9) * grads[i]
+                    vs[i] = 0.999 * vs[i] + (1.0 - 0.999) * grads[i] ** 2
+                    step = cfg.learning_rate * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + 1e-8)
+                    params[i] = params[i] - step
+        subnormal = sum(
+            np.count_nonzero((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny))
+            for m in m_w + m_b
+        )
+        most_subnormal = max(most_subnormal, int(subnormal))
+    return MlpModel(model.layer_dims, tuple(weights), tuple(biases)), most_subnormal
+
+
+@pytest.mark.parametrize("hidden", [(8,), (8, 5)])
+def test_flat_adam_trains_the_reference_bits(small_dataset, hidden):
+    """Adam on flat vectors gives the model bytes of Adam per parameter
+    array, for one hidden layer and for two, on every row and on rows=."""
+    em = encode(small_dataset)
+    model = init((em.width, *hidden, 2), seed=2)
+    cfg = TrainConfig(batch_size=32, epochs=3, seed=9)
+    assert param_bytes(train(model, em, cfg)) == param_bytes(reference_train(model, em, cfg)[0])
+    rows = np.random.default_rng(0).permutation(em.n_rows)[:45]
+    assert param_bytes(train(model, em, cfg, rows=rows)) == param_bytes(
+        reference_train(model, em, cfg, rows=rows)[0]
+    )
+
+
+def test_flushing_subnormal_moments_keeps_the_reference_bits():
+    """120 epochs of 7 batches leave float32 subnormals in the reference's
+    first moments (dead hidden units see zero gradients, and their moments
+    decay by 0.9 a step); train flushes them to 0 at each epoch's end and
+    still gives the reference's model bytes."""
+    em = encode(make_dataset(200, seed=0))
+    model = init((em.width, 16, 2), seed=2)
+    cfg = TrainConfig(batch_size=32, epochs=120, seed=9)
+    reference, most_subnormal = reference_train(model, em, cfg)
+    assert most_subnormal > 0
+    assert param_bytes(train(model, em, cfg)) == param_bytes(reference)
+
+
+def axis1_log_softmax(logits):
+    """The log-softmax with its row max reduced along axis 1."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9, 100])
+def test_log_softmax_bits_match_the_axis1_max(n_classes):
+    """_log_softmax takes its row max over a class-major copy and gives the
+    bits of the axis-1 max, with tied logits and logits near +-1e30, in
+    float32 (training) and float64 (forward); forward's probabilities are
+    those of the axis-1 formula byte for byte."""
+    rng = np.random.default_rng(n_classes)
+    logits = rng.normal(scale=4.0, size=(40, n_classes))
+    logits[0] = 1.5  # every class tied
+    logits[1, :2] = logits[1].max() + 1.0  # two tied maxima
+    logits[2] = rng.choice([-1e30, 1e30], size=n_classes)
+    logits[3] = 1e30
+    logits[4] = -1e30
+    logits[5, -1] = 1e30
+    for dtype in (np.float32, np.float64):
+        z = logits.astype(dtype)
+        assert mlp._log_softmax(z).tobytes() == axis1_log_softmax(z).tobytes()
+    model = init((6, 8, n_classes), seed=1)
+    x = rng.normal(size=(50, 6))
+    logits = mlp._affine_relu_stack(model.weights, model.biases, x)[-1]
+    assert forward(model, x).tobytes() == np.exp(axis1_log_softmax(logits)).tobytes()
+
+
 def test_forward_holds_one_hidden_activation():
     """forward on 8,000 rows at the CLI's layer sizes computes its hidden
     layer in place: no pre-activation copy and no second ReLU output."""
@@ -244,6 +343,27 @@ def test_train_on_rows_equals_train_on_take(small_dataset):
     with pytest.raises(ModelError, match="class range"):
         bad = matrix(em.features, np.where(np.arange(em.n_rows) == rows[3], 5, em.labels))
         train(model, bad, cfg, rows=rows)
+
+
+def test_train_refuses_rows_and_labels_out_of_range():
+    """A row outside [0, n_rows) or a label outside [0, n_classes) is refused
+    naming it, not wrapped around by numpy's negative indexing."""
+    rng = np.random.default_rng(0)
+    data = matrix(rng.random((20, 3)), rng.integers(0, 2, 20))
+    model = init((3, 4, 2), seed=0)
+    cfg = TrainConfig(batch_size=8, epochs=1)
+    for rows, bad in (([-1, 0, 1], -1), ([20, 0], 20), ([0, 19, 25], 25)):
+        with pytest.raises(ModelError, match=rf"row {bad} outside the matrix's 20 rows"):
+            train(model, data, cfg, rows=np.array(rows))
+    for label in (-1, 2, 7):
+        labels = data.labels.copy()
+        labels[5] = label
+        with pytest.raises(ModelError, match=rf"label {label} outside the model's class range \[0, 2\)"):
+            train(model, matrix(data.features, labels), cfg)
+    # a bad label outside the rows trained on is not read
+    labels = data.labels.copy()
+    labels[5] = -1
+    train(model, matrix(data.features, labels), cfg, rows=np.arange(5))
 
 
 def test_training_reduces_loss_and_fits_blobs():
