@@ -45,8 +45,8 @@ from .unlearn import (
     ShardStore,
     eupg_forget,
     eupg_prepare,
+    predict,
     sisa_forget,
-    sisa_predict,
     sisa_train,
 )
 

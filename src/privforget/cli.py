@@ -208,16 +208,6 @@ def load_train(conf: dict) -> TabularDataset:
     return load_csv(conf["train_csv"], parse_schema_file(conf["schema"]))
 
 
-def load_train_test(conf: dict):
-    """Load train and test CSVs; the test set is parsed and encoded under the
-    schema learned from the training data (category order, observed ranges)."""
-    train = load_train(conf)
-    test = None
-    if conf.get("test_csv"):
-        test = load_csv(conf["test_csv"], train.schema)
-    return train, test
-
-
 def _train_config(conf: dict, seed: int) -> TrainConfig:
     return TrainConfig(
         batch_size=conf["batch_size"],
@@ -434,9 +424,11 @@ def _report_inputs(conf, rep, train, test, forgotten) -> _ReportInputs:
     return _ReportInputs(test, test_em, tuple(sides))
 
 
-class _ShardScores:
-    """The on_final of a shard store's replay: it predicts each shard's final
-    model on the report inputs, which build() makes at its first call."""
+class _Scores:
+    """A report's scoring of a fitted method.  As the on_final of a shard
+    store's replay it predicts each final model it is handed on the report
+    inputs, which build() makes at its first call; probs(fitted) predicts
+    the rest."""
 
     def __init__(self, build):
         self._build = build
@@ -453,20 +445,15 @@ class _ShardScores:
                 raise
         self._probs[s] = [mlp.forward(model, x) for x in self.inputs.features()]
 
-    def probs(self) -> list[np.ndarray]:
-        """The ensemble's probabilities for each of the inputs' matrices:
-        the shards' averaged in shard order, as unlearn.sisa_predict does."""
-        shards = [self._probs[s] for s in sorted(self._probs)]
-        return [unlearn.ensemble_probs(list(p)) for p in zip(*shards)]
-
-
-def _report(conf, command, rep, rep_dir, fitted, train, test, forgotten, **fields) -> dict:
-    """Score what a fitted method serves (unlearn.predict) on the report
-    inputs of train, test and forgotten (see _report_inputs), then write
-    ``<command>_report.json`` (see _scored_report)."""
-    inputs = _report_inputs(conf, rep, train, test, forgotten)
-    probs = [unlearn.predict(fitted, x) for x in inputs.features()]
-    return _scored_report(conf, command, rep, rep_dir, train, inputs, probs, **fields)
+    def probs(self, fitted) -> list[np.ndarray]:
+        """What fitted serves for each of the inputs' matrices: its final
+        models' probabilities, those not handed over yet predicted now,
+        averaged in order as unlearn.predict does."""
+        for s, model in enumerate(fitted.final_models()):
+            if s not in self._probs:
+                self(s, model)
+        models = [self._probs[s] for s in sorted(self._probs)]
+        return [unlearn.ensemble_probs(list(p)) for p in zip(*models)]
 
 
 def _scored_report(conf, command, rep, rep_dir, train, inputs, probs, **fields) -> dict:
@@ -519,9 +506,10 @@ def _scored_report(conf, command, rep, rep_dir, train, inputs, probs, **fields) 
 
 
 def _run_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
-    """Fit the configured method on train, save its state under rep_dir and
-    write its run report.  load_test() gives the test table: an EUPG run
-    reads it before fitting, a shard store on the CPU its replay leaves idle."""
+    """Fit the configured method on train, score it, save its state under
+    rep_dir and write its run report.  load_test() gives the test table: a
+    shard store reads it on the CPU its replay leaves idle, an EUPG state
+    after fitting."""
     method = conf["method"]
     base_seed = conf["seed"] + rep
     cfg = _train_config(conf, base_seed)
@@ -530,9 +518,9 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
     state_dir = rep_dir / "state"
     timings: dict[str, float] = {}
     fields: dict = {"timings_s": timings, "artifacts": {"state_dir": str(state_dir)}}
+    scores = _Scores(lambda: _report_inputs(conf, rep, train, load_test(), None))
 
     if method in ("eupg_k", "eupg_dp"):
-        test = load_test()
         spec = _privacy_spec(conf, privacy_seed, train.schema)
         fitted = unlearn.eupg_prepare(train, spec, cfg, conf["finetune_epochs"], hidden)
         if method == "eupg_k":
@@ -541,17 +529,15 @@ def _run_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
         fields["seeds"] = {"privacy": privacy_seed}
         if fitted.dp_ledger:
             fields["budget_ledger"] = fitted.dp_ledger.to_json_dict()
-        _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
-        return _report(conf, "run", rep, rep_dir, fitted, train, test, None, **fields)
-
-    params = _state_params(conf)
-    shards, slices = params["n_shards"], params["n_slices"]
-    scores = _ShardScores(lambda: _report_inputs(conf, rep, train, load_test(), None))
-    fitted = _timed(
-        timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden, on_final=scores
-    )
+    else:
+        params = _state_params(conf)
+        shards, slices = params["n_shards"], params["n_slices"]
+        fitted = _timed(
+            timings, "train", unlearn.sisa_train, train, shards, slices, cfg, hidden, on_final=scores
+        )
+    probs = scores.probs(fitted)
     _timed(timings, "artifact_io", unlearn.save_state, fitted, state_dir)
-    return _scored_report(conf, "run", rep, rep_dir, train, scores.inputs, scores.probs(), **fields)
+    return _scored_report(conf, "run", rep, rep_dir, train, scores.inputs, probs, **fields)
 
 
 def _test_loader(conf: dict, train: TabularDataset):
@@ -611,12 +597,9 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
 
     # the state's own settings drive the forget: its training config and
     # layer dims, and for EUPG its privacy spec
-    eupg = isinstance(fitted, unlearn.EupgState)
-    if eupg:
-        test = load_test()
-    scores = _ShardScores(lambda: _report_inputs(conf, rep, train, load_test(), forgotten))
+    scores = _Scores(lambda: _report_inputs(conf, rep, train, load_test(), forgotten))
     try:
-        if eupg:
+        if isinstance(fitted, unlearn.EupgState):
             epochs = conf["finetune_epochs"]
             after = _timed(timings, "forget", unlearn.eupg_forget, fitted, train, request, epochs)
         else:
@@ -626,11 +609,8 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
         if exc is scores.build_error:  # the test table's error, not the state's
             raise
         raise DataError(f"{state_dir}: {exc}") from None
+    probs = scores.probs(after)
     _timed(timings, "artifact_io", unlearn.save_state, after, after_dir)
-
-    if eupg:
-        return _report(conf, "forget", rep, rep_dir, after, train, test, forgotten, **fields)
-    probs = scores.probs()
     return _scored_report(conf, "forget", rep, rep_dir, train, scores.inputs, probs, **fields)
 
 

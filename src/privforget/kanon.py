@@ -38,44 +38,19 @@ from .data import (
 class Clustering:
     """A partition of row indices 0..n_rows-1 into n_clusters clusters of
     size k..2k-1, held as each row's cluster id (labels()); clusters, the
-    row indices of each cluster, is built from those when first read.
-    Checks run on whole arrays and raise DataError at the first failing
-    cluster in cluster order, its size before an overlap with an earlier
-    cluster, and then for rows that no cluster covers."""
+    row indices of each cluster, is built from those when first read."""
 
-    def __init__(self, n_rows: int, k: int, clusters):
-        """The partition whose cluster i holds the row indices clusters[i]."""
-        clusters = tuple(np.array(c, dtype=np.int64) for c in clusters)
-        sizes = np.array([len(c) for c in clusters], dtype=np.int64)
-        ids = np.repeat(np.arange(len(clusters)), sizes)
-        rows = np.concatenate(clusters) if clusters else ids
-        # the first cluster holding each row: len(clusters) for a row none holds
-        first = np.full(n_rows, len(clusters))
-        np.minimum.at(first, rows, ids)
-        later = ids[first[rows] < ids]  # clusters holding a row an earlier one holds
-        self._hold(k, first, sizes, later[0] if later.size else len(clusters))
-        self.clusters = clusters
-
-    @classmethod
-    def _of_labels(cls, k: int, labels: np.ndarray, n_clusters: int) -> "Clustering":
-        """The partition that puts row i in cluster labels[i], an int64 id
-        in [0, n_clusters)."""
-        clustering = object.__new__(cls)
-        clustering._hold(k, labels, np.bincount(labels, minlength=n_clusters), n_clusters)
-        return clustering
-
-    def _hold(self, k: int, labels: np.ndarray, sizes: np.ndarray, overlap_at: int) -> None:
-        """Check and hold the partition of labels into len(sizes) clusters,
-        the first of which to overlap an earlier one is overlap_at."""
-        n_clusters = len(sizes)
+    def __init__(self, k: int, labels, n_clusters: int):
+        """The partition that puts row i in cluster labels[i]; DataError for
+        an id outside [0, n_clusters), else for the first cluster, in
+        cluster order, whose size is outside [k, 2k-1]."""
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size and not 0 <= labels.min() <= labels.max() < n_clusters:
+            raise DataError(f"cluster ids must lie in [0, {n_clusters})")
+        sizes = np.bincount(labels, minlength=n_clusters)
         bad = np.flatnonzero((sizes < k) | (sizes > 2 * k - 1))
-        size_at = bad[0] if bad.size else n_clusters
-        if size_at < n_clusters and size_at <= overlap_at:
-            raise DataError(f"cluster size {sizes[size_at]} outside [{k}, {2 * k - 1}]")
-        if overlap_at < n_clusters:
-            raise DataError("clusters overlap")
-        if not (labels < n_clusters).all():
-            raise DataError("clusters do not cover all rows")
+        if bad.size:
+            raise DataError(f"cluster size {sizes[bad[0]]} outside [{k}, {2 * k - 1}]")
         labels.setflags(write=False)
         self.n_rows, self.k, self.n_clusters = len(labels), k, n_clusters
         self._labels, self._sizes = labels, sizes
@@ -356,7 +331,7 @@ def mdav(features: np.ndarray, k: int) -> Clustering:
     whatever remains (k..2k-1 rows) becomes the final cluster.
     """
     labels, n_clusters = mdav_labels(features, k)
-    return Clustering._of_labels(k, labels, n_clusters)
+    return Clustering(k, labels, n_clusters)
 
 
 # ---------------------------------------------------------------------------

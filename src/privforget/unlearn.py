@@ -112,6 +112,10 @@ class EupgState:
     dp_ledger: DpLedger | None = None
     protected_data: TabularDataset | None = None
 
+    def final_models(self) -> tuple[MlpModel, ...]:
+        """The models whose mean predict serves: the deployed model alone."""
+        return (self.deployed_model,)
+
 
 def _model_dims(ds: TabularDataset, hidden_units: int) -> tuple[int, int, int]:
     n_classes = len(ds.schema[ds.class_index].categories)
@@ -471,23 +475,17 @@ def sisa_forget(
     )
 
 
-def sisa_predict(store: ShardStore, features: np.ndarray) -> np.ndarray:
-    """Ensemble prediction: mean of the shard models' softmax outputs."""
-    return ensemble_probs([mlp.forward(m, features) for m in store.final_models()])
-
-
 def ensemble_probs(shard_probs: list[np.ndarray]) -> np.ndarray:
-    """The ensemble's class probabilities from its shard models', given in
-    shard order: their mean."""
+    """The ensemble's class probabilities from its final models', given in
+    order: their mean, which for one model is its matrix bit for bit."""
     return np.mean(shard_probs, axis=0)
 
 
 def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:
-    """Class probabilities from what a fitted method serves: a shard store's
-    ensemble or an EUPG state's deployed model."""
-    if isinstance(fitted, ShardStore):
-        return sisa_predict(fitted, features)
-    return mlp.forward(fitted.deployed_model, features)
+    """Class probabilities from what a fitted method serves: the mean of its
+    final models', a shard store's shard models or an EUPG state's deployed
+    model."""
+    return ensemble_probs([mlp.forward(m, features) for m in fitted.final_models()])
 
 
 # ---------------------------------------------------------------------------

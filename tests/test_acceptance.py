@@ -44,8 +44,8 @@ from privforget.unlearn import (
     PrivacySpec,
     eupg_forget,
     eupg_prepare,
+    predict,
     sisa_forget,
-    sisa_predict,
     sisa_train,
 )
 
@@ -330,7 +330,7 @@ def test_criterion_6_adult_reproduction():
         "retrain": lambda X: mlp.forward(m_retrain, X),
         "eupg_k10": lambda X: mlp.forward(k_after.deployed_model, X),
         "eupg_eps0.5": lambda X: mlp.forward(dp_after.deployed_model, X),
-        "sisa": lambda X: sisa_predict(store_after, X),
+        "sisa": lambda X: predict(store_after, X),
     }
     for name, fn in probs_fns.items():
         m, nm = balanced_pair(em_f, em_test, seed=0)

@@ -10,15 +10,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from privforget import unlearn
+from privforget import mlp, unlearn
+from privforget.attack import utility_from_probs
 from privforget.cli import (
     DEFAULTS,
-    _report,
     _report_inputs,
-    _ShardScores,
+    _Scores,
+    _scored_report,
     _sweep_points,
     load_config,
-    load_train_test,
+    load_train,
     main,
 )
 from privforget.data import (
@@ -72,6 +73,15 @@ def write_config(tmp_path, conf, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(conf))
     return str(path)
+
+
+def write_unseen_test_category(test_csv):
+    """Give the third data row of test_csv a cat0 category that no training
+    row has."""
+    lines = test_csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index("cat0")] = "unseen"
+    test_csv.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
 
 
 def test_run_original(tmp_path):
@@ -459,13 +469,9 @@ def test_bad_test_csv_read_while_shards_replay_exits_one(tmp_path, capsys, monke
     cfg_path, test_csv = write_config(tmp_path, conf), Path(conf["test_csv"])
     if command == "forget":
         assert main(["run", "--config", cfg_path]) == 0
-    lines = test_csv.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[lines[0].split(",").index("cat0")] = "unseen"
-    test_csv.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
-    train = load_train_test({**conf, "test_csv": None})[0]
+    write_unseen_test_category(test_csv)
     with pytest.raises(DataError) as expected:
-        load_csv(test_csv, train.schema)
+        load_csv(test_csv, load_train(conf).schema)
 
     pin_cpus(monkeypatch, 4, OPENBLAS_NUM_THREADS="1")
     shard_workers, workers = unlearn._shard_workers, []
@@ -485,6 +491,37 @@ def test_bad_test_csv_read_while_shards_replay_exits_one(tmp_path, capsys, monke
         assert not (tmp_path / "out").exists()
     else:
         assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
+
+
+@pytest.mark.parametrize("method, extra", [("eupg_k", {"k": 3}), ("eupg_dp", {"epsilon": 2.0})])
+@pytest.mark.parametrize("command", ["run", "forget"])
+def test_eupg_reads_a_bad_test_csv_after_fitting(tmp_path, capsys, monkeypatch, command, method, extra):
+    """An EUPG run or forget reads the test CSV after fitting and before
+    saving: an unseen category there exits 1 with the message of loading
+    it, run leaves no output directory, and forget no state after
+    forgetting, while the run's state keeps its bytes."""
+    conf = {**write_inputs(tmp_path), "method": method, **extra}
+    cfg_path, test_csv = write_config(tmp_path, conf), Path(conf["test_csv"])
+    state_dir = tmp_path / "out" / "rep0" / "state"
+    if command == "forget":
+        assert main(["run", "--config", cfg_path]) == 0
+        saved = {f.name: f.read_bytes() for f in state_dir.iterdir()}
+    write_unseen_test_category(test_csv)
+    with pytest.raises(DataError) as expected:
+        load_csv(test_csv, load_train(conf).schema)
+
+    fit_name = "eupg_prepare" if command == "run" else "eupg_forget"
+    fit, fits = getattr(unlearn, fit_name), []
+    monkeypatch.setattr(unlearn, fit_name, lambda *args: fits.append(fit_name) or fit(*args))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+    assert fits == [fit_name]
+    if command == "run":
+        assert not (tmp_path / "out").exists()
+    else:
+        assert not (tmp_path / "out" / "rep0" / "state_after_forget").exists()
+        assert {f.name: f.read_bytes() for f in state_dir.iterdir()} == saved
 
 
 def assert_forget_refuses_deployed_model(tmp_path, capsys, eupg_run, write, message):
@@ -654,7 +691,7 @@ def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
     """The forget report attacks encode(train, rows=) of each population: the
     same bytes as encoding each part of split_forget on its own, and as
     taking its rows of encode(train)."""
-    train, _ = load_train_test(load_config(write_config(tmp_path, write_inputs(tmp_path))))
+    train = load_train(load_config(write_config(tmp_path, write_inputs(tmp_path))))
     request = ForgetRequest.from_ratio(train.n_rows, ratio, seed)
     retain, forget = split_forget(train, request)
     forget_rows = np.array(request.forget_indices)
@@ -665,6 +702,13 @@ def test_report_populations_are_takes_of_encoded_train(tmp_path, ratio, seed):
         for em in (taken, encoded):
             assert alone.features.tobytes() == em.features.tobytes()
             assert alone.labels.tobytes() == em.labels.tobytes()
+
+
+def scored_forget_report(conf, rep_dir, fitted, train, test, forgotten) -> dict:
+    """The forget report CLI forget writes for fitted, scored through _Scores."""
+    scores = _Scores(lambda: _report_inputs(conf, 0, train, test, forgotten))
+    probs = scores.probs(fitted)
+    return _scored_report(conf, "forget", 0, rep_dir, train, scores.inputs, probs)
 
 
 def test_forget_report_copies_no_population(tmp_path):
@@ -679,7 +723,7 @@ def test_forget_report_copies_no_population(tmp_path):
     train_bytes = encode(train).features.nbytes
     tracemalloc.start()
     try:
-        report = _report(conf, "forget", 0, tmp_path, store, train, test, forgotten)
+        report = scored_forget_report(conf, tmp_path, store, train, test, forgotten)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -689,41 +733,49 @@ def test_forget_report_copies_no_population(tmp_path):
 
 
 def test_forget_report_predicts_the_test_set_once(tmp_path, monkeypatch):
-    """A SISA forget report predicts the 100 test rows once: retain_vs_test
-    keeps every test row and reuses the utility's probabilities, while
-    forget_vs_test subsamples 30 test rows and predicts them on their own."""
+    """A SISA forget report predicts the 100 test rows once per shard:
+    retain_vs_test keeps every test row and reuses the utility's
+    probabilities, while forget_vs_test subsamples 30 test rows and
+    predicts them on their own."""
     train, test = make_dataset(300, seed=0), make_dataset(100, seed=1)
     test = TabularDataset(train.schema, test.rows, train.provenance)
     store = unlearn.sisa_train(train, 2, 2, TrainConfig(batch_size=64, epochs=1), hidden_units=8)
     conf = load_config(None, {"method": "sisa", "n_shards": 2, "n_slices": 2})
     forgotten = ForgetRequest.from_ratio(train.n_rows, 0.1, 0).mask(train.n_rows)
-    predict, received = unlearn.predict, []
+    forward, received = mlp.forward, []
 
-    def counting_predict(fitted, features):
+    def counting_forward(model, features):
         received.append(len(features))
-        return predict(fitted, features)
+        return forward(model, features)
 
-    monkeypatch.setattr(unlearn, "predict", counting_predict)
-    report = _report(conf, "forget", 0, tmp_path, store, train, test, forgotten)
-    # the test set, then forget_vs_test's members and non-members, then retain_vs_test's members
-    assert received == [100, 30, 30, 100]
+    monkeypatch.setattr(mlp, "forward", counting_forward)
+    report = scored_forget_report(conf, tmp_path, store, train, test, forgotten)
+    # per shard: the test set, then forget_vs_test's members and
+    # non-members, then retain_vs_test's members
+    assert received == [100, 30, 30, 100] * 2
     sizes = {e["population"]: (e["n_members"], e["n_nonmembers"]) for e in report["mia"]}
     assert sizes == {"forget_vs_test": (30, 30), "retain_vs_test": (100, 100)}
 
 
-def test_shard_scores_average_as_sisa_predict():
-    """Shards handed over in any order average, per report matrix, to the
-    bits unlearn.sisa_predict gives for the store: one ensemble rule."""
+def test_scores_average_as_predict():
+    """Final models handed over in any order, and those not handed over
+    predicted by probs(fitted), average per report matrix to the bits
+    unlearn.predict gives for a shard store and for an EUPG state: one
+    ensemble rule."""
     train, test = make_dataset(300, seed=0), make_dataset(100, seed=1)
     test = TabularDataset(train.schema, test.rows, train.provenance)
-    store = unlearn.sisa_train(train, 5, 2, TrainConfig(batch_size=64, epochs=1), hidden_units=8)
+    cfg = TrainConfig(batch_size=64, epochs=1)
+    store = unlearn.sisa_train(train, 5, 2, cfg, hidden_units=8)
+    eupg = unlearn.eupg_prepare(train, unlearn.PrivacySpec.k_anonymity(3), cfg, 1, 8)
     conf = load_config(None, {"method": "sisa"})
     forgotten = ForgetRequest.from_ratio(train.n_rows, 0.1, 0).mask(train.n_rows)
-    scores = _ShardScores(lambda: _report_inputs(conf, 0, train, test, forgotten))
-    for s in (3, 0, 4, 2, 1):
-        scores(s, store.final_models()[s])
-    expected = [unlearn.sisa_predict(store, x) for x in scores.inputs.features()]
-    assert [p.tobytes() for p in scores.probs()] == [p.tobytes() for p in expected]
+    for fitted, handed in [(store, (3, 0, 4, 2, 1)), (store, (3, 0)), (store, ()), (eupg, ())]:
+        scores = _Scores(lambda: _report_inputs(conf, 0, train, test, forgotten))
+        for s in handed:
+            scores(s, fitted.final_models()[s])
+        probs = scores.probs(fitted)
+        expected = [unlearn.predict(fitted, x) for x in scores.inputs.features()]
+        assert [p.tobytes() for p in probs] == [p.tobytes() for p in expected], handed
 
 
 def test_missing_inputs_exit_one(tmp_path, capsys):
@@ -908,6 +960,26 @@ def test_attack_scores_what_run_scored(tmp_path, method, extra):
         run_mia = json.loads((rep_dir / "run_report.json").read_text())["mia"]
         expected = [{k: v for k, v in e.items() if k != "population"} for e in run_mia]
         assert json.loads(out_json.read_text())["results"] == expected, (method, rep)
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [("original", {}), ("eupg_k", {"k": 3}), ("eupg_dp", {"epsilon": 2.0}), ("sisa", {})],
+)
+def test_reports_score_what_the_saved_state_serves(tmp_path, method, extra):
+    """The run and forget reports' utility is unlearn.predict's, on the test
+    CSV, of the state each saved (rep0/state, rep0/state_after_forget), bit
+    for bit; the AUC metric tells apart nearby probabilities."""
+    conf = {**write_inputs(tmp_path), "method": method, "utility_metric": "auc", **extra}
+    cfg_path = write_config(tmp_path, conf)
+    assert main(["run", "--config", cfg_path]) == 0
+    assert main(["forget", "--config", cfg_path]) == 0
+    test = encode(load_csv(conf["test_csv"], load_train(conf).schema))
+    rep_dir = tmp_path / "out" / "rep0"
+    for command, state in [("run", "state"), ("forget", "state_after_forget")]:
+        probs = unlearn.predict(unlearn.load_state(rep_dir / state), test.features)
+        report = json.loads((rep_dir / f"{command}_report.json").read_text())
+        assert report["utility"]["value"] == utility_from_probs(probs, test.labels, "auc"), command
 
 
 def test_attack_encodes_members_under_the_state_schema(tmp_path, capsys, monkeypatch):

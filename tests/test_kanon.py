@@ -299,12 +299,15 @@ def test_mdav_input_validation():
 
 
 def test_clustering_invariants_enforced():
-    with pytest.raises(DataError, match="size"):
-        Clustering(4, 2, (np.array([0]), np.array([1, 2, 3])))
-    with pytest.raises(DataError, match="overlap"):
-        Clustering(4, 2, (np.array([0, 1]), np.array([1, 2, 3])))
-    with pytest.raises(DataError, match="cover"):
-        Clustering(5, 2, (np.array([0, 1]), np.array([2, 3])))
+    with pytest.raises(DataError, match="size 1 outside"):
+        Clustering(2, [0, 1, 1, 1], 2)
+    with pytest.raises(DataError, match="size 0 outside"):
+        Clustering(2, [0, 0, 2, 2], 3)
+    for labels in ([0, 0, 1, 2], [0, 0, -1, 1]):
+        with pytest.raises(DataError, match=r"ids must lie in \[0, 2\)"):
+            Clustering(2, labels, 2)
+    clustering = Clustering(2, [1, 0, 1, 0], 2)
+    assert [c.tolist() for c in clustering.clusters] == [[1, 3], [0, 2]]
 
 
 SCHEMA = (
@@ -325,7 +328,7 @@ def test_centroid_replace_mean_mode_and_tie():
         ]
     )
     ds = TabularDataset(SCHEMA, rows, Provenance.raw())
-    clustering = Clustering(4, 2, (np.array([0, 1]), np.array([2, 3])))
+    clustering = Clustering(2, [0, 0, 1, 1], 2)
     out = centroid_replace(ds, clustering)
     # numeric QI becomes the cluster mean
     assert out.rows[:, 0].tolist() == [1.0, 1.0, 6.0, 6.0]
@@ -345,7 +348,7 @@ def test_centroid_replace_mean_mode_and_tie():
         ]
     )
     ds2 = TabularDataset(SCHEMA, rows2, Provenance.raw())
-    out2 = centroid_replace(ds2, Clustering(4, 4, (np.arange(4),)))
+    out2 = centroid_replace(ds2, Clustering(4, [0, 0, 0, 0], 1))
     assert out2.rows[:, 2].tolist() == [1.0, 1.0, 1.0, 1.0]
 
 

@@ -30,8 +30,8 @@ from privforget.unlearn import (
     PrivacySpec,
     eupg_forget,
     eupg_prepare,
+    predict,
     sisa_forget,
-    sisa_predict,
     sisa_train,
 )
 
@@ -95,7 +95,7 @@ def test_utility_survives_protection(pipeline):
     acc_k = accuracy(p.k_state.deployed_model, p.em_test)
     acc_dp = accuracy(p.dp_state.deployed_model, p.em_test)
     acc_sisa = float(
-        np.mean(sisa_predict(p.store, p.em_test.features).argmax(1) == p.em_test.labels)
+        np.mean(predict(p.store, p.em_test.features).argmax(1) == p.em_test.labels)
     )
     assert acc_o >= 0.78, acc_o
     assert abs(acc_k - acc_o) <= 0.05, (acc_k, acc_o)
@@ -125,7 +125,7 @@ def test_forgetting_drives_leakage_to_chance(pipeline):
         "eupg_dp": loss_auc(
             lambda X: mlp.forward(p.dp_after.deployed_model, X), p.em_forget, p.em_test
         ),
-        "sisa": loss_auc(lambda X: sisa_predict(p.store_after, X), p.em_forget, p.em_test),
+        "sisa": loss_auc(lambda X: predict(p.store_after, X), p.em_forget, p.em_test),
     }
     for name, auc in post.items():
         assert abs(auc - 0.5) <= 0.08, f"{name}: post-forget AUC {auc:.3f}"
@@ -142,7 +142,7 @@ def test_forgetting_keeps_utility(pipeline):
             "sisa",
             float(
                 np.mean(
-                    sisa_predict(p.store_after, p.em_test.features).argmax(1)
+                    predict(p.store_after, p.em_test.features).argmax(1)
                     == p.em_test.labels
                 )
             ),

@@ -42,7 +42,6 @@ from privforget.unlearn import (
     save_shard_store,
     save_state,
     sisa_forget,
-    sisa_predict,
     sisa_train,
 )
 
@@ -179,7 +178,7 @@ def test_retrain_scratch(small_dataset):
     again = sisa_forget(store, small_dataset, request)
     assert models_equal(model, again.final_models()[0])
     features = encode(small_dataset).features
-    assert sisa_predict(after, features).tobytes() == mlp.forward(model, features).tobytes()
+    assert predict(after, features).tobytes() == mlp.forward(model, features).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def test_sisa_train_structure():
     finals = store.final_models()
     assert len(finals) == 3 and all(m is cp[-1] for m, cp in zip(finals, store.checkpoints))
     em = encode(ds)
-    probs = sisa_predict(store, em.features)
+    probs = predict(store, em.features)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert 0.0 <= utility_from_probs(probs, em.labels, "accuracy") <= 1.0
 
@@ -859,9 +858,8 @@ def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset)
     assert predict(fitted["eupg"], em.features).tobytes() == (
         mlp.forward(fitted["eupg"].deployed_model, em.features).tobytes()
     )
-    assert predict(fitted["sisa"], em.features).tobytes() == (
-        sisa_predict(fitted["sisa"], em.features).tobytes()
-    )
+    shard_probs = [mlp.forward(m, em.features) for m in fitted["sisa"].final_models()]
+    assert predict(fitted["sisa"], em.features).tobytes() == np.mean(shard_probs, axis=0).tobytes()
 
     (tmp_path / "original" / "manifest.json").write_text(json.dumps({"kind": "notes"}))
     with pytest.raises(DataError, match="not a saved state"):
