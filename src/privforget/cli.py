@@ -263,11 +263,12 @@ def _params_block(conf: dict) -> dict:
 
 def _state_params(conf: dict) -> dict:
     """The method and method parameters that a run of conf records in its
-    state.  original is SISA with one shard and one slice, so its store and
-    a one-by-one sisa store are the same, both recorded as original."""
+    state, and for EUPG the fine-tune epochs each of its forgets runs.
+    original is SISA with one shard and one slice, so its store and a
+    one-by-one sisa store are the same, both recorded as original."""
     method = conf["method"]
     if method not in ("original", "sisa"):
-        return {"method": method, **_params_block(conf)}
+        return {"method": method, **_params_block(conf), "finetune_epochs": conf["finetune_epochs"]}
     shards, slices = (1, 1) if method == "original" else (conf["n_shards"], conf["n_slices"])
     method = "original" if (shards, slices) == (1, 1) else "sisa"
     return {"method": method, "n_shards": shards, "n_slices": slices}
@@ -275,13 +276,15 @@ def _state_params(conf: dict) -> dict:
 
 def _check_state_params(state_dir: Path, fitted, conf: dict) -> None:
     """DataError naming state_dir, a key and both values unless fitted is
-    what a run of conf's method and method parameters saves."""
+    what a run of conf's method, method parameters and, for EUPG, fine-tune
+    epochs saves."""
     if isinstance(fitted, unlearn.ShardStore):
         saved = {"method": "sisa", "n_shards": fitted.n_shards, "n_slices": fitted.n_slices}
     else:
         spec = fitted.spec
         method = "eupg_k" if spec.method == unlearn.K_ANONYMITY else "eupg_dp"
-        saved = {"method": method, "k": spec.k, "epsilon": spec.epsilon}
+        saved = {"method": method, "k": spec.k, "epsilon": spec.epsilon,
+                 "finetune_epochs": fitted.finetune_epochs}
     found = _state_params(saved)
     for key, wanted in _state_params(conf).items():
         if found.get(key) != wanted:
@@ -570,7 +573,6 @@ def cmd_run(conf: dict) -> int:
 def _forget_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
     """Serve conf's forget request against the state under rep_dir, save the
     result beside it and write the forget report; load_test() as in _run_one."""
-    method = conf["method"]
     base_seed = conf["seed"] + rep
     forget_base = conf["forget_seed"] if conf["forget_seed"] is not None else base_seed
     request = ForgetRequest.from_ratio(train.n_rows, conf["forget_ratio"], forget_base + rep)
@@ -584,27 +586,25 @@ def _forget_one(conf: dict, rep: int, rep_dir: Path, train, load_test) -> dict:
     state_dir, after_dir = rep_dir / "state", rep_dir / "state_after_forget"
     fitted = unlearn.load_state(state_dir)
     _check_state_params(state_dir, fitted, conf)
+    # the state's own settings drive the forget: its training config and
+    # layer dims, and for EUPG its privacy spec and fine-tune epochs
+    scores = _Scores(lambda: _report_inputs(conf, rep, train, load_test(), forgotten))
+    if isinstance(fitted, unlearn.EupgState):
+        forget, epochs = unlearn.eupg_forget, fitted.finetune_epochs
+    else:
+        forget, epochs = functools.partial(unlearn.sisa_forget, on_final=scores), None
     fields = {
         "timings_s": timings,
         "seeds": {"forget": forget_base + rep},
         "forget": {
             "ratio": conf["forget_ratio"],
             "n_forgotten": len(request.forget_indices),
-            "epochs": conf["finetune_epochs"] if method.startswith("eupg") else None,
+            "epochs": epochs,
         },
         "artifacts": {"state_dir": str(after_dir)},
     }
-
-    # the state's own settings drive the forget: its training config and
-    # layer dims, and for EUPG its privacy spec
-    scores = _Scores(lambda: _report_inputs(conf, rep, train, load_test(), forgotten))
     try:
-        if isinstance(fitted, unlearn.EupgState):
-            epochs = conf["finetune_epochs"]
-            after = _timed(timings, "forget", unlearn.eupg_forget, fitted, train, request, epochs)
-        else:
-            forget = unlearn.sisa_forget
-            after = _timed(timings, "forget", forget, fitted, train, request, on_final=scores)
+        after = _timed(timings, "forget", forget, fitted, train, request)
     except DataError as exc:
         if exc is scores.build_error:  # the test table's error, not the state's
             raise

@@ -248,13 +248,10 @@ class EncodedMatrix:
 class ForgetRequest:
     """A request to erase a set of training rows.
 
-    forget_indices are positions into the raw training dataset.  ratio and
-    seed are kept for reporting when the request was drawn randomly.
+    forget_indices are positions into the raw training dataset.
     """
 
     forget_indices: tuple[int, ...]
-    ratio: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.forget_indices)
@@ -263,8 +260,6 @@ class ForgetRequest:
         if any(i < 0 for i in idx):
             raise DataError("forget_indices must be non-negative")
         object.__setattr__(self, "forget_indices", tuple(sorted(idx)))
-        if self.ratio is not None and not 0.0 <= self.ratio <= 1.0:
-            raise DataError(f"forget ratio must lie in [0, 1], got {self.ratio}")
 
     @classmethod
     def from_ratio(cls, n_rows: int, ratio: float, seed: int) -> "ForgetRequest":
@@ -275,7 +270,7 @@ class ForgetRequest:
             raise DataError(f"forget ratio must lie in [0, 1], got {ratio}")
         m = int(np.floor(ratio * n_rows))
         idx = seeds.stream(seed, seeds.FORGET_DRAW).permutation(n_rows)[:m]
-        return cls(tuple(int(i) for i in idx), ratio=ratio, seed=seed)
+        return cls(tuple(int(i) for i in idx))
 
     def mask(self, n_rows: int) -> np.ndarray:
         """Boolean mask over a table of n_rows, True at the forgotten rows.

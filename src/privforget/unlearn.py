@@ -4,9 +4,12 @@ The primary strategy keeps two models: a base model trained only on a
 privacy-protected view of the training data (k-anonymized or
 differentially private), and a deployed model obtained by fine-tuning the
 base on the raw data.  Serving a forgetting request discards the deployed
-model and fine-tunes the base on the retain set alone; the forgotten rows
-never influence the result, because the base saw only the protected view
-and the fine-tune sees only the retain rows.
+model and fine-tunes the base on the retain set alone.  The guarantee is
+bounded by the privacy model in use: the base saw the protected view of
+every row, forgotten rows included, so a forgotten row still shapes it
+through its MDAV cluster centroid or its DP-noised cells; a forget removes
+only the influence of the forgotten rows' raw values, which the fine-tune
+never sees.
 
 Baseline: sharded incremental training (SISA), where a forget rolls the
 affected shard back to the last checkpoint untouched by the forgotten row
@@ -81,19 +84,13 @@ class PrivacySpec:
 
 
 @dataclass(frozen=True)
-class ForgetEvent:
-    n_forgotten: int
-    epochs: int
-    ratio: float | None = None
-    request_seed: int | None = None
-
-
-@dataclass(frozen=True)
 class EupgState:
     """Both models, the training settings and the raw table's schema.
 
     With the raw training table, which eupg_forget takes separately and
-    which is not stored here, this serves any forgetting request.
+    which is not stored here, this serves any forgetting request; a table
+    whose rows' sha256 is not data_sha256 is refused.  Every forget
+    fine-tunes for finetune_epochs epochs.
     protected_data is the protected view the base model was trained on; a
     prepared state holds it, a loaded one holds None, since forgetting never
     reads it and protect(ds, spec) re-derives it.  timings holds the
@@ -107,8 +104,8 @@ class EupgState:
     deployed_model: MlpModel
     finetune_epochs: int
     cfg: TrainConfig
+    data_sha256: str
     timings: dict[str, float] = field(default_factory=dict)
-    audit_log: tuple[ForgetEvent, ...] = ()
     dp_ledger: DpLedger | None = None
     protected_data: TabularDataset | None = None
 
@@ -157,38 +154,41 @@ def eupg_prepare(
         deployed_model=deployed,
         finetune_epochs=finetune_epochs,
         cfg=cfg,
+        data_sha256=_data_checksum(ds),
         timings={"anonymize": t1 - t0, "train": t2 - t1, "finetune": t3 - t2},
         dp_ledger=ledger,
         protected_data=protected,
     )
 
 
-def eupg_forget(
-    state: EupgState,
-    ds: TabularDataset,
-    request: ForgetRequest,
-    epochs: int | None = None,
-) -> EupgState:
+def eupg_forget(state: EupgState, ds: TabularDataset, request: ForgetRequest) -> EupgState:
     """Serve a forgetting request: re-fine-tune the base on the retain set.
 
-    The new deployed model is a function of (base model, retain rows,
-    epochs, config seed) only: the fine-tune sees the retain rows of the
-    encoded table, so nothing about the forgotten rows' contents enters it.
+    ds must be the table the state was prepared on; another one is refused
+    before any training.  The new deployed model is a function of (base
+    model, retain rows, the state's fine-tune epochs and config seed) only:
+    the fine-tune sees the retain rows of the encoded table, so nothing
+    about the forgotten rows' contents enters it.
     """
-    if ds.schema != state.schema:
-        raise DataError("dataset schema does not match the prepared state")
-    if ds.provenance.kind != "raw":
-        raise DataError(f"forget expects the raw training dataset, got {ds.provenance.tag()!r}")
-    epochs = state.finetune_epochs if epochs is None else epochs
+    _check_table(state, ds)
     retain = encode(ds, rows=np.flatnonzero(~request.mask(ds.n_rows)))
-    deployed = mlp.finetune(state.base_model, retain, epochs, state.cfg)
-    event = ForgetEvent(
-        n_forgotten=len(request.forget_indices),
-        epochs=epochs,
-        ratio=request.ratio,
-        request_seed=request.seed,
-    )
-    return dataclasses.replace(state, deployed_model=deployed, audit_log=state.audit_log + (event,))
+    deployed = mlp.finetune(state.base_model, retain, state.finetune_epochs, state.cfg)
+    return dataclasses.replace(state, deployed_model=deployed)
+
+
+def _data_checksum(ds: TabularDataset) -> str:
+    """sha256 of the table's raw rows, hashed in place; the schema, which
+    fixes how they encode, is compared on its own."""
+    return hashlib.sha256(np.ascontiguousarray(ds.rows)).hexdigest()
+
+
+def _check_table(fitted: EupgState | ShardStore, ds: TabularDataset) -> None:
+    """DataError unless ds is the table fitted was trained on: its schema,
+    then its raw rows' sha256."""
+    if ds.schema != fitted.schema:
+        raise DataError("dataset schema does not match the saved state")
+    if _data_checksum(ds) != fitted.data_sha256:
+        raise DataError("supplied dataset does not match the one this store was trained on")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ class ShardStore:
     from those its checkpoints saw.  checkpoints[s][r] is the shard model
     after training through slice r; _replay_shard is the only code that
     trains one.  The training table is not held: sisa_forget takes it from
-    its caller and refuses one whose encoding's sha256 is not data_sha256.
+    its caller and refuses one whose raw rows' sha256 is not data_sha256.
     """
 
     n_shards: int
@@ -218,7 +218,6 @@ class ShardStore:
     alive: np.ndarray
     data_sha256: str
     checkpoints: tuple[tuple[MlpModel, ...], ...]
-    removed_log: tuple[int, ...] = ()
 
     @property
     def per_slice_epochs(self) -> int:
@@ -419,7 +418,6 @@ def sisa_train(
         raise DataError(
             f"{ds.n_rows} rows cannot fill {n_shards} shards x {n_slices} slices"
         )
-    data = encode(ds)
     store = ShardStore(
         n_shards=n_shards,
         n_slices=n_slices,
@@ -427,11 +425,10 @@ def sisa_train(
         layer_dims=_model_dims(ds, hidden_units),
         schema=ds.schema,
         alive=np.ones(ds.n_rows, dtype=bool),
-        data_sha256=_data_checksum(data),
+        data_sha256=_data_checksum(ds),
         checkpoints=((),) * n_shards,
     )
-    _set_replay_inputs(store, data, store.alive)
-    del data  # the replay inputs hold the only reference; _replay_shards drops it
+    _set_replay_inputs(store, encode(ds), store.alive)
     checkpoints = _replay_shards([(s, 0) for s in range(n_shards)], on_final)
     return dataclasses.replace(store, checkpoints=tuple(checkpoints))
 
@@ -448,11 +445,7 @@ def sisa_forget(
     on_final(s, model) runs with each shard's final model, replayed or
     untouched, as _replay_shards says.
     """
-    if ds.schema != store.schema:
-        raise DataError("dataset schema does not match the shard store")
-    data = encode(ds)
-    if _data_checksum(data) != store.data_sha256:
-        raise DataError("supplied dataset does not match the one this store was trained on")
+    _check_table(store, ds)
     forget = request.mask(len(store.alive))
     dead = np.flatnonzero(forget & ~store.alive)
     if dead.size:
@@ -464,15 +457,9 @@ def sisa_forget(
     first_hit = np.full(store.n_shards, store.n_slices)
     np.minimum.at(first_hit, hit_shard, hit_slice)
     hit = [(s, int(first)) for s, first in enumerate(first_hit) if first < store.n_slices]
-    _set_replay_inputs(store, data, alive)
-    del data  # the replay inputs hold the only reference; _replay_shards drops it
+    _set_replay_inputs(store, encode(ds), alive)
     checkpoints = _replay_shards(hit, on_final)
-    return dataclasses.replace(
-        store,
-        alive=alive,
-        checkpoints=tuple(checkpoints),
-        removed_log=store.removed_log + tuple(int(i) for i in forget_rows),
-    )
+    return dataclasses.replace(store, alive=alive, checkpoints=tuple(checkpoints))
 
 
 def ensemble_probs(shard_probs: list[np.ndarray]) -> np.ndarray:
@@ -499,20 +486,21 @@ def predict(fitted: EupgState | ShardStore, features: np.ndarray) -> np.ndarray:
 # load_state(dir) needs no other input and a table loaded under that schema
 # is encoded as the training table was.
 #   - eupg_state: both models, the privacy spec, the training settings, the
-#     DP ledger and the audit log.  The protected rows are not stored:
-#     protect(ds, spec) re-derives them, and `privforget anonymize` is their
-#     CSV export.
-#   - shard_store: every checkpoint, the row count and sha256s of the encoded
-#     training table and of its deal to shards and slices.  load_shard_store
-#     re-deals the rows and checks the deal; sisa_forget takes the table
-#     from its caller and checks it.  The from-scratch baseline is a store
-#     of one shard and one slice.
+#     DP ledger and a sha256 of the raw training rows.  The protected rows
+#     are not stored: protect(ds, spec) re-derives them, and `privforget
+#     anonymize` is their CSV export.
+#   - shard_store: every checkpoint, the row count and sha256s of the raw
+#     training rows and of their deal to shards and slices.  load_shard_store
+#     re-deals the rows and checks the deal.  The from-scratch baseline is
+#     a store of one shard and one slice.
+# Neither holds the training table: eupg_forget and sisa_forget take it from
+# their caller and check it against data_sha256.
 # Each kind's manifest is a record dataclass below, written by asdict and
 # read back by _from_json against its type hints: the dataclasses are the
 # format.  A directory of another format version is refused, not converted.
 
-EUPG_FORMAT_VERSION = 7
-SHARD_FORMAT_VERSION = 7
+EUPG_FORMAT_VERSION = 8
+SHARD_FORMAT_VERSION = 8
 MANIFEST = "manifest.json"
 
 
@@ -531,8 +519,8 @@ class _EupgManifest(_Manifest):
     spec: PrivacySpec
     finetune_epochs: int
     cfg: TrainConfig
-    audit_log: tuple[ForgetEvent, ...]
     dp_ledger: DpLedger | None
+    data_sha256: str
     format_version: int = EUPG_FORMAT_VERSION
     kind: str = "eupg_state"
 
@@ -546,7 +534,6 @@ class _ShardManifest(_Manifest):
     n_rows: int
     deal_sha256: str
     removed_rows: tuple[int, ...]
-    removed_log: tuple[int, ...]
     data_sha256: str
     format_version: int = SHARD_FORMAT_VERSION
     kind: str = "shard_store"
@@ -682,8 +669,8 @@ def save_eupg_state(state: EupgState, out_dir) -> None:
         spec=state.spec,
         finetune_epochs=state.finetune_epochs,
         cfg=state.cfg,
-        audit_log=state.audit_log,
         dp_ledger=state.dp_ledger,
+        data_sha256=state.data_sha256,
     )
     models = {"base.model": state.base_model, "deployed.model": state.deployed_model}
     _write_state(out_dir, models, manifest)
@@ -700,17 +687,9 @@ def load_eupg_state(state_dir) -> EupgState:
         deployed_model=mlp.load_model(out / "deployed.model"),
         finetune_epochs=manifest.finetune_epochs,
         cfg=manifest.cfg,
-        audit_log=manifest.audit_log,
+        data_sha256=manifest.data_sha256,
         dp_ledger=manifest.dp_ledger,
     )
-
-
-def _data_checksum(em: EncodedMatrix) -> str:
-    """sha256 of the features' bytes, then the labels', hashed in place."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(em.features))
-    h.update(np.ascontiguousarray(em.labels))
-    return h.hexdigest()
 
 
 def _deal_checksum(slice_rows) -> str:
@@ -735,7 +714,6 @@ def save_shard_store(store: ShardStore, out_dir) -> None:
         n_rows=len(store.alive),
         deal_sha256=_deal_checksum(store.slice_rows),
         removed_rows=tuple(np.flatnonzero(~store.alive).tolist()),
-        removed_log=store.removed_log,
         data_sha256=store.data_sha256,
     )
     _write_state(out_dir, models, manifest)
@@ -776,5 +754,4 @@ def load_shard_store(state_dir) -> ShardStore:
         alive=alive,
         data_sha256=manifest.data_sha256,
         checkpoints=checkpoints,
-        removed_log=manifest.removed_log,
     )

@@ -4,6 +4,7 @@ Each test times its own core work and asserts the documented budget.  The
 two tests that need the adult income dataset skip, with instructions, when
 the prepared CSVs are absent; everything else is self-contained.
 """
+import dataclasses
 import math
 import os
 import time
@@ -14,7 +15,7 @@ import pytest
 import scipy.stats
 from scipy.special import logsumexp
 
-from privforget import mlp
+from privforget import mlp, unlearn
 from privforget.attack import (
     balanced_pair,
     mia_from_probs,
@@ -23,6 +24,7 @@ from privforget.attack import (
 )
 from privforget.data import (
     AttributeSchema,
+    DataError,
     ForgetRequest,
     Provenance,
     TabularDataset,
@@ -204,7 +206,12 @@ def test_criterion_4_forget_independence(tmp_path):
     for spec in (PrivacySpec.k_anonymity(10), PrivacySpec.dp(1.0, seed=5)):
         state = eupg_prepare(ds, spec, cfg, finetune_epochs=3, hidden_units=16)
         a = eupg_forget(state, ds, request)
-        b = eupg_forget(state, mutated, request)
+        # the state is bound to its table's rows: the mutated table is
+        # refused, and the same base bound to it forgets to the same bytes
+        with pytest.raises(DataError, match="does not match"):
+            eupg_forget(state, mutated, request)
+        bound = dataclasses.replace(state, data_sha256=unlearn._data_checksum(mutated))
+        b = eupg_forget(bound, mutated, request)
         pa, pb = tmp_path / f"{spec.method}_a.model", tmp_path / f"{spec.method}_b.model"
         save_model(a.deployed_model, pa)
         save_model(b.deployed_model, pb)

@@ -153,8 +153,7 @@ def test_run_then_forget(tmp_path, method, extra):
         expected = {"manifest.json", "shard0_slice0.model"}
     else:
         expected = {"manifest.json", "base.model", "deployed.model"}
-        after = load_eupg_state(after_dir)
-        assert [e.n_forgotten for e in after.audit_log] == [12]
+        assert forget_report["forget"]["epochs"] == load_eupg_state(after_dir).finetune_epochs == 2
     for state_dir in (tmp_path / "out" / "rep0" / "state", after_dir):
         assert {f.name for f in state_dir.iterdir()} == expected, state_dir
     assert (tmp_path / "out" / "forget_summary.json").exists()
@@ -207,6 +206,12 @@ def eupg_run(tmp_path_factory):
     return saved_run(tmp_path_factory, "eupg_dp", epsilon=2.0)
 
 
+@pytest.fixture(scope="module")
+def eupg_k_run(tmp_path_factory):
+    """An eupg_k `run` output directory and its config."""
+    return saved_run(tmp_path_factory, "eupg_k", k=3)
+
+
 def assert_forget_refuses_state(tmp_path, capsys, run_conf, edit, message):
     """forget on a copy of run_conf's output whose rep0/state manifest went
     through edit exits 1, naming the state directory and message, and
@@ -227,7 +232,7 @@ def assert_forget_refuses_state(tmp_path, capsys, run_conf, edit, message):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("removed_log", None, "lacks key 'removed_log'"),
+        ("data_sha256", None, "lacks key 'data_sha256'"),
         ("removed_rows", [120], "'removed_rows'"),
         ("removed_rows", [-1], "'removed_rows'"),
         ("removed_rows", [3, 3], "'removed_rows'"),
@@ -252,9 +257,6 @@ def test_malformed_shard_manifest_exits_one(tmp_path, capsys, sisa_run, key, val
     assert_forget_refuses_state(tmp_path, capsys, sisa_run, edit, message)
 
 
-EVENT = {"n_forgotten": 1, "epochs": 2, "ratio": None, "request_seed": None}
-
-
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -275,10 +277,6 @@ def test_shard_manifest_cfg_fields_checked(tmp_path, capsys, sisa_run, edit, mes
         ("cfg", lambda cfg: cfg.update(momentum=0.9), "key 'cfg' has unknown key 'momentum'"),
         ("spec", lambda spec: spec.pop("mechanisms"), "key 'spec' lacks key 'mechanisms'"),
         ("spec", lambda spec: spec.update(delta=1e-5), "key 'spec' has unknown key 'delta'"),
-        ("audit_log", lambda log: log.append({**EVENT, "rows": [3]}),
-         "key 'audit_log' has unknown key 'rows'"),
-        ("audit_log", lambda log: log.append({}), "key 'audit_log' lacks key 'n_forgotten'"),
-        ("audit_log", lambda log: log.append(7), "key 'audit_log': expected a JSON object"),
         ("dp_ledger", lambda ledger: ledger["entries"][0].update(extra=1),
          "key 'dp_ledger.entries' has unknown key 'extra'"),
         ("spec", lambda spec: spec.update(mechanisms={}),
@@ -289,13 +287,12 @@ def test_shard_manifest_cfg_fields_checked(tmp_path, capsys, sisa_run, edit, mes
         ("schema", lambda schema: schema.clear() or schema.append([]),
          "key 'schema': expected a JSON object"),
     ],
-    ids=["cfg_unknown", "spec_missing", "spec_unknown", "event_unknown", "event_missing",
-         "event_not_object", "ledger_entry_unknown", "mechanisms_missing", "mechanism_missing",
-         "schema_entry_missing", "schema_entry_not_object"],
+    ids=["cfg_unknown", "spec_missing", "spec_unknown", "ledger_entry_unknown",
+         "mechanisms_missing", "mechanism_missing", "schema_entry_missing", "schema_entry_not_object"],
 )
 def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, edit, message):
-    """forget refuses an EUPG manifest whose settings, privacy spec or
-    forget events name a field their dataclass lacks, or lack one of its
+    """forget refuses an EUPG manifest whose settings, privacy spec, ledger
+    or schema name a field their dataclass lacks, or lack one of its
     fields."""
     assert_forget_refuses_state(tmp_path, capsys, eupg_run, lambda m: edit(m[key]), message)
 
@@ -312,7 +309,11 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
          "manifest key 'finetune_epochs': expected a non-negative integer, got '5'"),
         ("eupg", lambda m: m["cfg"].update(batch_size=-3),
          "manifest key 'cfg.batch_size': expected a non-negative integer, got -3"),
-        ("eupg", lambda m: m.update(audit_log={}), "manifest key 'audit_log': expected a list"),
+        ("eupg", lambda m: m.update(data_sha256=7),
+         "manifest key 'data_sha256': expected a JSON string, got 7"),
+        ("eupg", lambda m: m.pop("data_sha256"), "manifest.json lacks key 'data_sha256'"),
+        ("eupg", lambda m: m.update(data_sha256="0" * 64),
+         "does not match the one this store was trained on"),
         ("eupg", lambda m: m["spec"].update(epsilon=-1.0), "manifest key 'spec': dp requires epsilon > 0"),
         ("eupg", lambda m: m.update(notes="x"), "manifest.json has unknown key 'notes'"),
         ("eupg", lambda m: m["spec"].update(mechanisms={"categorical": {
@@ -325,14 +326,16 @@ def test_eupg_manifest_record_fields_checked(tmp_path, capsys, eupg_run, key, ed
         ("sisa", lambda m: m.update(n_slices=0), "manifest key 'n_slices' must be a positive integer"),
     ],
     ids=["categories_not_list", "ledger_no_entries", "learning_rate_string", "epochs_string",
-         "batch_size_negative", "audit_log_object", "spec_check", "unknown_top_level",
+         "batch_size_negative", "data_sha256_number", "data_sha256_missing", "data_sha256_other",
+         "spec_check", "unknown_top_level",
          "ragged_matrix", "learning_rate_nan",
          "layer_dims_number", "n_shards_string", "no_slices"],
 )
 def test_manifest_values_typed(tmp_path, capsys, sisa_run, eupg_run, run, edit, message):
-    """forget refuses a manifest value of the wrong type, a negative count or
-    a value its record's own checks refuse, with exit 1 naming the state
-    directory and the key path, where it used to exit 2 or load the value."""
+    """forget refuses a manifest value of the wrong type, a negative count, a
+    value its record's own checks refuse or a missing key, with exit 1
+    naming the state directory and the key path, where it used to exit 2 or
+    load the value; and a data_sha256 that is not the training table's."""
     run_conf = eupg_run if run == "eupg" else sisa_run
     assert_forget_refuses_state(tmp_path, capsys, run_conf, edit, message)
 
@@ -370,17 +373,19 @@ def original_run(tmp_path_factory):
     [
         ("eupg", {"method": "eupg_k", "k": 3}, "method", "'eupg_dp'", "'eupg_k'"),
         ("eupg", {"epsilon": 50.0}, "epsilon", "2.0", "50.0"),
+        ("eupg_k", {"finetune_epochs": 7}, "finetune_epochs", "2", "7"),
         ("sisa", {"n_shards": 3}, "n_shards", "2", "3"),
         ("original", {"method": "sisa"}, "method", "'original'", "'sisa'"),
         ("sisa", {"method": "original"}, "method", "'sisa'", "'original'"),
     ],
-    ids=["eupg_k_on_eupg_dp", "other_epsilon", "other_shard_count", "sisa_on_original",
-         "original_on_sisa"],
+    ids=["eupg_k_on_eupg_dp", "other_epsilon", "other_finetune_epochs", "other_shard_count",
+         "sisa_on_original", "original_on_sisa"],
 )
 def test_forget_refuses_other_method_parameters(tmp_path, capsys, request, run, edit, key, found, wanted):
-    """forget exits 1 when the config names another method or other method
-    parameters than the saved state records, naming the state directory,
-    the key and both values, and writes no state after forgetting."""
+    """forget exits 1 when the config names another method, other method
+    parameters or, for EUPG, other fine-tune epochs than the saved state
+    records, naming the state directory, the key and both values, and
+    writes no state after forgetting."""
     run_conf = request.getfixturevalue(f"{run}_run")
     shutil.copytree(Path(run_conf["out"]), tmp_path / "out")
     state_dir = tmp_path / "out" / "rep0" / "state"
@@ -411,6 +416,38 @@ def test_original_forget_reads_its_state(tmp_path, original_run):
     model = load_model(tmp_path / "overridden" / "rep0" / "state_after_forget" / "shard0_slice0.model")
     assert model.layer_dims[1] == original_run["hidden_units"] == 8
     assert after["overridden"] == after["own"] == after["one_by_one_sisa"]
+
+
+def test_eupg_forget_reads_its_state(tmp_path, capsys, eupg_k_run):
+    """An eupg_k forget under the run's own fine-tune epochs keeps the base
+    byte for byte and deploys the bytes of mlp.finetune of the base on the
+    retain rows for the state's epochs; a training CSV with two rows
+    swapped exits 1 naming the state directory and writes no state after
+    forgetting."""
+    shutil.copytree(Path(eupg_k_run["out"]), tmp_path / "out")
+    rep_dir = tmp_path / "out" / "rep0"
+    conf = {**eupg_k_run, "out": str(tmp_path / "out")}
+    cfg_path = write_config(tmp_path, conf)
+    assert main(["forget", "--config", cfg_path, "--set", "finetune_epochs=2"]) == 0
+    state = load_eupg_state(rep_dir / "state")
+    train = load_train(conf)
+    request = ForgetRequest.from_ratio(train.n_rows, conf["forget_ratio"], 0)
+    retain = encode(train, rows=np.flatnonzero(~request.mask(train.n_rows)))
+    mlp.save_model(mlp.finetune(state.base_model, retain, 2, state.cfg), tmp_path / "expected.model")
+    after_dir = rep_dir / "state_after_forget"
+    assert (after_dir / "base.model").read_bytes() == (rep_dir / "state" / "base.model").read_bytes()
+    assert (after_dir / "deployed.model").read_bytes() == (tmp_path / "expected.model").read_bytes()
+    assert json.loads((rep_dir / "forget_report.json").read_text())["forget"]["epochs"] == 2
+
+    shutil.rmtree(after_dir)
+    lines = Path(conf["train_csv"]).read_text().splitlines()
+    lines[60], lines[61] = lines[61], lines[60]
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["forget", "--config", cfg_path, "--set", f"train_csv={tmp_path / 'train.csv'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rep_dir / 'state'}: supplied dataset does not match"), err
+    assert not after_dir.exists()
 
 
 @pytest.mark.parametrize(

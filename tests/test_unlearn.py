@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -106,14 +107,13 @@ def test_eupg_forget_basics(small_dataset):
     state = prepared(small_dataset)
     request = ForgetRequest.from_ratio(small_dataset.n_rows, 0.1, seed=7)
     after = eupg_forget(state, small_dataset, request)
-    # the base never changes; only the deployed model is rebuilt
+    # the base never changes; only the deployed model is rebuilt, by the
+    # state's own fine-tune epochs on the retain rows
     assert models_equal(after.base_model, state.base_model)
     assert not models_equal(after.deployed_model, state.deployed_model)
-    assert len(after.audit_log) == 1
-    event = after.audit_log[0]
-    assert event.n_forgotten == len(request.forget_indices)
-    assert event.epochs == 2
-    assert event.ratio == 0.1 and event.request_seed == 7
+    retain = encode(small_dataset, rows=np.flatnonzero(~request.mask(small_dataset.n_rows)))
+    assert models_equal(after.deployed_model, mlp.finetune(state.base_model, retain, 2, CFG))
+    assert after.finetune_epochs == 2 and after.data_sha256 == state.data_sha256
     # forgetting times nothing itself: its caller times it
     assert after.timings == state.timings
     # serving the same request twice is deterministic
@@ -139,7 +139,11 @@ def test_eupg_forget_is_independent_of_forgotten_contents(small_dataset):
             rows[idx, j] = (rows[idx, j] + 1) % len(attr.categories)
     mutated = TabularDataset(small_dataset.schema, rows, Provenance.raw())
 
-    other = eupg_forget(state, mutated, request)
+    # the state refuses another table; one bound to the mutated table forgets alike
+    with pytest.raises(DataError, match="does not match"):
+        eupg_forget(state, mutated, request)
+    bound = dataclasses.replace(state, data_sha256=unlearn._data_checksum(mutated))
+    other = eupg_forget(bound, mutated, request)
     assert models_equal(baseline.deployed_model, other.deployed_model)
 
 
@@ -156,7 +160,7 @@ def test_eupg_forget_schema_mismatch(tmp_path, small_dataset):
 def test_eupg_forget_refuses_subset_and_out_of_range(small_dataset):
     state = prepared(small_dataset)
     retain, _ = split_forget(small_dataset, ForgetRequest((0,)))
-    with pytest.raises(DataError, match="raw training dataset, got 'retain_subset'"):
+    with pytest.raises(DataError, match="does not match the one this store was trained on"):
         eupg_forget(state, retain, ForgetRequest((1,)))
     n = small_dataset.n_rows
     with pytest.raises(DataError, match=f"forget index {n} out of range for {n} rows"):
@@ -472,7 +476,7 @@ def test_sisa_forget_divergence_propagates(monkeypatch, cpus):
     assert multiprocessing.active_children() == []
     assert store.checkpoints is checkpoints
     assert store_bytes(store) == before
-    assert np.array_equal(store.alive, alive) and store.removed_log == ()
+    assert np.array_equal(store.alive, alive)
 
 
 def test_sisa_forget_leaves_other_shards_untouched():
@@ -493,7 +497,7 @@ def test_sisa_double_forget_rejected():
     cfg = TrainConfig(batch_size=16, epochs=2, seed=0)
     store = sisa_train(ds, 2, 2, cfg, hidden_units=8)
     once = sisa_forget(store, ds, ForgetRequest((5,)))
-    assert once.removed_log == (5,)
+    assert np.flatnonzero(~once.alive).tolist() == [5]
     with pytest.raises(DataError, match="already forgotten"):
         sisa_forget(once, ds, ForgetRequest((5,)))
     with pytest.raises(DataError, match="out of range"):
@@ -541,7 +545,7 @@ def test_eupg_state_round_trip(tmp_path, small_dataset, spec):
     again, _ = protect(small_dataset, back.spec)
     assert again.rows.tobytes() == state.protected_data.rows.tobytes()
     assert again.provenance == state.protected_data.provenance
-    assert back.audit_log == state.audit_log
+    assert back.data_sha256 == state.data_sha256 == unlearn._data_checksum(small_dataset)
     assert back.finetune_epochs == state.finetune_epochs
     assert back.cfg == state.cfg
     assert back.dp_ledger == state.dp_ledger
@@ -624,7 +628,7 @@ def test_shard_store_round_trip(tmp_path):
     back = load_shard_store(tmp_path / "sisa")
 
     assert np.array_equal(back.alive, store.alive)
-    assert back.removed_log == (4, 17)
+    assert np.flatnonzero(~back.alive).tolist() == [4, 17]
     assert back.schema == ds.schema and back.data_sha256 == store.data_sha256
     # the store holds models and checksums, not the encoded training table
     assert not any(isinstance(value, EncodedMatrix) for value in vars(back).values())
@@ -681,21 +685,28 @@ def test_shard_store_deal_mismatch_refused(tmp_path, monkeypatch, damage):
     assert str(tmp_path / "sisa") in message and "deal_sha256" in message
 
 
-def test_shard_store_rejects_wrong_dataset(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", ["eupg", "sisa"])
+def test_shard_store_rejects_wrong_dataset(tmp_path, monkeypatch, kind):
+    """Either state kind, reloaded, refuses a table of the training schema
+    with one changed cell, and a retain subset of the training table,
+    before it trains anything."""
     ds = make_dataset(60, seed=8)
-    store = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
-    save_shard_store(store, tmp_path / "sisa")
+    if kind == "eupg":
+        fitted = prepared(ds)
+    else:
+        fitted = sisa_train(ds, 2, 2, TrainConfig(epochs=1, seed=0), hidden_units=4)
+    save_state(fitted, tmp_path / kind)
 
     rows = np.array(ds.rows)
     rows[0, 0] += 1.0
     tampered = TabularDataset(ds.schema, rows, Provenance.raw())
-    back = load_shard_store(tmp_path / "sisa")
-    # refused before any shard replays
+    back = load_state(tmp_path / kind)
+    forget = eupg_forget if kind == "eupg" else sisa_forget
     monkeypatch.setattr(unlearn, "_replay_shards", lambda *args: pytest.fail("replayed"))
-    with pytest.raises(DataError, match="does not match"):
-        sisa_forget(back, tampered, ForgetRequest((1,)))
-    with pytest.raises(DataError, match="does not match"):
-        sisa_forget(back, split_forget(ds, ForgetRequest((1,)))[0], ForgetRequest((1,)))
+    monkeypatch.setattr(mlp, "finetune", lambda *args: pytest.fail("fine-tuned"))
+    for table in (tampered, split_forget(ds, ForgetRequest((1,)))[0]):
+        with pytest.raises(DataError, match="does not match the one this store was trained on"):
+            forget(back, table, ForgetRequest((1,)))
 
 
 def test_shard_store_v2_directory_refused(tmp_path):
@@ -714,15 +725,17 @@ def test_shard_store_v2_directory_refused(tmp_path):
 
 @pytest.mark.parametrize(
     "kind, version",
-    [("eupg", 3), ("sisa", 3), ("original", 1), ("eupg", 5), ("sisa", 5), ("eupg", 6), ("sisa", 6)],
+    [("eupg", 3), ("sisa", 3), ("original", 1), ("eupg", 5), ("sisa", 5), ("eupg", 6), ("sisa", 6),
+     ("eupg", 7), ("sisa", 7)],
 )
 def test_previous_format_version_refused(tmp_path, small_dataset, kind, version):
     """A state written before every manifest recorded its clamp flag (and,
     for EUPG, while its ledger carried two derived fields), one whose
     training settings held Adam's constants (format 5), one holding the
-    clamp flag and a shuffle setting (format 6), or an original model of
-    the retired kind original_model, is refused, naming the directory and
-    the version."""
+    clamp flag and a shuffle setting (format 6), one keeping a second
+    forget log and, for EUPG, no sha256 of its training rows (format 7),
+    or an original model of the retired kind original_model, is refused,
+    naming the directory and the version."""
     fitted = {
         "eupg": lambda: prepared(small_dataset, PrivacySpec.dp(1.0, seed=2)),
         "sisa": lambda: sisa_train(small_dataset, 2, 2, CFG, hidden_units=8),
@@ -738,6 +751,10 @@ def test_previous_format_version_refused(tmp_path, small_dataset, kind, version)
         manifest["cfg"].update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
     if kind == "eupg" and version == 3:
         manifest["dp_ledger"] = fitted.dp_ledger.to_json_dict()
+    if version == 7:
+        if kind == "eupg":
+            del manifest["data_sha256"]
+        manifest["audit_log" if kind == "eupg" else "removed_log"] = []
     if kind == "original":
         manifest = {"schema": manifest["schema"], "format_version": version, "kind": "original_model"}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -769,8 +786,8 @@ def key_path(path) -> str:
 @pytest.fixture(scope="module")
 def saved_states(tmp_path_factory):
     """kind -> (directory, manifest) of one saved state of each kind, each
-    holding every kind of record: an eupg_dp state with utility matrices and a
-    forget event, and a SISA store with forgotten rows."""
+    holding every kind of record: an eupg_dp state with utility matrices,
+    after a forget, and a SISA store with forgotten rows."""
     ds = make_dataset(60, seed=4)
     mechanisms = MechanismSpec(
         categorical={"cat1": CategoricalMechanism(np.eye(3) + 0.25, delta_u=0.5)},
@@ -868,19 +885,18 @@ def test_load_state_reads_every_kind_from_its_directory(tmp_path, small_dataset)
 
 
 def test_data_checksum_hashes_in_place():
-    """A store's data checksum reads the matrix where it lies: under 1 MiB
-    allocated for an 11 MB matrix, and the digest of its bytes as before."""
-    rng = np.random.default_rng(0)
-    em = EncodedMatrix(rng.random((13_000, 104)), rng.integers(0, 2, 13_000))
-    assert em.features.nbytes >= 10_000_000
+    """A state's data checksum reads the table's raw rows where they lie:
+    under 1 MiB allocated for 11 MB of rows, and the digest of their bytes."""
+    ds = make_dataset(90_000, seed=0, n_numeric=13)
+    assert ds.rows.nbytes >= 10_000_000
     tracemalloc.start()
     try:
-        digest = unlearn._data_checksum(em)
+        digest = unlearn._data_checksum(ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert digest == hashlib.sha256(em.features.tobytes() + em.labels.tobytes()).hexdigest()
+    assert digest == hashlib.sha256(ds.rows.tobytes()).hexdigest()
 
 
 def test_persistence_kind_checks(tmp_path, small_dataset):
